@@ -2,17 +2,7 @@
 
 from .config import ModelConfig, VARIANT_PRESETS, variant_config
 from .macs import MacReport, count_macs
-from .network import (
-    MaskPair,
-    StreamingMaskNet,
-    encode,
-    forward,
-    full_band_lstm,
-    subband_conformer,
-    tac_forward,
-    time_skip_merge,
-    time_skip_select,
-)
+from .network import MaskPair, StreamingMaskNet, forward
 from .weights import ModelWeights, count_params, init_random, required_shapes
 
 __all__ = [
@@ -24,13 +14,7 @@ __all__ = [
     "count_params",
     "MaskPair",
     "StreamingMaskNet",
-    "encode",
     "forward",
-    "full_band_lstm",
-    "subband_conformer",
-    "tac_forward",
-    "time_skip_merge",
-    "time_skip_select",
     "ModelWeights",
     "init_random",
     "required_shapes",

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import expit
 
 from .. import features
 from ..errors import InvalidInput
@@ -41,17 +43,8 @@ class MaskPair:
         return self.speech.shape
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _swish(x: np.ndarray) -> np.ndarray:
-    return x * _sigmoid(x)
+    return x * expit(x)
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -63,33 +56,25 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray
 class _CausalConv2d:
     """3x3 convolution over (time, freq): 2 past time taps, same-padded freq."""
 
-    def __init__(self, w: np.ndarray, b: np.ndarray):
+    def __init__(self, w: np.ndarray, b: np.ndarray, n_bins: int):
         out_ch, in_ch, kt, kf = w.shape
-        self.kt, self.kf = kt, kf
-        self.in_ch = in_ch
+        self.kf = kf
+        self.pad = kf // 2
+        self.n_bins = n_bins
         # (out, in, kt, kf) -> (out, kt*kf*in) matching the patch layout below
         self.w_mat = np.ascontiguousarray(
             w.astype(np.float64).transpose(0, 2, 3, 1).reshape(out_ch, -1)
         )
         self.b = b.astype(np.float64)[:, None]
-        self.history: list[np.ndarray] = []
+        # the last kt frames, zero-padded in frequency; zeros before the stream
+        self.window = np.zeros((kt, in_ch, n_bins + 2 * self.pad))
 
     def step(self, frame: np.ndarray) -> np.ndarray:
-        n_bins = frame.shape[-1]
-        zeros = np.zeros_like(frame)
-        frames = self.history[-(self.kt - 1):]
-        frames = [zeros] * (self.kt - 1 - len(frames)) + frames + [frame]
-        pad = self.kf // 2
-        patches = np.empty((self.kt, self.kf, self.in_ch, n_bins))
-        for dt in range(self.kt):
-            padded = np.pad(frames[dt], ((0, 0), (pad, pad)))
-            for df in range(self.kf):
-                patches[dt, df] = padded[:, df : df + n_bins]
-        out = self.w_mat @ patches.reshape(-1, n_bins) + self.b
-        self.history.append(frame)
-        if len(self.history) > self.kt - 1:
-            self.history = self.history[-(self.kt - 1):]
-        return out
+        self.window[:-1] = self.window[1:]
+        self.window[-1, :, self.pad : self.pad + self.n_bins] = frame
+        # (kt, in, F, kf) -> (kt, kf, in, F)
+        patches = sliding_window_view(self.window, self.kf, axis=-1).transpose(0, 3, 1, 2)
+        return self.w_mat @ patches.reshape(-1, self.n_bins) + self.b
 
 
 class _LstmCell:
@@ -105,10 +90,10 @@ class _LstmCell:
     def step(self, x: np.ndarray) -> np.ndarray:
         gates = self.w_ih @ x + self.w_hh @ self.h + self.b
         n = self.hidden
-        i = _sigmoid(gates[:n])
-        f = _sigmoid(gates[n : 2 * n])
+        i = expit(gates[:n])
+        f = expit(gates[n : 2 * n])
         g = np.tanh(gates[2 * n : 3 * n])
-        o = _sigmoid(gates[3 * n :])
+        o = expit(gates[3 * n :])
         self.c = f * self.c + i * g
         self.h = o * np.tanh(self.c)
         return self.h
@@ -225,7 +210,7 @@ class _ConformerLayer:
         w1, b1 = self.pw1
         gates = u @ w1.T + b1
         half = gates.shape[-1] // 2
-        glu = gates[:, :half] * _sigmoid(gates[:, half:])
+        glu = gates[:, :half] * expit(gates[:, half:])
         dw_w, dw_b = self.dw
         taps = self.conv_history + [glu]
         conv = sum(taps[k] * dw_w[:, k] for k in range(dw_w.shape[1])) + dw_b
@@ -265,8 +250,7 @@ class _EncoderStage:
     """Three two-conv encoders plus the 1x1 merge convolution."""
 
     def __init__(self, weights: ModelWeights, cfg: ModelConfig):
-        conv = lambda p: _CausalConv2d(weights[f"{p}.w"].astype(np.float64),
-                                       weights[f"{p}.b"].astype(np.float64))
+        conv = lambda p: _CausalConv2d(weights[f"{p}.w"], weights[f"{p}.b"], cfg.bins)
         self.convs = {name: (conv(f"enc_{name}.conv1"), conv(f"enc_{name}.conv2"))
                       for name in ("spec", "lps", "ipd")}
         merge_w = weights["merge.w"].astype(np.float64)
@@ -306,8 +290,7 @@ class StreamingMaskNet:
             )
             for i in range(cfg.n_full_sub)
         ]
-        self.decoder = _CausalConv2d(weights["decoder.w"].astype(np.float64),
-                                     weights["decoder.b"].astype(np.float64))
+        self.decoder = _CausalConv2d(weights["decoder.w"], weights["decoder.b"], cfg.bins)
         self.w_speech = weights["head_speech.w"].astype(np.float64)
         self.b_speech = weights["head_speech.b"].astype(np.float64)[:, None]
         self.w_noise = weights["head_noise.w"].astype(np.float64)
@@ -335,8 +318,8 @@ class StreamingMaskNet:
                 x = tac.step(x)
             x = subband.step(x)
         decoded = self.decoder.step(x)
-        speech = _sigmoid(self.w_speech @ decoded + self.b_speech)
-        noise = _sigmoid(self.w_noise @ decoded + self.b_noise)
+        speech = expit(self.w_speech @ decoded + self.b_speech)
+        noise = expit(self.w_noise @ decoded + self.b_noise)
         self.frame_index += 1
         return speech, noise
 
@@ -358,77 +341,3 @@ def forward(spec: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
     for t in range(n_frames):
         speech[:, t, :], noise[:, t, :] = net.step(spec[:, t, :])
     return MaskPair(speech, noise)
-
-
-# ---------------------------------------------------------------------------
-# Standalone stage operations (for inspection and testing)
-# ---------------------------------------------------------------------------
-
-def encode(spec: np.ndarray, lps: np.ndarray, ipd: np.ndarray,
-           weights: ModelWeights, cfg: ModelConfig) -> np.ndarray:
-    """Encoder stage only: (Z,T,F) complex + features -> (C, T, F) embedding."""
-    spec = np.asarray(spec)
-    if spec.shape[0] != cfg.zones or lps.shape[0] != cfg.zones or ipd.shape[0] != 2:
-        raise InvalidInput("encode: channel counts do not match the configuration")
-    if not (spec.shape[1:] == lps.shape[1:] == ipd.shape[1:]):
-        raise InvalidInput("encode: feature tensors disagree on (T, F)")
-    weights.validate(cfg)
-    stage = _EncoderStage(weights, cfg)
-    n_frames = spec.shape[1]
-    out = np.empty((cfg.embed_channels, n_frames, cfg.bins))
-    for t in range(n_frames):
-        out[:, t, :] = stage.step(
-            features.stack_real_imag(spec[:, t, :]), lps[:, t, :], ipd[:, t, :]
-        )
-    return out
-
-
-def time_skip_select(emb: np.ndarray, start: int) -> np.ndarray:
-    """Frames start, start+2, ... of a (C, T, F) tensor (stride-2 subsampling)."""
-    if start not in (0, 1):
-        raise InvalidInput("start must be 0 or 1")
-    return emb[:, start::2, :]
-
-
-def time_skip_merge(processed: np.ndarray, original: np.ndarray, start: int) -> np.ndarray:
-    """Place processed frames back at their stride-2 positions."""
-    if start not in (0, 1):
-        raise InvalidInput("start must be 0 or 1")
-    expected = original[:, start::2, :].shape[1]
-    if processed.shape[1] != expected:
-        raise InvalidInput(
-            f"processed frame count {processed.shape[1]} != selected count {expected}"
-        )
-    out = original.copy()
-    out[:, start::2, :] = processed
-    return out
-
-
-def tac_forward(emb: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
-                block: int = 0) -> np.ndarray:
-    """Apply one block's TAC to every frame of a (C, T', F) tensor."""
-    tac = _Tac(weights, f"block{block}.tac")
-    out = np.empty_like(emb)
-    for t in range(emb.shape[1]):
-        out[:, t, :] = tac.step(emb[:, t, :])
-    return out
-
-
-def full_band_lstm(emb: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
-                   block: int = 0) -> np.ndarray:
-    """Apply one block's full-band recurrence over a (C, T, F) tensor."""
-    stage = _FullBand(weights, f"block{block}.fullband")
-    out = np.empty_like(emb)
-    for t in range(emb.shape[1]):
-        out[:, t, :] = stage.step(emb[:, t, :])
-    return out
-
-
-def subband_conformer(emb: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
-                      block: int = 0) -> np.ndarray:
-    """Apply one block's sub-band conformer over a (C, T, F) tensor."""
-    stage = _SubBand(weights, f"block{block}.subband", cfg)
-    out = np.empty_like(emb)
-    for t in range(emb.shape[1]):
-        out[:, t, :] = stage.step(emb[:, t, :])
-    return out

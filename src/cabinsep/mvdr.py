@@ -64,10 +64,6 @@ class BeamformerState:
         self.noise_cov = np.zeros(shape, dtype=np.complex128)
 
 
-def _hermitize(mats: np.ndarray) -> np.ndarray:
-    return 0.5 * (mats + np.conj(np.swapaxes(mats, -1, -2)))
-
-
 def update_covariances(state: BeamformerState, snapshot: np.ndarray,
                        speech_mask: np.ndarray, noise_mask: np.ndarray) -> BeamformerState:
     """Fold one frame into the running covariances.
@@ -87,21 +83,18 @@ def update_covariances(state: BeamformerState, snapshot: np.ndarray,
     if speech_mask.shape != (z, f) or noise_mask.shape != (z, f):
         raise InvalidInput("mask shapes must be (zones, bins)")
     for name, mask in (("speech", speech_mask), ("noise", noise_mask)):
-        if mask.min() < 0.0 or mask.max() > 1.0:
-            raise InvalidInput(f"{name} mask values outside [0, 1]")
+        if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # NaN fails too
+            raise InvalidInput(f"{name} mask values outside [0, 1] or NaN")
 
     # (F, Z, Z) rank-1 outer products of the snapshot
     outer = np.einsum("af,bf->fab", snapshot, np.conj(snapshot))
     interference = np.clip(
         speech_mask.sum(axis=0, keepdims=True) - speech_mask + noise_mask, 0.0, 1.0
     )
+    # real-weighted rank-1 updates keep both covariances exactly Hermitian
     lam = state.forgetting
-    state.speech_cov = _hermitize(
-        lam * state.speech_cov + speech_mask[:, :, None, None] * outer[None]
-    )
-    state.noise_cov = _hermitize(
-        lam * state.noise_cov + interference[:, :, None, None] * outer[None]
-    )
+    state.speech_cov = lam * state.speech_cov + speech_mask[:, :, None, None] * outer[None]
+    state.noise_cov = lam * state.noise_cov + interference[:, :, None, None] * outer[None]
     state.frame_count += 1
     return state
 

@@ -36,12 +36,14 @@ def separate_waveform(
     """Separate a Z-channel mixture into per-zone waveforms.
 
     For Z = 1 the beamformer is an exact passthrough and the mask network
-    is bypassed (weights may be None).
+    is bypassed (weights may be None). Non-finite samples are rejected.
     """
     wave = as_multichannel(wave)
     n_chan, n_samples = wave.shape
     if n_samples == 0:
         raise InvalidInput("empty input waveform")
+    if not np.isfinite(wave).all():
+        raise InvalidInput("input waveform holds non-finite samples")
     if n_chan != model_cfg.zones:
         raise InvalidInput(
             f"input has {n_chan} channels but the configuration expects {model_cfg.zones}"

@@ -32,3 +32,9 @@ def small_stft():
 def random_spectrogram(rng, zones=4, frames=10, bins=SMALL_BINS, scale=1.0):
     return scale * (rng.standard_normal((zones, frames, bins))
                     + 1j * rng.standard_normal((zones, frames, bins)))
+
+
+def run_frames(step, *tensors):
+    """Call a per-frame `step` on each time slice of (C, T, F) tensors; stack on T."""
+    frames = tensors[0].shape[1]
+    return np.stack([step(*(x[:, t] for x in tensors)) for t in range(frames)], axis=1)

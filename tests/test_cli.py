@@ -105,6 +105,17 @@ class TestSeparate:
                      str(weights_file), "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_non_finite_input_exit_2_without_outputs(self, tmp_path, rng, weights_file):
+        wave = rng.standard_normal((4, 4000)) * 0.05
+        wave[1, 1234] = np.nan
+        mix = tmp_path / "nan.wav"
+        write_wav(mix, wave, FS)  # float32 WAV keeps the NaN
+        out = tmp_path / "o"
+        assert main(["separate", "--input", str(mix), "--weights",
+                     str(weights_file), "--out-dir", str(out)]) == 2
+        assert not list(tmp_path.glob("o/zone*.wav"))
+        assert not (out / "separate_report.json").exists()
+
 
 class TestSimulateAndEval:
     @pytest.fixture

@@ -1,25 +1,55 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cabinsep.errors import InvalidConfig, InvalidInput, WeightShapeError
-from cabinsep.features import compute_ipd, compute_lps
+from cabinsep.features import compute_ipd, compute_lps, stack_real_imag
 from cabinsep.model import (
     ModelConfig,
     ModelWeights,
     StreamingMaskNet,
-    encode,
     forward,
-    full_band_lstm,
     init_random,
     required_shapes,
-    subband_conformer,
-    tac_forward,
-    time_skip_merge,
-    time_skip_select,
     variant_config,
 )
-from conftest import SMALL_BINS, random_spectrogram
+from cabinsep.model.network import (
+    _CausalConv2d,
+    _EncoderStage,
+    _FullBand,
+    _SubBand,
+    _Tac,
+)
+from conftest import SMALL_BINS, random_spectrogram, run_frames
+
+
+def encode(spec, weights, cfg):
+    """Encoder stage over a whole (Z, T, F) spectrogram -> (C, T, F) embedding."""
+    stage = _EncoderStage(weights, cfg)
+    return run_frames(stage.step, stack_real_imag(spec), compute_lps(spec),
+                      compute_ipd(spec))
+
+
+def record_tac_frames(net):
+    """Wrap each block's TAC step; return per-block lists of the frames it ran on."""
+    frames = []
+    for _, tac, _ in net.blocks:
+        seen, inner = [], tac.step
+
+        def step(x, seen=seen, inner=inner):
+            seen.append(net.frame_index)
+            return inner(x)
+
+        tac.step = step
+        frames.append(seen)
+    return frames
+
+
+def forward_frames(net, spec):
+    """Step `net` over a (Z, T, F) spectrogram; return the (Z, T, F) speech masks."""
+    return run_frames(lambda frame: net.step(frame)[0], spec)
 
 
 class TestConfig:
@@ -112,10 +142,7 @@ class TestWeights:
 
 class TestEncode:
     def test_output_shape(self, rng, small_cfg, small_weights):
-        spec = random_spectrogram(rng, frames=9)
-        lps = compute_lps(spec)
-        ipd = compute_ipd(spec)
-        emb = encode(spec, lps, ipd, small_weights, small_cfg)
+        emb = encode(random_spectrogram(rng, frames=9), small_weights, small_cfg)
         assert emb.shape == (small_cfg.embed_channels, 9, SMALL_BINS)
 
     def test_zero_inputs_zero_biases_give_zero(self, small_cfg, small_weights):
@@ -124,66 +151,110 @@ class TestEncode:
             for name, t in small_weights.tensors.items()
         })
         z = np.zeros((4, 5, SMALL_BINS))
-        emb = encode(z.astype(complex), z, z[:2], zeroed, small_cfg)
+        stage = _EncoderStage(zeroed, small_cfg)
+        emb = run_frames(stage.step, np.zeros((8, 5, SMALL_BINS)), z, z[:2])
         np.testing.assert_array_equal(emb, 0.0)
 
     def test_causal_in_time(self, rng, small_cfg, small_weights):
         spec = random_spectrogram(rng, frames=10)
-        lps, ipd = compute_lps(spec), compute_ipd(spec)
-        base = encode(spec, lps, ipd, small_weights, small_cfg)
+        base = encode(spec, small_weights, small_cfg)
         t = 6
         spec2 = spec.copy()
         spec2[:, t:, :] += random_spectrogram(rng, frames=10 - t)
-        emb2 = encode(spec2, compute_lps(spec2), compute_ipd(spec2),
-                      small_weights, small_cfg)
+        emb2 = encode(spec2, small_weights, small_cfg)
         np.testing.assert_array_equal(base[:, :t, :], emb2[:, :t, :])
         assert not np.array_equal(base[:, t:, :], emb2[:, t:, :])
 
     def test_shape_mismatch_rejected(self, rng, small_cfg, small_weights):
-        spec = random_spectrogram(rng, frames=4)
-        with pytest.raises(InvalidInput):
-            encode(spec, compute_lps(spec)[:, :3], compute_ipd(spec),
-                   small_weights, small_cfg)
+        # frames reach the encoder only through StreamingMaskNet.step
+        net = StreamingMaskNet(small_weights, small_cfg)
+        spec = random_spectrogram(rng, frames=1)
+        for frame in (spec[:3, 0], spec[:, 0, :-1], spec):
+            with pytest.raises(InvalidInput):
+                net.step(frame)
 
 
 class TestTimeSkip:
+    """The network runs TAC on frames start, start+2, ... and skips the rest."""
+
+    @staticmethod
+    def two_block_net(start):
+        cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2, conformer_layers=1)
+        return StreamingMaskNet(init_random(cfg, seed=2), cfg, start=start)
+
     def test_even_start(self, rng):
-        emb = rng.standard_normal((3, 10, 5))
-        sel = time_skip_select(emb, 0)
-        assert sel.shape[1] == 5
-        np.testing.assert_array_equal(sel, emb[:, ::2])
+        for frames in (7, 8):
+            net = self.two_block_net(start=0)
+            calls = record_tac_frames(net)
+            forward_frames(net, random_spectrogram(rng, frames=frames))
+            assert calls == [list(range(0, frames, 2))] * 2
 
     def test_odd_start(self, rng):
-        emb = rng.standard_normal((3, 10, 5))
-        assert time_skip_select(emb, 1).shape[1] == 5
-        assert time_skip_select(rng.standard_normal((3, 11, 5)), 1).shape[1] == 5
+        for frames in (7, 8):
+            net = self.two_block_net(start=1)
+            calls = record_tac_frames(net)
+            forward_frames(net, random_spectrogram(rng, frames=frames))
+            assert calls == [list(range(1, frames, 2))] * 2
 
-    def test_merge_round_trip_is_identity(self, rng):
-        emb = rng.standard_normal((3, 9, 5))
+    def test_shape_preserved_for_all_lengths(self, rng, small_cfg, small_weights):
+        total = 40
         for start in (0, 1):
-            merged = time_skip_merge(time_skip_select(emb, start), emb, start)
-            np.testing.assert_array_equal(merged, emb)
+            net = StreamingMaskNet(small_weights, small_cfg, start=start)
+            (calls,) = record_tac_frames(net)
+            masks = forward_frames(net, random_spectrogram(rng, frames=total))
+            assert masks.shape == (small_cfg.zones, total, SMALL_BINS)
+            for frames in range(1, total + 1):
+                ran = sum(1 for t in calls if t < frames)
+                assert ran == int(np.ceil(max(frames - start, 0) / 2))
 
-    def test_merge_places_processed_frames(self, rng):
-        emb = rng.standard_normal((2, 4, 3))
-        ones = np.ones((2, 2, 3))
-        out = time_skip_merge(ones, emb, 1)
-        np.testing.assert_array_equal(out[:, (1, 3)], 1.0)
-        np.testing.assert_array_equal(out[:, (0, 2)], emb[:, (0, 2)])
+    def test_merge_places_processed_frames(self, rng, small_cfg, small_weights):
+        # the sub-band stage sees TAC's output on selected frames and the
+        # full-band output on skipped ones
+        net = StreamingMaskNet(small_weights, small_cfg, start=1)
+        fullband, tac, subband = net.blocks[0]
+        seen = {"fullband": [], "tac": [], "subband": []}
+        for name, stage in (("fullband", fullband), ("tac", tac), ("subband", subband)):
+            def step(x, inner=stage.step, out=seen[name]):
+                y = inner(x)
+                out.append((net.frame_index, x, y))
+                return y
+            stage.step = step
+        forward_frames(net, random_spectrogram(rng, frames=6))
+        tac_out = {t: y for t, _, y in seen["tac"]}
+        assert sorted(tac_out) == [1, 3, 5]
+        for (t, _, fb_out), (_, sub_in, _) in zip(seen["fullband"], seen["subband"]):
+            np.testing.assert_array_equal(sub_in, tac_out.get(t, fb_out))
 
-    def test_shape_preserved_for_all_lengths(self, rng):
-        for frames in range(1, 65):
-            emb = rng.standard_normal((2, frames, 3))
-            for start in (0, 1):
-                sel = time_skip_select(emb, start)
-                assert sel.shape[1] == int(np.ceil(max(frames - start, 0) / 2))
-                out = time_skip_merge(sel, emb, start)
-                assert out.shape == emb.shape
+    def test_merge_round_trip_is_identity(self, rng, small_cfg, small_weights):
+        # with TAC replaced by the identity the start index has no effect
+        spec = random_spectrogram(rng, frames=7)
+        outs = []
+        for start in (0, 1):
+            net = StreamingMaskNet(small_weights, small_cfg, start=start)
+            net.blocks[0][1].step = lambda x: x
+            outs.append(forward_frames(net, spec))
+        np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_count_mismatch_rejected(self, rng):
-        emb = rng.standard_normal((2, 8, 3))
-        with pytest.raises(InvalidInput):
-            time_skip_merge(emb[:, :2], emb, 0)
+
+class TestCausalConv:
+    def test_matches_per_tap_padding_reference(self, rng):
+        # reference: pad every past frame separately and gather the
+        # (kt, kf, in, F) patches tap by tap; the product must be bit-identical
+        out_ch, in_ch, kt, kf, frames = 3, 2, 3, 3, 6
+        w = rng.standard_normal((out_ch, in_ch, kt, kf))
+        b = rng.standard_normal(out_ch)
+        x = rng.standard_normal((in_ch, frames, SMALL_BINS))
+        conv = _CausalConv2d(w, b, SMALL_BINS)
+        w_mat = w.transpose(0, 2, 3, 1).reshape(out_ch, -1)
+        history = np.concatenate([np.zeros((in_ch, kt - 1, SMALL_BINS)), x], axis=1)
+        for t in range(frames):
+            patches = np.empty((kt, kf, in_ch, SMALL_BINS))
+            for dt in range(kt):
+                padded = np.pad(history[:, t + dt], ((0, 0), (kf // 2, kf // 2)))
+                for df in range(kf):
+                    patches[dt, df] = padded[:, df : df + SMALL_BINS]
+            expected = w_mat @ patches.reshape(-1, SMALL_BINS) + b[:, None]
+            np.testing.assert_array_equal(conv.step(x[:, t]), expected)
 
 
 class TestTac:
@@ -192,7 +263,7 @@ class TestTac:
         assert small_weights["block0.tac.linear_a.w"].shape == (6, 24)
         assert small_weights["block0.tac.linear_c.w"].shape == (24, 12)
         emb = np.ones((24, 5, SMALL_BINS))
-        out = tac_forward(emb, small_weights, small_cfg)
+        out = run_frames(_Tac(small_weights, "block0.tac").step, emb)
         assert out.shape == emb.shape
 
     def test_zero_input_zero_biases(self, small_cfg, small_weights):
@@ -200,7 +271,7 @@ class TestTac:
             name: (np.zeros_like(t) if ".tac." in name and name.endswith(".b") else t)
             for name, t in small_weights.tensors.items()
         })
-        out = tac_forward(np.zeros((24, 3, SMALL_BINS)), zeroed, small_cfg)
+        out = run_frames(_Tac(zeroed, "block0.tac").step, np.zeros((24, 3, SMALL_BINS)))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_channel_mean_branch_closed_form(self, small_cfg, small_weights):
@@ -221,63 +292,67 @@ class TestTac:
         crafted = ModelWeights(tensors)
         c = 0.37
         emb = np.full((24, 4, SMALL_BINS), c)
-        out = tac_forward(emb, crafted, small_cfg)
+        out = run_frames(_Tac(crafted, "block0.tac").step, emb)
         np.testing.assert_allclose(out, c, atol=1e-12)
 
 
-class TestFullBand:
-    def test_shape_preserved(self, rng, small_cfg, small_weights):
-        emb = rng.standard_normal((24, 7, SMALL_BINS))
-        assert full_band_lstm(emb, small_weights, small_cfg).shape == emb.shape
+def full_band(emb, weights):
+    return run_frames(_FullBand(weights, "block0.fullband").step, emb)
 
-    def test_zero_weights_identity(self, rng, small_cfg, small_weights):
+
+class TestFullBand:
+    def test_shape_preserved(self, rng, small_weights):
+        emb = rng.standard_normal((24, 7, SMALL_BINS))
+        assert full_band(emb, small_weights).shape == emb.shape
+
+    def test_zero_weights_identity(self, rng, small_weights):
         tensors = {
             name: (np.zeros_like(t) if ".fullband." in name else t)
             for name, t in small_weights.tensors.items()
         }
         emb = rng.standard_normal((24, 5, SMALL_BINS))
-        out = full_band_lstm(emb, ModelWeights(tensors), small_cfg)
-        np.testing.assert_array_equal(out, emb)
+        np.testing.assert_array_equal(full_band(emb, ModelWeights(tensors)), emb)
 
-    def test_causal(self, rng, small_cfg, small_weights):
+    def test_causal(self, rng, small_weights):
         emb = rng.standard_normal((24, 8, SMALL_BINS))
-        base = full_band_lstm(emb, small_weights, small_cfg)
+        base = full_band(emb, small_weights)
         bumped = emb.copy()
         bumped[:, 5:, :] += 1.0
-        out = full_band_lstm(bumped, small_weights, small_cfg)
+        out = full_band(bumped, small_weights)
         np.testing.assert_array_equal(base[:, :5], out[:, :5])
+
+
+def sub_band(emb, weights, cfg):
+    return run_frames(_SubBand(weights, "block0.subband", cfg).step, emb)
 
 
 class TestSubbandConformer:
     def test_shape_preserved(self, rng, small_cfg, small_weights):
         emb = rng.standard_normal((24, 6, SMALL_BINS))
-        assert subband_conformer(emb, small_weights, small_cfg).shape == emb.shape
+        assert sub_band(emb, small_weights, small_cfg).shape == emb.shape
 
     def test_causal(self, rng, small_cfg, small_weights):
         emb = rng.standard_normal((24, 9, SMALL_BINS))
-        base = subband_conformer(emb, small_weights, small_cfg)
+        base = sub_band(emb, small_weights, small_cfg)
         bumped = emb.copy()
         bumped[:, 6:, :] -= 2.0
-        out = subband_conformer(bumped, small_weights, small_cfg)
+        out = sub_band(bumped, small_weights, small_cfg)
         np.testing.assert_array_equal(base[:, :6], out[:, :6])
         assert not np.array_equal(base[:, 6:], out[:, 6:])
 
     def test_chunked_equals_unchunked_when_window_not_binding(self, rng, small_cfg,
                                                               small_weights):
-        from dataclasses import replace
         emb = rng.standard_normal((24, 6, SMALL_BINS))
-        base = subband_conformer(emb, small_weights, small_cfg)
+        base = sub_band(emb, small_weights, small_cfg)
         # lookback of 10 frames > T=6: identical output
         chunked_cfg = replace(small_cfg, chunk_lookback_seconds=10 * 0.016)
-        out = subband_conformer(emb, small_weights, chunked_cfg)
-        np.testing.assert_array_equal(base, out)
+        np.testing.assert_array_equal(base, sub_band(emb, small_weights, chunked_cfg))
 
     def test_chunking_changes_long_sequences(self, rng, small_cfg, small_weights):
-        from dataclasses import replace
         emb = rng.standard_normal((24, 12, SMALL_BINS))
-        base = subband_conformer(emb, small_weights, small_cfg)
+        base = sub_band(emb, small_weights, small_cfg)
         chunked_cfg = replace(small_cfg, chunk_lookback_seconds=4 * 0.016)
-        out = subband_conformer(emb, small_weights, chunked_cfg)
+        out = sub_band(emb, small_weights, chunked_cfg)
         np.testing.assert_array_equal(base[:, :4], out[:, :4])
         assert not np.array_equal(base[:, 4:], out[:, 4:])
 

@@ -66,3 +66,13 @@ class TestSeparateWaveform:
         b = separate_waveform(wave, small_weights, small_cfg, small_stft,
                               MvdrConfig(forgetting=0.9))
         assert not np.array_equal(a.zones, b.zones)
+
+    def test_non_finite_input_rejected(self, rng, small_cfg, small_weights, small_stft):
+        mono_cfg = ModelConfig(zones=1, bins=33, ipd_pair=(0, 1))
+        for bad in (np.nan, np.inf, -np.inf):
+            wave = rng.standard_normal((4, 1600)) * 0.1
+            wave[2, 700] = bad
+            with pytest.raises(InvalidInput):
+                separate_waveform(wave, small_weights, small_cfg, small_stft)
+            with pytest.raises(InvalidInput):
+                separate_waveform(wave[2:3], None, mono_cfg, small_stft)

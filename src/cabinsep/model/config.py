@@ -55,8 +55,9 @@ class ModelConfig:
             )
         if self.subband_hidden % self.attn_heads != 0:
             raise InvalidConfig("subband_hidden must be divisible by attn_heads")
-        if self.chunk_lookback_seconds is not None and self.chunk_lookback_seconds <= 0:
-            raise InvalidConfig("chunk_lookback_seconds must be positive when set")
+        if self.chunk_lookback_seconds is not None and (
+                self.chunk_lookback_seconds <= 0 or self.lookback_frames < 1):
+            raise InvalidConfig("chunk_lookback_seconds must span at least one hop when set")
         if self.variant is not None:
             preset = VARIANT_PRESETS.get(self.variant)
             if preset is None:

@@ -5,6 +5,12 @@ by frame, so batch processing, prefix truncation, and stateful streaming
 are the same code path and agree bit-exactly. Everything is causal: no
 layer reads input frames beyond the current one.
 
+State per stream is bounded by the attention lookback: with
+`chunk_lookback_seconds` set, each conformer layer keeps its keys and values
+in a ring of exactly that many frames, so memory and cost per frame stay
+flat however long the stream runs. Without a lookback, attention spans the
+whole stream and its cache grows with it.
+
 Stage order per frame:
     features (stacked re/im, LPS, IPD) -> three 2-conv encoders -> 1x1 merge
     -> N x (full-band recurrence -> time-skip TAC -> sub-band conformer)
@@ -48,9 +54,9 @@ def _swish(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + _LN_EPS) * gain + bias
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)  # as np.var computes it
+    return centred / np.sqrt(var + _LN_EPS) * gain + bias
 
 
 class _CausalConv2d:
@@ -138,24 +144,35 @@ class _Tac:
 
 
 class _KvCache:
-    """Append-only (frames, bins, heads, head_dim) buffer with a lookback window."""
+    """Keys or values of past frames as (bins, heads, head_dim, slots).
+
+    Frames are innermost, so attention reads one contiguous run per (bin,
+    head, dim). With a lookback of L frames the buffer is a ring of exactly L
+    slots: frame n goes to slot n % L and the ring is read unrotated.
+    Attention has no positional term, so only the summation order differs
+    from chronological order. Without a lookback the buffer grows by 1.25x:
+    every write touches each page of it, so spare capacity is resident.
+    """
 
     def __init__(self, n_bins: int, heads: int, head_dim: int, lookback: int | None):
-        self.buf = np.zeros((16, n_bins, heads, head_dim))
+        slots = 16 if lookback is None else lookback
+        self.buf = np.zeros((n_bins, heads, head_dim, slots))
         self.n = 0
         self.lookback = lookback
 
     def append(self, frame: np.ndarray) -> None:
-        if self.n == self.buf.shape[0]:
-            grown = np.zeros((2 * self.n,) + self.buf.shape[1:])
-            grown[: self.n] = self.buf
+        slots = self.buf.shape[-1]
+        if self.lookback is None and self.n == slots:
+            slots += slots // 4
+            grown = np.zeros(self.buf.shape[:-1] + (slots,))
+            grown[..., : self.n] = self.buf
             self.buf = grown
-        self.buf[self.n] = frame
+        self.buf[..., self.n % slots] = frame
         self.n += 1
 
     def view(self) -> np.ndarray:
-        start = 0 if self.lookback is None else max(0, self.n - self.lookback)
-        return self.buf[start : self.n]
+        """The attended frames, (bins, heads, head_dim, min(n, slots))."""
+        return self.buf[..., : self.n]
 
 
 class _ConformerLayer:
@@ -180,9 +197,8 @@ class _ConformerLayer:
         self.scale = 1.0 / np.sqrt(self.head_dim)
         self.k_cache = _KvCache(cfg.bins, self.heads, self.head_dim, cfg.lookback_frames)
         self.v_cache = _KvCache(cfg.bins, self.heads, self.head_dim, cfg.lookback_frames)
-        kt = self.dw[0].shape[1]
-        self.conv_history: list[np.ndarray] = [np.zeros((cfg.bins, cfg.subband_hidden))
-                                               for _ in range(kt - 1)]
+        # the last kt GLU outputs, oldest first; zeros before the stream
+        self.conv_window = np.zeros((self.dw[0].shape[1], cfg.bins, cfg.subband_hidden))
 
     def _ff(self, x, params):
         w1, b1, w2, b2 = params
@@ -196,13 +212,15 @@ class _ConformerLayer:
         v = (u @ self.wv.T + self.bv).reshape(n_bins, self.heads, self.head_dim)
         self.k_cache.append(k)
         self.v_cache.append(v)
-        keys = self.k_cache.view()      # (S, F, heads, dh)
+        keys = self.k_cache.view()      # (F, heads, dh, S)
         values = self.v_cache.view()
-        scores = np.einsum("fhd,sfhd->fhs", q, keys) * self.scale
+        # in place: fresh (F, heads, S) temporaries cost more here than the arithmetic
+        scores = np.einsum("fhd,fhds->fhs", q, keys)
+        scores *= self.scale
         scores -= scores.max(axis=-1, keepdims=True)
-        att = np.exp(scores)
+        att = np.exp(scores, out=scores)
         att /= att.sum(axis=-1, keepdims=True)
-        ctx = np.einsum("fhs,sfhd->fhd", att, values).reshape(n_bins, -1)
+        ctx = np.einsum("fhs,fhds->fhd", att, values).reshape(n_bins, -1)
         return ctx @ self.wo.T + self.bo
 
     def _conv_module(self, x: np.ndarray) -> np.ndarray:
@@ -212,9 +230,10 @@ class _ConformerLayer:
         half = gates.shape[-1] // 2
         glu = gates[:, :half] * expit(gates[:, half:])
         dw_w, dw_b = self.dw
-        taps = self.conv_history + [glu]
+        taps = self.conv_window
+        taps[:-1] = taps[1:]
+        taps[-1] = glu
         conv = sum(taps[k] * dw_w[:, k] for k in range(dw_w.shape[1])) + dw_b
-        self.conv_history = taps[1:]
         w2, b2 = self.pw2
         return _swish(conv) @ w2.T + b2
 
@@ -298,13 +317,19 @@ class StreamingMaskNet:
         self.frame_index = 0
 
     def step(self, snapshot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Consume one (Z, F) complex STFT frame; return (speech, noise) masks (Z, F)."""
+        """Consume one (Z, F) complex STFT frame; return (speech, noise) masks (Z, F).
+
+        A mis-shaped or non-finite frame raises InvalidInput before any state
+        changes, so the stream continues as if it had never been sent.
+        """
         snapshot = np.asarray(snapshot)
         if snapshot.shape != (self.cfg.zones, self.cfg.bins):
             raise InvalidInput(
                 f"expected frame of shape {(self.cfg.zones, self.cfg.bins)}, "
                 f"got {snapshot.shape}"
             )
+        if not np.isfinite(snapshot).all():
+            raise InvalidInput("frame contains non-finite values")
         spec_feat = features.stack_real_imag(snapshot)
         lps = features.compute_lps(snapshot, self.cfg.lps_floor)
         ipd = features.compute_ipd(snapshot, *self.cfg.ipd_pair)

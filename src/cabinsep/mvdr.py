@@ -11,9 +11,11 @@ and the beamformer weight for zone i is
     w = loaded_noise^-1 @ speech @ e_i / trace(loaded_noise^-1 @ speech)
 
 with diagonal loading `loading * trace/Z * I` applied to the noise
-covariance before a Cholesky-based inversion. A degenerate trace (or a
-non-invertible covariance) falls back to passthrough of the reference
-microphone, which for zone i is microphone i.
+covariance. A Cholesky factorization checks that the loaded covariance is
+positive definite, and a linear solve, with no explicit inverse, forms
+`loaded_noise^-1 @ speech`. A degenerate trace (or a non-positive-definite
+covariance) falls back to passthrough of the reference microphone, which
+for zone i is microphone i.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ def update_covariances(state: BeamformerState, snapshot: np.ndarray,
         snapshot: (Z, F) complex STFT frame.
         speech_mask: (Z, F) per-zone speech mask values in [0, 1].
         noise_mask: (Z, F) per-zone noise mask values in [0, 1].
+
+    Raises:
+        InvalidInput: a mis-shaped or non-finite snapshot, or a mask outside
+            [0, 1]; the state is left untouched.
     """
     snapshot = np.asarray(snapshot)
     speech_mask = np.asarray(speech_mask, dtype=np.float64)
@@ -80,6 +86,8 @@ def update_covariances(state: BeamformerState, snapshot: np.ndarray,
     z, f = state.zones, state.bins
     if snapshot.shape != (z, f):
         raise InvalidInput(f"snapshot shape {snapshot.shape} != {(z, f)}")
+    if not np.isfinite(snapshot).all():
+        raise InvalidInput("snapshot contains non-finite values")
     if speech_mask.shape != (z, f) or noise_mask.shape != (z, f):
         raise InvalidInput("mask shapes must be (zones, bins)")
     for name, mask in (("speech", speech_mask), ("noise", noise_mask)):
@@ -107,13 +115,6 @@ def _loaded(noise_cov: np.ndarray, loading: float) -> np.ndarray:
     return noise_cov + (loading * np.maximum(trace, _TRACE_EPS) / z)[:, None, None] * eye
 
 
-def _cholesky_inverse(mats: np.ndarray) -> np.ndarray:
-    """Batched Hermitian-PD inverse via Cholesky: A^-1 = L^-H L^-1."""
-    chol = np.linalg.cholesky(mats)  # raises LinAlgError if any matrix is not PD
-    inv_chol = np.linalg.inv(chol)
-    return np.conj(np.swapaxes(inv_chol, -1, -2)) @ inv_chol
-
-
 def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
     """Per-bin MVDR weight vectors for one zone.
 
@@ -130,12 +131,12 @@ def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
         raise InvalidInput(f"zone {zone} out of range")
     loaded = _loaded(state.noise_cov[zone], state.loading)
     try:
-        inv = _cholesky_inverse(loaded)
+        np.linalg.cholesky(loaded)  # raises LinAlgError if any matrix is not PD
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"noise covariance for zone {zone} not invertible despite loading"
         ) from exc
-    ratio = inv @ state.speech_cov[zone]           # (F, Z, Z)
+    ratio = np.linalg.solve(loaded, state.speech_cov[zone])  # (F, Z, Z)
     trace = np.trace(ratio, axis1=-2, axis2=-1)    # (F,)
     weights = np.zeros((state.bins, state.zones), dtype=np.complex128)
     ok = np.abs(trace) >= _TRACE_EPS

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from cabinsep.errors import InvalidConfig, InvalidInput, WeightShapeError
 from cabinsep.features import compute_ipd, compute_lps, stack_real_imag
@@ -17,10 +18,14 @@ from cabinsep.model import (
 )
 from cabinsep.model.network import (
     _CausalConv2d,
+    _ConformerLayer,
     _EncoderStage,
     _FullBand,
+    _KvCache,
     _SubBand,
     _Tac,
+    _layer_norm,
+    _swish,
 )
 from conftest import SMALL_BINS, random_spectrogram, run_frames
 
@@ -50,6 +55,46 @@ def record_tac_frames(net):
 def forward_frames(net, spec):
     """Step `net` over a (Z, T, F) spectrogram; return the (Z, T, F) speech masks."""
     return run_frames(lambda frame: net.step(frame)[0], spec)
+
+
+def chronological_attend(self, x):
+    """Reference `_ConformerLayer._attend`: an append-only (S, F, heads, dh)
+    history, sliced to the lookback and read in frame order."""
+    if not hasattr(self, "past"):
+        self.past = ([], [])
+    n_bins = x.shape[0]
+    u = _layer_norm(x, *self.ln["ln_att"])
+    q = (u @ self.wq.T + self.bq).reshape(n_bins, self.heads, self.head_dim)
+    self.past[0].append((u @ self.wk.T + self.bk).reshape(n_bins, self.heads, self.head_dim))
+    self.past[1].append((u @ self.wv.T + self.bv).reshape(n_bins, self.heads, self.head_dim))
+    span = self.k_cache.lookback or len(self.past[0])
+    keys = np.stack(self.past[0][-span:])
+    values = np.stack(self.past[1][-span:])
+    scores = np.einsum("fhd,sfhd->fhs", q, keys) * self.scale
+    scores -= scores.max(axis=-1, keepdims=True)
+    att = np.exp(scores)
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = np.einsum("fhs,sfhd->fhd", att, values).reshape(n_bins, -1)
+    return ctx @ self.wo.T + self.bo
+
+
+def list_conv_module(self, x):
+    """Reference `_ConformerLayer._conv_module`: past GLU outputs in a list
+    rebuilt every frame."""
+    if not hasattr(self, "history"):
+        self.history = [np.zeros((x.shape[0], self.dw[0].shape[0]))
+                        for _ in range(self.dw[0].shape[1] - 1)]
+    u = _layer_norm(x, *self.ln["ln_conv"])
+    w1, b1 = self.pw1
+    gates = u @ w1.T + b1
+    half = gates.shape[-1] // 2
+    glu = gates[:, :half] * expit(gates[:, half:])
+    dw_w, dw_b = self.dw
+    taps = self.history + [glu]
+    conv = sum(taps[k] * dw_w[:, k] for k in range(dw_w.shape[1])) + dw_b
+    self.history = taps[1:]
+    w2, b2 = self.pw2
+    return _swish(conv) @ w2.T + b2
 
 
 class TestConfig:
@@ -83,6 +128,11 @@ class TestConfig:
         cfg = variant_config("L", chunk_lookback_seconds=2.0)
         assert cfg.lookback_frames == 125
         assert variant_config("L").lookback_frames is None
+
+    @pytest.mark.parametrize("seconds", [-1.0, 0.0, 0.01])
+    def test_lookback_under_one_hop_rejected(self, seconds):
+        with pytest.raises(InvalidConfig):
+            variant_config("S", chunk_lookback_seconds=seconds)
 
 
 class TestWeights:
@@ -357,6 +407,54 @@ class TestSubbandConformer:
         assert not np.array_equal(base[:, 4:], out[:, 4:])
 
 
+class TestKvRing:
+    def test_bounded_ring_keeps_lookback_slots(self, rng, small_cfg, small_weights):
+        lookback = 5
+        cfg = replace(small_cfg, chunk_lookback_seconds=lookback * small_cfg.hop_seconds)
+        assert cfg.lookback_frames == lookback
+        net = StreamingMaskNet(small_weights, cfg)
+        caches = [cache for _, _, subband in net.blocks for layer in subband.layers
+                  for cache in (layer.k_cache, layer.v_cache)]
+        nbytes = [cache.buf.nbytes for cache in caches]
+        forward_frames(net, random_spectrogram(rng, frames=3 * lookback))
+        for cache, before in zip(caches, nbytes):
+            assert cache.buf.shape[-1] == lookback
+            assert cache.view().shape[-1] == lookback
+            assert cache.buf.nbytes == before
+
+    @pytest.mark.parametrize("lookback", [None, 1, 4, 7])
+    def test_matches_chronological_reference(self, rng, small_cfg, small_weights,
+                                             monkeypatch, lookback):
+        seconds = None if lookback is None else lookback * small_cfg.hop_seconds
+        cfg = replace(small_cfg, chunk_lookback_seconds=seconds)
+        spec = random_spectrogram(rng, frames=23)
+        ring = forward(spec, small_weights, cfg)
+        monkeypatch.setattr(_ConformerLayer, "_attend", chronological_attend)
+        reference = forward(spec, small_weights, cfg)
+        np.testing.assert_allclose(ring.speech, reference.speech, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ring.noise, reference.noise, rtol=0, atol=1e-13)
+
+    def test_unbounded_growth_keeps_every_frame(self, rng):
+        cache = _KvCache(3, 2, 2, None)
+        frames = rng.standard_normal((100, 3, 2, 2))
+        capacities = set()
+        for n, frame in enumerate(frames, start=1):
+            cache.append(frame)
+            capacities.add(cache.buf.shape[-1])
+            assert cache.view().shape[-1] == n
+        assert len(capacities) >= 5  # 16, 20, 25, 31, ... slots
+        np.testing.assert_array_equal(cache.view(), frames.transpose(1, 2, 3, 0))
+
+
+class TestConformerConv:
+    def test_window_matches_list_history_reference(self, rng, small_cfg, small_weights,
+                                                   monkeypatch):
+        emb = rng.standard_normal((24, 9, SMALL_BINS))
+        window = sub_band(emb, small_weights, small_cfg)
+        monkeypatch.setattr(_ConformerLayer, "_conv_module", list_conv_module)
+        np.testing.assert_array_equal(window, sub_band(emb, small_weights, small_cfg))
+
+
 class TestForward:
     def test_masks_bounded_and_shaped(self, rng, small_cfg, small_weights):
         spec = random_spectrogram(rng, frames=11)
@@ -449,6 +547,23 @@ class TestForward:
             sb, _ = net_b.step(spec_b[:, t, :])
             np.testing.assert_array_equal(sa, solo_a.speech[:, t, :])
             np.testing.assert_array_equal(sb, solo_b.speech[:, t, :])
+
+    def test_non_finite_frame_rejected_without_touching_state(self, rng, small_cfg,
+                                                              small_weights):
+        spec = random_spectrogram(rng, frames=6)
+        net = StreamingMaskNet(small_weights, small_cfg, start=1)
+        clean = StreamingMaskNet(small_weights, small_cfg, start=1)
+        for t in range(3):
+            net.step(spec[:, t])
+            clean.step(spec[:, t])
+        for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.nan)):
+            poisoned = spec[:, 3].copy()
+            poisoned[2, 5] = bad
+            with pytest.raises(InvalidInput):
+                net.step(poisoned)
+        for t in range(3, 6):
+            for got, expected in zip(net.step(spec[:, t]), clean.step(spec[:, t])):
+                np.testing.assert_array_equal(got, expected)
 
     @settings(max_examples=8, deadline=None)
     @given(frames=st.integers(1, 12), seed=st.integers(0, 10_000))

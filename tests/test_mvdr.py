@@ -7,7 +7,6 @@ from cabinsep.model.network import MaskPair
 from cabinsep.mvdr import (
     BeamformerState,
     MvdrConfig,
-    _cholesky_inverse,
     apply_weights,
     compute_weights,
     separate_stream,
@@ -81,6 +80,29 @@ class TestUpdate:
         np.testing.assert_array_equal(state.speech_cov, 0.0)
         np.testing.assert_array_equal(state.noise_cov, 0.0)
 
+    def test_non_finite_snapshot_rejected_without_touching_state(self, rng):
+        zones, bins = 3, 5
+        state = BeamformerState(zones=zones, bins=bins, forgetting=0.9)
+        clean = BeamformerState(zones=zones, bins=bins, forgetting=0.9)
+        frames = [(random_snapshot(rng, zones=zones, bins=bins),
+                   rng.uniform(0, 1, (zones, bins)), rng.uniform(0, 1, (zones, bins)))
+                  for _ in range(3)]
+        for frame in frames[:2]:
+            update_covariances(state, *frame)
+            update_covariances(clean, *frame)
+        y, ms, mn = frames[2]
+        for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.nan)):
+            poisoned = y.copy()
+            poisoned[1, 3] = bad
+            with pytest.raises(InvalidInput):
+                update_covariances(state, poisoned, ms, mn)
+        update_covariances(state, y, ms, mn)
+        update_covariances(clean, y, ms, mn)
+        assert state.frame_count == clean.frame_count == 3
+        np.testing.assert_array_equal(state.speech_cov, clean.speech_cov)
+        np.testing.assert_array_equal(state.noise_cov, clean.noise_cov)
+        np.testing.assert_array_equal(compute_weights(state, 1), compute_weights(clean, 1))
+
 
 class TestWeights:
     def test_single_zone_passthrough(self, rng):
@@ -149,12 +171,23 @@ class TestWeights:
         with pytest.raises(InvalidInput):
             compute_weights(state, 0)
 
-    def test_cholesky_inverse_correctness(self, rng):
-        a = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
-        mats = a @ np.conj(np.swapaxes(a, -1, -2)) + 0.5 * np.eye(4)
-        inv = _cholesky_inverse(mats)
-        prod = mats @ inv
-        assert np.max(np.abs(prod - np.eye(4))) < 1e-6
+    def test_matches_explicit_inverse_formula(self, rng):
+        # reference: w = inv(loaded) @ speech @ e_i / trace(inv(loaded) @ speech);
+        # the solve must agree to 1e-10 relative (vector norm per bin)
+        zones, bins = 4, 16
+        state = BeamformerState(zones=zones, bins=bins)
+        for _ in range(20):
+            update_covariances(state, random_snapshot(rng, bins=bins),
+                               rng.uniform(0, 1, (zones, bins)),
+                               rng.uniform(0, 1, (zones, bins)))
+        for zone in range(zones):
+            noise = state.noise_cov[zone]
+            trace = np.trace(noise, axis1=-2, axis2=-1).real
+            loaded = noise + (state.loading * trace / zones)[:, None, None] * np.eye(zones)
+            ratio = np.linalg.inv(loaded) @ state.speech_cov[zone]
+            expected = ratio[:, :, zone] / np.trace(ratio, axis1=-2, axis2=-1)[:, None]
+            error = np.linalg.norm(compute_weights(state, zone) - expected, axis=1)
+            assert np.all(error <= 1e-10 * np.linalg.norm(expected, axis=1))
 
     def test_non_invertible_covariance_raises_numerical_error(self):
         from cabinsep.errors import NumericalError

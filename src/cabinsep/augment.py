@@ -51,8 +51,7 @@ class SceneManifest:
     transients: list[NoiseEntry] = field(default_factory=list)
     seed: int | None = None
 
-    def validate(self, check_snr_ranges: bool = True,
-                 ir_override_zones: set[int] | frozenset = frozenset()) -> None:
+    def validate(self, ir_override_zones: set[int] | frozenset = frozenset()) -> None:
         if not (1 <= len(self.speakers) <= self.zones):
             raise InvalidManifest(
                 f"need between 1 and {self.zones} speakers, got {len(self.speakers)}"
@@ -67,17 +66,16 @@ class SceneManifest:
                 raise InvalidManifest(
                     f"speaker in zone {s.zone} has {len(s.irs)} IRs, expected {self.zones}"
                 )
-        if check_snr_ranges:
-            if self.background is not None:
-                lo, hi = BACKGROUND_SNR_RANGE
-                if not (lo <= self.background.snr_db <= hi):
-                    raise InvalidManifest(
-                        f"background SNR {self.background.snr_db} outside [{lo}, {hi}] dB"
-                    )
-            for t in self.transients:
-                lo, hi = TRANSIENT_SNR_RANGE
-                if not (lo <= t.snr_db <= hi):
-                    raise InvalidManifest(f"transient SNR {t.snr_db} outside [{lo}, {hi}] dB")
+        if self.background is not None:
+            lo, hi = BACKGROUND_SNR_RANGE
+            if not (lo <= self.background.snr_db <= hi):
+                raise InvalidManifest(
+                    f"background SNR {self.background.snr_db} outside [{lo}, {hi}] dB"
+                )
+        for t in self.transients:
+            lo, hi = TRANSIENT_SNR_RANGE
+            if not (lo <= t.snr_db <= hi):
+                raise InvalidManifest(f"transient SNR {t.snr_db} outside [{lo}, {hi}] dB")
 
     def to_json(self) -> str:
         doc = {

@@ -3,18 +3,17 @@
 Subcommands: separate, simulate, ir (gen/extract/ism), eval, bench,
 init-weights. Exit codes: 0 ok, 2 input error, 3 config/weights error,
 4 numerical failure. Commands validate their inputs before writing any
-output file. The CABINSEP_THREADS environment variable caps batch
-parallelism for multi-file evaluation.
+output file. `separate` exits 3 when the weight container was written for
+another architecture: other tensor shapes, or a stored fingerprint that
+differs from the configuration's (the attention lookback is not part of it).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -60,14 +59,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("CABINSEP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InvalidConfig(f"CABINSEP_THREADS must be an integer, got {raw!r}")
 
 
 def _load_model_config(args) -> ModelConfig:
@@ -298,12 +289,7 @@ def cmd_eval(args) -> int:
     if len(true_zones) not in (0, len(est_dirs)):
         raise InvalidInput("--true-zone must be given once per --est-dir (or not at all)")
 
-    workers = _max_workers()
-    if workers > 1 and len(est_dirs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_eval_pair, est_dirs, label_dirs, true_zones))
-    else:
-        reports = [_eval_pair(e, l, t) for e, l, t in zip(est_dirs, label_dirs, true_zones)]
+    reports = [_eval_pair(e, l, t) for e, l, t in zip(est_dirs, label_dirs, true_zones)]
 
     aggregate = {"utterances": reports}
     positioning = PositioningResult()

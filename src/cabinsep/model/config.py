@@ -76,8 +76,13 @@ class ModelConfig:
         return int(self.chunk_lookback_seconds / self.hop_seconds)
 
     def fingerprint(self) -> str:
-        """Stable short hash over the architecture-defining fields."""
-        return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
+        """Stable short hash over the architecture-defining fields.
+
+        `chunk_lookback_seconds` is cleared first: it bounds attention at run
+        time and leaves the weights' meaning unchanged.
+        """
+        text = replace(self, chunk_lookback_seconds=None).to_text()
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def to_text(self) -> str:
         """Serialize as 'key = value' lines."""

@@ -2,19 +2,26 @@
 
 Counts multiply-accumulates of the dense layers only; elementwise work
 (activations, layer norms, softmax denominators) is excluded, which is the
-usual convention for GMACs figures. Attention cost is data-length
-dependent: each frame attends to min(t+1, lookback) cached frames.
+usual convention for GMACs figures. Layer sizes come from the weight map
+(`required_shapes`): each weight tensor with two or more dimensions costs
+the product of its shape once per position it runs at. Positions are one
+per frame for `blockN.fullband.*`, one per TAC frame and bin for
+`blockN.tac.*` (every other frame from `start` with `time_skip`), and one
+per frame and bin for everything else. Biases and layer-norm parameters
+have one dimension and are skipped.
+
+Attention cost is data-length dependent: each frame attends to
+min(t+1, lookback) cached frames, so it is the one item computed by formula.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .config import ModelConfig
-from .weights import count_params
-
-_CONV_KERNEL = 3
+from .weights import count_params, required_shapes
 
 
 @dataclass
@@ -50,58 +57,29 @@ def count_macs(cfg: ModelConfig, seconds: float = 1.0, start: int = 0) -> MacRep
     """Itemized MAC count of one forward pass over `seconds` of audio."""
     fps = 1.0 / cfg.hop_seconds
     frames = int(math.ceil(seconds * fps))
+    tac_frames = math.ceil((frames - start) / 2) if cfg.time_skip else frames
     f = cfg.bins
-    positions = frames * f
-
-    z = cfg.zones
-    c = cfg.embed_channels
-    enc = cfg.encoder_channels
-    fbh = cfg.fullband_hidden
-    h = cfg.subband_hidden
-    ff = cfg.ff_dim
-    comp = c // cfg.tac_compression
-    k2 = _CONV_KERNEL * _CONV_KERNEL
+    attention = (cfg.conformer_layers * f * 2 * cfg.subband_hidden
+                 * _attention_span_sum(frames, cfg.lookback_frames))
 
     report = MacReport(seconds=seconds, frames=frames)
     items = report.items
-
-    for name, in_ch in (("spec", 2 * z), ("lps", z), ("ipd", 2)):
-        items[f"enc_{name}.conv1"] = positions * k2 * in_ch * enc
-        items[f"enc_{name}.conv2"] = positions * k2 * enc * enc
-    items["merge"] = positions * 3 * enc * c
-
-    tac_frames = math.ceil((frames - start) / 2) if cfg.time_skip else frames
-    tac_positions = tac_frames * f
-
-    lookback = cfg.lookback_frames
-    span_sum = _attention_span_sum(frames, lookback)
-
-    for i in range(cfg.n_full_sub):
-        p = f"block{i}"
-        items[f"{p}.fullband.in_proj"] = frames * fbh * (c * f)
-        items[f"{p}.fullband.lstm"] = frames * 4 * fbh * (fbh + fbh)
-        items[f"{p}.fullband.out_proj"] = frames * (c * f) * fbh
-
-        items[f"{p}.tac.linear_a"] = tac_positions * c * comp
-        items[f"{p}.tac.linear_b"] = tac_positions * c * comp
-        items[f"{p}.tac.linear_c"] = tac_positions * 2 * comp * c
-
-        items[f"{p}.subband.conv_in"] = positions * c * h
-        per_layer_fixed = (
-            2 * ff * h          # ff1
-            + 4 * h * h         # q, k, v, o projections
-            + 2 * h * h         # conv pointwise 1 (to 2H)
-            + _CONV_KERNEL * h  # depthwise
-            + h * h             # conv pointwise 2
-            + 2 * ff * h        # ff2
-        )
-        items[f"{p}.subband.layers"] = cfg.conformer_layers * positions * per_layer_fixed
-        items[f"{p}.subband.attention"] = cfg.conformer_layers * f * 2 * h * span_sum
-        items[f"{p}.subband.proj_out"] = positions * h * c
-
-    items["decoder"] = positions * k2 * c * z
-    items["head_speech"] = positions * z * z
-    items["head_noise"] = positions * z * z
+    for name, shape in required_shapes(cfg).items():
+        if len(shape) < 2:
+            continue
+        # "block0.subband.layer2.att.wq" -> "block0.subband.layers"
+        key = re.sub(r"layer\d+\..*", "layers", name.rsplit(".", 1)[0])
+        if ".fullband." in key:
+            positions = frames
+        elif ".tac." in key:
+            positions = tac_frames * f
+        else:
+            positions = frames * f
+        if key not in items:
+            items[key] = 0
+            if key.endswith(".subband.layers"):
+                items[key.replace("layers", "attention")] = attention
+        items[key] += positions * math.prod(shape)
     return report
 
 

@@ -13,8 +13,11 @@ whole stream and its cache grows with it.
 
 Stage order per frame:
     features (stacked re/im, LPS, IPD) -> three 2-conv encoders -> 1x1 merge
-    -> N x (full-band recurrence -> time-skip TAC -> sub-band conformer)
+    -> N x (full-band recurrence -> TAC -> sub-band conformer)
     -> causal deconvolution back to Z channels -> two sigmoid mask heads.
+
+With `time_skip` the TAC runs on every other frame from `start` and the
+other frames pass it unchanged; without it the TAC runs on every frame.
 """
 
 from __future__ import annotations
@@ -336,7 +339,7 @@ class StreamingMaskNet:
 
         x = self.encoder.step(spec_feat, lps, ipd)
         t = self.frame_index
-        selected = t >= self.start and (t - self.start) % 2 == 0
+        selected = not self.cfg.time_skip or (t >= self.start and (t - self.start) % 2 == 0)
         for fullband, tac, subband in self.blocks:
             x = fullband.step(x)
             if selected:

@@ -116,7 +116,11 @@ class ModelWeights:
         return self.tensors[name]
 
     def validate(self, cfg: ModelConfig) -> None:
-        """Check the tensor map matches the config exactly (no missing, no extras)."""
+        """Check the container was written for `cfg`.
+
+        The tensor map must match exactly (no missing, no extras), and a stored
+        fingerprint must equal the config's; a container without one passes.
+        """
         expected = required_shapes(cfg)
         missing = sorted(set(expected) - set(self.tensors))
         extra = sorted(set(self.tensors) - set(expected))
@@ -129,6 +133,11 @@ class ModelWeights:
             got = self.tensors[name].shape
             if tuple(got) != tuple(shape):
                 raise WeightShapeError(f"{name}: expected shape {shape}, got {tuple(got)}")
+        if self.fingerprint and self.fingerprint != cfg.fingerprint():
+            raise WeightShapeError(
+                f"weight container fingerprint {self.fingerprint} does not match "
+                f"the config's {cfg.fingerprint()}"
+            )
 
     def save(self, path) -> None:
         header = [_MAGIC]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from cabinsep.augment import NoiseEntry, SceneManifest, SpeakerEntry
 from cabinsep.cli import main
 from cabinsep.dsp import read_wav, write_wav
 from cabinsep.irlab import ImpulseResponse, write_ir
+from cabinsep.model import init_random, variant_config
 
 FS = 16000
 
@@ -90,6 +92,25 @@ class TestSeparate:
         write_mixture(mix, rng)
         assert main(["separate", "--input", str(mix), "--weights", str(weights_file),
                      "--variant", "L", "--out-dir", str(tmp_path / "o")]) == 3
+
+    def test_other_architecture_same_shapes_exit_3_without_outputs(self, tmp_path, rng):
+        cfg = replace(variant_config("S"), lps_floor=1e-8)
+        weights = tmp_path / "floor.bin"
+        init_random(cfg, seed=7).save(weights)
+        mix = tmp_path / "mix.wav"
+        write_mixture(mix, rng)
+        out = tmp_path / "o"
+        assert main(["separate", "--input", str(mix), "--weights", str(weights),
+                     "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
+    def test_lookback_keeps_fingerprint_match(self, tmp_path, rng, weights_file):
+        mix = tmp_path / "mix.wav"
+        write_mixture(mix, rng)
+        out = tmp_path / "o"
+        assert main(["separate", "--input", str(mix), "--weights", str(weights_file),
+                     "--chunk-seconds", "1.0", "--out-dir", str(out)]) == 0
+        assert (out / "zone1.wav").exists()
 
     def test_missing_weights_flag_exit_3(self, tmp_path, rng):
         mix = tmp_path / "mix.wav"

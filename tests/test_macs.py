@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from dataclasses import replace
 
 from cabinsep.model import count_macs, count_params, required_shapes, variant_config
@@ -62,6 +63,38 @@ class TestMacCounter:
         doc = report.to_dict()
         assert doc["total_macs"] == report.total
         assert doc["seconds"] == 2.0
+
+
+class TestPinnedCounts:
+    """Totals and item keys as counted before the items came from the weight map."""
+
+    @pytest.mark.parametrize("variant, one_second, twelve_seconds_1s_lookback, odd_start", [
+        ("S", 383199696, 5238973664, 1197439088),
+        ("M", 479624400, 6386005664, 1437477104),
+        ("L", 699581808, 9339998496, 2105960848),
+    ])
+    def test_totals(self, variant, one_second, twelve_seconds_1s_lookback, odd_start):
+        cfg = variant_config(variant)
+        assert count_macs(cfg, seconds=1.0).total == one_second
+        bounded = replace(cfg, chunk_lookback_seconds=1.0)
+        assert count_macs(bounded, seconds=12.0).total == twelve_seconds_1s_lookback
+        assert count_macs(cfg, seconds=2.5, start=1).total == odd_start
+
+    def test_total_without_time_skip(self):
+        cfg = variant_config("L", time_skip=False)
+        assert count_macs(cfg, seconds=1.024).total == 740236288
+
+    def test_small_variant_item_keys(self):
+        items = count_macs(variant_config("S"), seconds=1.0).items
+        assert list(items) == [
+            "enc_spec.conv1", "enc_spec.conv2", "enc_lps.conv1", "enc_lps.conv2",
+            "enc_ipd.conv1", "enc_ipd.conv2", "merge",
+            "block0.fullband.in_proj", "block0.fullband.lstm", "block0.fullband.out_proj",
+            "block0.tac.linear_a", "block0.tac.linear_b", "block0.tac.linear_c",
+            "block0.subband.conv_in", "block0.subband.layers", "block0.subband.attention",
+            "block0.subband.proj_out", "decoder", "head_speech", "head_noise",
+        ]
+        assert all(type(v) is int for v in items.values())
 
 
 class TestParamCounter:

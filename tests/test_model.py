@@ -12,6 +12,7 @@ from cabinsep.model import (
     ModelWeights,
     StreamingMaskNet,
     forward,
+    count_macs,
     init_random,
     required_shapes,
     variant_config,
@@ -134,6 +135,15 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             variant_config("S", chunk_lookback_seconds=seconds)
 
+    def test_fingerprint_ignores_lookback_only(self):
+        cfg = variant_config("S")
+        assert cfg.fingerprint() == "2d7d2eeb300f2520"
+        for seconds in (0.5, 1.0, 12.0):
+            assert variant_config("S", chunk_lookback_seconds=seconds).fingerprint() \
+                == cfg.fingerprint()
+        assert replace(cfg, lps_floor=1e-8).fingerprint() != cfg.fingerprint()
+        assert replace(cfg, time_skip=False).fingerprint() != cfg.fingerprint()
+
 
 class TestWeights:
     def test_init_deterministic(self, small_cfg):
@@ -180,6 +190,13 @@ class TestWeights:
         broken.tensors["decoder.b"] = np.zeros(5, np.float32)
         with pytest.raises(WeightShapeError):
             broken.validate(small_cfg)
+
+    def test_validate_checks_fingerprint(self, small_cfg, small_weights):
+        other = replace(small_cfg, ipd_pair=(1, 2))  # same shapes, other architecture
+        with pytest.raises(WeightShapeError, match="fingerprint"):
+            small_weights.validate(other)
+        small_weights.validate(replace(small_cfg, chunk_lookback_seconds=1.0))
+        ModelWeights(small_weights.tensors).validate(other)  # no fingerprint stored
 
     def test_truncated_container_rejected(self, tmp_path, small_cfg, small_weights):
         path = tmp_path / "w.bin"
@@ -284,6 +301,41 @@ class TestTimeSkip:
             net.blocks[0][1].step = lambda x: x
             outs.append(forward_frames(net, spec))
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+    def test_without_time_skip_tac_runs_every_frame(self, rng):
+        cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2, conformer_layers=1,
+                          time_skip=False)
+        for start in (0, 1):
+            net = StreamingMaskNet(init_random(cfg, seed=2), cfg, start=start)
+            calls = record_tac_frames(net)
+            forward_frames(net, random_spectrogram(rng, frames=7))
+            assert calls == [list(range(7))] * 2
+
+    def test_without_time_skip_masks_differ(self, rng, small_cfg):
+        # same seed and shapes give the same tensors, each with its own fingerprint
+        spec = random_spectrogram(rng, frames=2)
+        outs = []
+        for cfg in (small_cfg, replace(small_cfg, time_skip=False)):
+            outs.append(forward(spec, init_random(cfg, seed=7), cfg).speech)
+        np.testing.assert_array_equal(outs[0][:, 0], outs[1][:, 0])
+        assert not np.array_equal(outs[0][:, 1], outs[1][:, 1])
+
+    @pytest.mark.parametrize("time_skip", [True, False])
+    @pytest.mark.parametrize("start", [0, 1])
+    @pytest.mark.parametrize("frames", [1, 2, 7, 64])
+    def test_tac_calls_match_mac_count(self, rng, time_skip, start, frames):
+        cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2, conformer_layers=1,
+                          time_skip=time_skip)
+        net = StreamingMaskNet(init_random(cfg, seed=2), cfg, start=start)
+        calls = record_tac_frames(net)
+        forward_frames(net, random_spectrogram(rng, frames=frames))
+        report = count_macs(cfg, seconds=(frames - 0.5) * cfg.hop_seconds, start=start)
+        c = cfg.embed_channels
+        per_call = cfg.bins * c * (c // cfg.tac_compression)
+        assert report.frames == frames
+        for i, block_calls in enumerate(calls):
+            assert len(block_calls) * per_call == report.items[f"block{i}.tac.linear_a"]
 
 
 class TestCausalConv:

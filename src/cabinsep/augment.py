@@ -1,8 +1,8 @@
 """Cabin scene synthesis: reverberant speech images, noise at target SNRs, labels.
 
 A scene is described by a `SceneManifest` (JSON-serializable). Rendering is
-deterministic given the manifest; randomness (SNR draws, IR strategies) is
-confined to the sampling helpers, which take a seeded generator.
+deterministic given the manifest; randomness (IR strategies, simulated
+scenes) comes only from a seeded generator the caller passes.
 
 Conventions: the additive decomposition is exact -- the mixture equals the
 sum of per-zone speech images plus the noise label at every microphone.
@@ -200,7 +200,6 @@ def mix_scene_signals(
     background: np.ndarray | None = None,
     background_snr_db: float | None = None,
     transients: list[tuple[np.ndarray, int, float]] | None = None,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> SceneRender:
     """Render a scene from in-memory signals.
 
@@ -312,26 +311,8 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
     return mix_scene_signals(
         speakers, manifest.zones,
         background=background, background_snr_db=background_snr,
-        transients=transients, sample_rate=manifest.sample_rate,
+        transients=transients,
     )
-
-
-def sample_background_snr(rng: np.random.Generator) -> float:
-    """Uniform draw from the default background-noise SNR range."""
-    return float(rng.uniform(*BACKGROUND_SNR_RANGE))
-
-
-def sample_transient_snr(rng: np.random.Generator) -> float:
-    """Uniform draw from the default transient-noise SNR range."""
-    return float(rng.uniform(*TRANSIENT_SNR_RANGE))
-
-
-def sample_transient_onset(rng: np.random.Generator, scene_samples: int,
-                           event_samples: int) -> int:
-    """Random onset such that the event fits inside the scene."""
-    if event_samples > scene_samples:
-        raise InvalidInput("transient event is longer than the scene")
-    return int(rng.integers(0, scene_samples - event_samples + 1))
 
 
 def oracle_masks(render: SceneRender, stft_cfg=None):
@@ -371,13 +352,22 @@ def oracle_masks(render: SceneRender, stft_cfg=None):
 # Seeded cabin-scene sampling (experiment scaffolding)
 # ---------------------------------------------------------------------------
 
-def synthetic_utterance(rng: np.random.Generator, num_samples: int,
-                        sample_rate: int = DEFAULT_SAMPLE_RATE,
-                        pause_probability: float = 0.35) -> np.ndarray:
+# Simulated scenes run at 16 kHz, the rate `cabin_room` simulates IRs at.
+# 1024 taps (64 ms) hold every arrival of the order-3 cabin lattice; the
+# noise source sits low in the front-left footwell, away from every seat;
+# speakers lean up to 5 cm from their seat on each axis; half the envelope
+# nodes of an utterance are silent, so overlapping speakers leave gaps.
+_SCENE_IR_LENGTH = 1024
+_NOISE_POSITION = (0.9, 0.12, 0.45)
+_POSTURE_JITTER = 0.05
+_PAUSE_PROBABILITY = 0.5
+
+
+def synthetic_utterance(rng: np.random.Generator, num_samples: int) -> np.ndarray:
     """Speech-shaped test signal: low-pass-tilted noise under a bursty envelope.
 
-    The envelope interpolates ~4 Hz random nodes, a fraction of which are
-    forced to zero so utterances have real pauses (sparser overlap).
+    The envelope interpolates ~4 Hz random nodes, half of which are forced
+    to zero so utterances have real pauses (sparser overlap).
     """
     if num_samples < 2:
         raise InvalidInput("utterance needs at least 2 samples")
@@ -385,9 +375,9 @@ def synthetic_utterance(rng: np.random.Generator, num_samples: int,
 
     noise = rng.standard_normal(num_samples)
     tilted = lfilter([1.0], [1.0, -0.92], noise)
-    n_nodes = max(int(num_samples / sample_rate * 4), 2)  # ~4 Hz syllable rate
+    n_nodes = max(int(num_samples / DEFAULT_SAMPLE_RATE * 4), 2)  # ~4 Hz syllable rate
     nodes = rng.uniform(0.0, 1.0, size=n_nodes)
-    nodes[rng.random(n_nodes) < pause_probability] = 0.0
+    nodes[rng.random(n_nodes) < _PAUSE_PROBABILITY] = 0.0
     if not np.any(nodes):
         nodes[rng.integers(n_nodes)] = 1.0
     envelope = np.interp(np.linspace(0, n_nodes - 1, num_samples),
@@ -401,46 +391,35 @@ def sample_cabin_scene(
     speaker_zones: list[int],
     duration_seconds: float = 6.0,
     background_snr_db: float = 5.0,
-    reflection: float = 0.35,
-    max_order: int = 3,
-    ir_length: int = 1024,
     source_positions: dict[int, tuple[float, float, float]] | None = None,
-    noise_position: tuple[float, float, float] = (0.9, 0.12, 0.45),
-    posture_jitter: float = 0.05,
-    pause_probability: float = 0.5,
-    sample_rate: int = DEFAULT_SAMPLE_RATE,
 ) -> SceneRender:
-    """Simulate a seeded cabin scene end to end (sources, IRs, noise).
+    """Simulate a seeded 16 kHz cabin scene end to end (sources, IRs, noise).
 
     Each speaker gets a synthetic utterance rendered through image-source
-    IRs from its (jittered) seat, or from an explicit position in
-    `source_positions` (e.g. a zone boundary). The background is a noise
-    point source rendered through its own IRs and scaled to the target SNR.
+    IRs of the default cabin (`cabin_room`'s reflection and order, 1024
+    taps) from its seat, jittered by up to 5 cm per axis, or from an
+    explicit position in `source_positions` (e.g. a zone boundary). The
+    background is a noise point source in the front-left footwell rendered
+    through its own IRs and scaled to `background_snr_db` at microphone 1.
     """
     from .irlab import CABIN_MICS, cabin_room, seat_position, simulate_ism_all
 
-    num_samples = int(duration_seconds * sample_rate)
+    num_samples = int(duration_seconds * DEFAULT_SAMPLE_RATE)
     zones = len(CABIN_MICS)
     speakers = []
     for zone in speaker_zones:
         if source_positions and zone in source_positions:
             position = source_positions[zone]
         else:
-            position = seat_position(zone, rng, jitter=posture_jitter)
-        room = cabin_room(position, reflection=reflection, max_order=max_order,
-                          ir_length=ir_length)
-        irs = simulate_ism_all(room)
-        speech = synthetic_utterance(rng, num_samples, sample_rate,
-                                     pause_probability=pause_probability)
+            position = seat_position(zone, rng, jitter=_POSTURE_JITTER)
+        irs = simulate_ism_all(cabin_room(position, ir_length=_SCENE_IR_LENGTH))
+        speech = synthetic_utterance(rng, num_samples)
         speakers.append((zone, speech, irs, 1.0))
 
-    noise_room = cabin_room(noise_position, reflection=reflection,
-                            max_order=max_order, ir_length=ir_length)
-    noise_irs = simulate_ism_all(noise_room)
+    noise_irs = simulate_ism_all(cabin_room(_NOISE_POSITION, ir_length=_SCENE_IR_LENGTH))
     noise = render_reverberant(rng.standard_normal(num_samples), noise_irs)
 
     return mix_scene_signals(
         speakers, zones,
         background=noise, background_snr_db=background_snr_db,
-        sample_rate=sample_rate,
     )

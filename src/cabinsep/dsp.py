@@ -30,7 +30,6 @@ class StftConfig:
     fft_size: int = 512
     window_length: int = 512
     hop: int = 256
-    window_kind: str = "hamming"
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class StftConfig:
                 f"need 1 <= hop <= window_length <= fft_size, got "
                 f"hop={self.hop}, window_length={self.window_length}, fft_size={self.fft_size}"
             )
-        if self.window_kind != "hamming":
-            raise InvalidConfig(f"unsupported window kind: {self.window_kind!r}")
         if self.sample_rate <= 0:
             raise InvalidConfig("sample_rate must be positive")
 
@@ -57,7 +54,7 @@ class StftConfig:
 
     def window(self) -> np.ndarray:
         # periodic window, the usual STFT choice
-        return get_window(self.window_kind, self.window_length, fftbins=True)
+        return get_window("hamming", self.window_length, fftbins=True)
 
 
 def as_multichannel(wave: np.ndarray) -> np.ndarray:
@@ -124,10 +121,8 @@ def synthesize(
         (channels, samples) real waveform.
     """
     spec = np.asarray(spec)
-    if spec.ndim == 2:
-        spec = spec[None, :, :]
     if spec.ndim != 3:
-        raise InvalidInput(f"spectrogram must be 2-D or 3-D, got ndim={spec.ndim}")
+        raise InvalidInput(f"spectrogram must be 3-D, got ndim={spec.ndim}")
     n_chan, frames, bins = spec.shape
     if bins != cfg.bins:
         raise InvalidConfig(f"spectrogram has {bins} bins but config implies {cfg.bins}")
@@ -183,7 +178,7 @@ def convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# WAV files (RIFF PCM 16-bit and IEEE float 32-bit)
+# WAV files: read PCM 16/32-bit and float, write IEEE float 32-bit
 # ---------------------------------------------------------------------------
 
 def read_wav(path) -> tuple[np.ndarray, int]:
@@ -206,18 +201,7 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     return wave, int(rate)
 
 
-def write_wav(path, wave: np.ndarray, sample_rate: int = DEFAULT_SAMPLE_RATE,
-              encoding: str = "float32") -> None:
-    """Write a (channels, samples) or (samples,) waveform as WAV.
-
-    encoding: 'float32' (IEEE float) or 'pcm16'.
-    """
-    wave = as_multichannel(wave)
-    data = wave.T  # interleave
-    if encoding == "float32":
-        wavfile.write(path, sample_rate, data.astype(np.float32))
-    elif encoding == "pcm16":
-        clipped = np.clip(data, -1.0, 1.0)
-        wavfile.write(path, sample_rate, np.round(clipped * 32767.0).astype(np.int16))
-    else:
-        raise InvalidConfig(f"unsupported WAV encoding {encoding!r}")
+def write_wav(path, wave: np.ndarray, sample_rate: int = DEFAULT_SAMPLE_RATE) -> None:
+    """Write a (channels, samples) or (samples,) waveform as IEEE float32 WAV."""
+    data = as_multichannel(wave).T  # interleave
+    wavfile.write(path, sample_rate, data.astype(np.float32))

@@ -11,9 +11,6 @@ import numpy as np
 
 from .errors import InvalidConfig, InvalidInput
 
-DEFAULT_LPS_FLOOR = 1e-10
-DEFAULT_IPD_PAIR = (0, 1)  # front-row microphones
-
 
 def stack_real_imag(spec: np.ndarray) -> np.ndarray:
     """Stack real and imaginary parts along the channel axis.
@@ -25,7 +22,7 @@ def stack_real_imag(spec: np.ndarray) -> np.ndarray:
     return np.concatenate([spec.real, spec.imag], axis=0)
 
 
-def compute_lps(spec: np.ndarray, floor: float = DEFAULT_LPS_FLOOR) -> np.ndarray:
+def compute_lps(spec: np.ndarray, floor: float) -> np.ndarray:
     """Log power spectrum log(max(|Y|^2, floor)), one channel per microphone."""
     if floor <= 0:
         raise InvalidConfig(f"LPS floor must be positive, got {floor}")
@@ -34,8 +31,7 @@ def compute_lps(spec: np.ndarray, floor: float = DEFAULT_LPS_FLOOR) -> np.ndarra
     return np.log(np.maximum(power, floor))
 
 
-def compute_ipd(spec: np.ndarray, mic_a: int = DEFAULT_IPD_PAIR[0],
-                mic_b: int = DEFAULT_IPD_PAIR[1]) -> np.ndarray:
+def compute_ipd(spec: np.ndarray, mic_a: int, mic_b: int) -> np.ndarray:
     """Inter-microphone phase difference encoded as (cos, sin).
 
     Channel 0 is cos(angle(Y_a) - angle(Y_b)), channel 1 the sine. Bins

@@ -75,7 +75,6 @@ class RoomSpec:
     max_order: int = 3
     ir_length: int = 2048
     sample_rate: int = DEFAULT_SAMPLE_RATE
-    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
         betas = self.reflection_pairs()
@@ -129,14 +128,8 @@ def boundary_position(zone_a: int, zone_b: int) -> tuple[float, float, float]:
     return tuple(mid)
 
 
-def _add_arrival(taps: np.ndarray, delay_samples: float, amplitude: float,
-                 fractional: bool) -> None:
+def _add_arrival(taps: np.ndarray, delay_samples: float, amplitude: float) -> None:
     n = taps.shape[0]
-    if not fractional:
-        idx = int(round(delay_samples))
-        if 0 <= idx < n:
-            taps[idx] += amplitude
-        return
     center = int(math.floor(delay_samples))
     lo = max(center - _SINC_HALF_WIDTH + 1, 0)
     hi = min(center + _SINC_HALF_WIDTH, n - 1)
@@ -148,13 +141,14 @@ def _add_arrival(taps: np.ndarray, delay_samples: float, amplitude: float,
     taps[lo : hi + 1] += amplitude * np.sinc(offsets) * window
 
 
-def simulate_ism(room: RoomSpec, mic: int, fractional_delay: bool = True) -> ImpulseResponse:
+def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
     """Image-source impulse response from the room's source to one microphone.
 
     Image amplitudes follow beta_near^|r+p| * beta_far^|r| / (4 pi d) with
-    the image lattice truncated at `max_order` total reflections; arrival
-    delays are d/c, placed with a 16-tap Hann-windowed sinc (or rounded to
-    the nearest sample when `fractional_delay` is off).
+    the image lattice truncated at `max_order` total reflections; each
+    arrival lands at the fractional delay d / SPEED_OF_SOUND * sample_rate
+    through a 16-tap Hann-windowed sinc. Taps of a sinc that would fall
+    outside [0, ir_length) are dropped.
     """
     if not (0 <= mic < len(room.mics)):
         raise InvalidInput(f"mic index {mic} out of range")
@@ -186,17 +180,16 @@ def simulate_ism(room: RoomSpec, mic: int, fractional_delay: bool = True) -> Imp
                             gain = float(
                                 np.prod(betas[0] ** near_hits) * np.prod(betas[1] ** far_hits)
                             ) / (4.0 * np.pi * dist)
-                            _add_arrival(taps, dist / room.speed_of_sound * fs, gain,
-                                         fractional_delay)
+                            _add_arrival(taps, dist / SPEED_OF_SOUND * fs, gain)
     return ImpulseResponse(
         taps=taps, sample_rate=fs, origin="simulated", zone=None,
         source_position=tuple(source), mic_position=tuple(mic_pos),
     )
 
 
-def simulate_ism_all(room: RoomSpec, fractional_delay: bool = True) -> list[ImpulseResponse]:
+def simulate_ism_all(room: RoomSpec) -> list[ImpulseResponse]:
     """One IR per microphone of the room."""
-    return [simulate_ism(room, m, fractional_delay) for m in range(len(room.mics))]
+    return [simulate_ism(room, m) for m in range(len(room.mics))]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +408,7 @@ def mix_ir_sets(simulated: list[ImpulseResponse] | None,
 
 def write_ir(path, ir: ImpulseResponse) -> None:
     path = Path(path)
-    write_wav(path, ir.taps, sample_rate=ir.sample_rate, encoding="float32")
+    write_wav(path, ir.taps, sample_rate=ir.sample_rate)
     sidecar = {
         "sample_rate": ir.sample_rate,
         "origin": ir.origin,

@@ -38,7 +38,7 @@ class ModelConfig:
     chunk_lookback_seconds: float | None = None
     hop_seconds: float = 0.016
     lps_floor: float = 1e-10
-    ipd_pair: tuple[int, int] = (0, 1)
+    ipd_pair: tuple[int, int] = (0, 1)  # front-row microphones
     variant: str | None = None
 
     def __post_init__(self):

@@ -33,6 +33,14 @@ logger = logging.getLogger(__name__)
 _TRACE_EPS = 1e-10
 
 
+def _check_forgetting_loading(forgetting: float, loading: float) -> None:
+    # written so that NaN fails both checks
+    if not (0.0 < forgetting <= 1.0):
+        raise InvalidInput(f"forgetting factor must be in (0, 1], got {forgetting}")
+    if not (0.0 <= loading < np.inf):
+        raise InvalidInput(f"diagonal loading must be finite and >= 0, got {loading}")
+
+
 @dataclass
 class MvdrConfig:
     forgetting: float = 1.0       # lam = 1.0 accumulates; < 1 forgets geometrically
@@ -40,10 +48,7 @@ class MvdrConfig:
     recompute_every: int = 1      # weight refresh cadence in frames
 
     def __post_init__(self):
-        if not (0.0 < self.forgetting <= 1.0):
-            raise InvalidInput("forgetting factor must be in (0, 1]")
-        if self.loading < 0:
-            raise InvalidInput("diagonal loading must be >= 0")
+        _check_forgetting_loading(self.forgetting, self.loading)
         if self.recompute_every < 1:
             raise InvalidInput("recompute cadence must be >= 1")
 
@@ -61,6 +66,7 @@ class BeamformerState:
     frame_count: int = 0
 
     def __post_init__(self):
+        _check_forgetting_loading(self.forgetting, self.loading)
         shape = (self.zones, self.bins, self.zones, self.zones)
         self.speech_cov = np.zeros(shape, dtype=np.complex128)
         self.noise_cov = np.zeros(shape, dtype=np.complex128)
@@ -194,7 +200,7 @@ def separate_stream(spec: np.ndarray, masks: MaskPair,
         update_covariances(state, snapshot, masks.speech[:, t, :], masks.noise[:, t, :])
         refresh = t % cfg.recompute_every == 0
         for zone in range(z):
-            if refresh or weights[zone] is None:
+            if refresh:
                 try:
                     weights[zone] = compute_weights(state, zone)
                 except NumericalError:

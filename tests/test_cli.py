@@ -137,6 +137,16 @@ class TestSeparate:
         assert not list(tmp_path.glob("o/zone*.wav"))
         assert not (out / "separate_report.json").exists()
 
+    @pytest.mark.parametrize("loading", ["nan", "inf"])
+    def test_non_finite_loading_exit_2_without_outputs(self, tmp_path, rng, weights_file,
+                                                        loading):
+        mix = tmp_path / "mix.wav"
+        write_mixture(mix, rng)
+        out = tmp_path / "o"
+        assert main(["separate", "--input", str(mix), "--weights", str(weights_file),
+                     "--loading", loading, "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestSimulateAndEval:
     @pytest.fixture

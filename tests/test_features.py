@@ -35,7 +35,7 @@ class TestStackRealImag:
 class TestLps:
     def test_unit_magnitude_gives_zero(self):
         spec = np.exp(1j * np.linspace(0, 3, 60)).reshape(1, 4, 15)
-        np.testing.assert_allclose(compute_lps(spec), 0.0, atol=1e-12)
+        np.testing.assert_allclose(compute_lps(spec, 1e-10), 0.0, atol=1e-12)
 
     def test_floor_on_silence(self):
         out = compute_lps(np.zeros((2, 3, 5), dtype=complex), floor=1e-10)
@@ -43,7 +43,7 @@ class TestLps:
 
     def test_log_identity(self):
         spec = np.full((1, 2, 4), np.e, dtype=complex)
-        np.testing.assert_allclose(compute_lps(spec), 2.0, atol=1e-12)
+        np.testing.assert_allclose(compute_lps(spec, 1e-10), 2.0, atol=1e-12)
 
     def test_invalid_floor(self):
         with pytest.raises(InvalidConfig):
@@ -52,8 +52,9 @@ class TestLps:
     def test_phase_invariance_and_monotonicity(self):
         spec = complex_spec(4)
         rotated = spec * np.exp(1j * 0.7)
-        np.testing.assert_allclose(compute_lps(spec), compute_lps(rotated), atol=1e-12)
-        assert np.all(compute_lps(2.0 * spec) >= compute_lps(spec))
+        np.testing.assert_allclose(compute_lps(spec, 1e-10), compute_lps(rotated, 1e-10),
+                                   atol=1e-12)
+        assert np.all(compute_lps(2.0 * spec, 1e-10) >= compute_lps(spec, 1e-10))
 
 
 class TestIpd:

@@ -34,8 +34,8 @@ from conftest import SMALL_BINS, random_spectrogram, run_frames
 def encode(spec, weights, cfg):
     """Encoder stage over a whole (Z, T, F) spectrogram -> (C, T, F) embedding."""
     stage = _EncoderStage(weights, cfg)
-    return run_frames(stage.step, stack_real_imag(spec), compute_lps(spec),
-                      compute_ipd(spec))
+    return run_frames(stage.step, stack_real_imag(spec), compute_lps(spec, cfg.lps_floor),
+                      compute_ipd(spec, *cfg.ipd_pair))
 
 
 def record_tac_frames(net):

@@ -23,6 +23,18 @@ def hermitian_error(mats):
     return np.max(np.abs(mats - np.conj(np.swapaxes(mats, -1, -2))))
 
 
+class TestState:
+    @pytest.mark.parametrize("kwargs", [
+        dict(forgetting=0.0), dict(forgetting=1.5), dict(forgetting=np.nan),
+        dict(loading=-1.0), dict(loading=np.nan), dict(loading=np.inf),
+    ])
+    def test_invalid_forgetting_or_loading_rejected(self, kwargs):
+        with pytest.raises(InvalidInput):
+            BeamformerState(zones=2, bins=3, **kwargs)
+        with pytest.raises(InvalidInput):
+            MvdrConfig(**kwargs)
+
+
 class TestUpdate:
     def test_exclusive_speech_mask_accumulates_only_target(self, rng):
         state = BeamformerState(zones=3, bins=4, forgetting=1.0)

@@ -1,0 +1,41 @@
+"""The experiment scripts run end to end on their smallest arguments."""
+
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_oracle_mask_experiment(monkeypatch, capsys):
+    lines = run_script("oracle_mask_experiment.py", ["--scenes", "1", "--duration", "0.5"],
+                       monkeypatch, capsys)
+    assert [line.split(":")[0] for line in lines[:2]] == ["scene   0 zone 1", "scene   0 zone 3"]
+    assert lines[-1].startswith("2 measurements | median ")
+
+
+def test_positioning_experiment(monkeypatch, capsys):
+    lines = run_script("positioning_experiment.py",
+                       ["--scenes", "1", "--boundary-scenes", "1", "--duration", "0.5"],
+                       monkeypatch, capsys)
+    assert [line.split(":")[0] for line in lines] == [
+        "standard-posture accuracy", "NSPA (boundary subset)", "overall accuracy"]
+
+
+def test_rtf_benchmark(monkeypatch, capsys):
+    lines = run_script("rtf_benchmark.py", ["--seconds", "0.2", "--runs", "1"],
+                       monkeypatch, capsys)
+    assert lines[0].split() == ["variant", "params", "GMACs/s", "RTF", "med", "spread"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["S", "M", "L"]
+    for row in rows:
+        assert len(row) == 5
+        int(row[1])
+        assert all(float(v) >= 0 for v in row[2:])
+

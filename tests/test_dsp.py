@@ -35,6 +35,7 @@ class TestConfig:
         dict(hop=600),                      # hop > window
         dict(window_length=600),            # window > fft
         dict(fft_size=511),                 # odd fft
+        dict(sample_rate=0),
         dict(hop=0),
     ])
     def test_invalid_configs_rejected(self, kwargs):

@@ -1,12 +1,3 @@
-import os
-
-# One BLAS thread, as in the tier-1 CI job and perfbench: metrics.rtf_benchmark
-# times single-threaded work, and an unpinned OpenBLAS keeps a worker thread
-# spinning beside the timed one. The variables are read when numpy loads, so
-# this comes before any numpy import; a value already set is kept.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import numpy as np
 import pytest
 

@@ -306,7 +306,7 @@ def test_c11_rtf_harness():
     start = time.perf_counter()
     seconds = 2.5  # long enough that timer jitter stays well below the S/M gap
     rng = np.random.default_rng(1100)
-    runs = {}
+    medians = {}
     for variant in "SML":
         cfg = variant_config(variant)
         weights = init_random(cfg, seed=2)
@@ -315,16 +315,7 @@ def test_c11_rtf_harness():
         def run(wave=wave, weights=weights, cfg=cfg):
             separate_waveform(wave, weights, cfg)
 
-        runs[variant] = run
-    # one measured call per variant per round, S, M, L in turn, so that a
-    # slow spell of a shared host lands on all three variants, not on one
-    for run in runs.values():
-        run()  # warm-up
-    rtfs = {variant: [] for variant in runs}
-    for _ in range(9):
-        for variant, run in runs.items():
-            rtfs[variant] += metrics.rtf_benchmark(run, seconds, runs=1, warmup=0).rtfs
-    medians = {variant: float(np.median(r)) for variant, r in rtfs.items()}
+        medians[variant] = metrics.rtf_benchmark(run, seconds, runs=5, warmup=1).median
     assert medians["S"] <= medians["M"] <= medians["L"]
     elapsed = time.perf_counter() - start
     report(f"PASS [C11] RTF (host, single stream): S={medians['S']:.2f} "

@@ -274,7 +274,8 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
 
     `irs_by_zone` optionally overrides each speaker's IR assignment (e.g. an
     assignment drawn with `mix_ir_sets`); manifest IR paths are ignored for
-    zones present in the mapping.
+    zones present in the mapping. Every WAV and IR must have the manifest's
+    sample rate, else InvalidInput.
     """
     manifest.validate(ir_override_zones=set(irs_by_zone or {}))
     base = Path(base_dir)
@@ -283,28 +284,35 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
         p = Path(name)
         return p if p.is_absolute() else base / p
 
+    def _check_rate(rate: int, what: str) -> None:
+        if rate != manifest.sample_rate:
+            raise InvalidInput(
+                f"{what}: sample rate {rate} != manifest rate {manifest.sample_rate}"
+            )
+
     speakers = []
     for entry in manifest.speakers:
         speech, rate = read_wav(_resolve(entry.speech))
-        if rate != manifest.sample_rate:
-            raise InvalidInput(
-                f"{entry.speech}: sample rate {rate} != manifest rate {manifest.sample_rate}"
-            )
+        _check_rate(rate, entry.speech)
         if irs_by_zone is not None and entry.zone in irs_by_zone:
             irs = irs_by_zone[entry.zone]
         else:
             irs = [read_ir(_resolve(p)) for p in entry.irs]
+        for m, ir in enumerate(irs):
+            _check_rate(ir.sample_rate, f"zone {entry.zone} IR {m}")
         speakers.append((entry.zone, speech[0], irs, entry.gain))
 
     background = None
     background_snr = None
     if manifest.background is not None:
-        background, _ = read_wav(_resolve(manifest.background.file))
+        background, rate = read_wav(_resolve(manifest.background.file))
+        _check_rate(rate, manifest.background.file)
         background_snr = manifest.background.snr_db
 
     transients = []
     for t in manifest.transients:
-        wave, _ = read_wav(_resolve(t.file))
+        wave, rate = read_wav(_resolve(t.file))
+        _check_rate(rate, t.file)
         onset = int(round(t.onset_seconds * manifest.sample_rate))
         transients.append((wave[0], onset, t.snr_db))
 

@@ -3,8 +3,10 @@ zone-positioning protocol, and real-time-factor benchmarking."""
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -200,6 +202,7 @@ def zone_positioning(separated: np.ndarray, true_zone: int,
 class RtfReport:
     audio_seconds: float
     rtfs: list[float]
+    blas_threads: int            # BLAS threads in effect during the timed calls
 
     @property
     def median(self) -> float:
@@ -215,7 +218,23 @@ class RtfReport:
             "rtf_median": self.median,
             "rtf_runs": list(self.rtfs),
             "rtf_spread": self.spread,
+            "blas_threads": self.blas_threads,
         }
+
+
+def _openblas() -> ctypes.CDLL:
+    """The OpenBLAS bundled with (and already loaded by) numpy's wheel."""
+    found = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                   .glob("libscipy_openblas64_*.so"))
+    if not found:
+        raise RuntimeError("numpy's bundled libscipy_openblas64_ not found: "
+                           "cannot time on one BLAS thread")
+    lib = ctypes.CDLL(str(found[0]))
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    lib.scipy_openblas_set_num_threads64_.restype = None
+    return lib
 
 
 def rtf_benchmark(process, audio_seconds: float, runs: int = 5,
@@ -223,18 +242,27 @@ def rtf_benchmark(process, audio_seconds: float, runs: int = 5,
     """Wall-clock real-time factor of `process()` over `audio_seconds` of audio.
 
     Calls the zero-argument callable `warmup` times unmeasured, then `runs`
-    times measured; RTF = elapsed / audio duration. Single-threaded by
-    contract: the callable must not spawn workers.
+    times measured; RTF = elapsed / audio duration. Single-threaded: numpy's
+    bundled OpenBLAS is set to one thread for all calls and restored after,
+    and a RuntimeError is raised if that library cannot be found. The
+    callable must not spawn workers of its own.
     """
     if audio_seconds <= 0:
         raise InvalidInput("audio_seconds must be positive")
     if runs < 1:
         raise InvalidInput("need at least one measured run")
-    for _ in range(warmup):
-        process()
-    rtfs = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        process()
-        rtfs.append((time.perf_counter() - start) / audio_seconds)
-    return RtfReport(audio_seconds=audio_seconds, rtfs=rtfs)
+    blas = _openblas()
+    previous = blas.scipy_openblas_get_num_threads64_()
+    blas.scipy_openblas_set_num_threads64_(1)
+    try:
+        for _ in range(warmup):
+            process()
+        rtfs = []
+        for _ in range(runs):
+            start = time.perf_counter()
+            process()
+            rtfs.append((time.perf_counter() - start) / audio_seconds)
+        threads = blas.scipy_openblas_get_num_threads64_()
+    finally:
+        blas.scipy_openblas_set_num_threads64_(previous)
+    return RtfReport(audio_seconds=audio_seconds, rtfs=rtfs, blas_threads=threads)

@@ -18,6 +18,10 @@ Stage order per frame:
 
 With `time_skip` the TAC runs on every other frame from `start` and the
 other frames pass it unchanged; without it the TAC runs on every frame.
+
+The network computes in float32, straight off the weight container's arrays.
+The features become float32 once, in the encoder's conv windows; the STFT,
+the features and the MVDR stay float64/complex128.
 """
 
 from __future__ import annotations
@@ -71,12 +75,10 @@ class _CausalConv2d:
         self.pad = kf // 2
         self.n_bins = n_bins
         # (out, in, kt, kf) -> (out, kt*kf*in) matching the patch layout below
-        self.w_mat = np.ascontiguousarray(
-            w.astype(np.float64).transpose(0, 2, 3, 1).reshape(out_ch, -1)
-        )
-        self.b = b.astype(np.float64)[:, None]
+        self.w_mat = np.ascontiguousarray(w.transpose(0, 2, 3, 1).reshape(out_ch, -1))
+        self.b = b[:, None]
         # the last kt frames, zero-padded in frequency; zeros before the stream
-        self.window = np.zeros((kt, in_ch, n_bins + 2 * self.pad))
+        self.window = np.zeros((kt, in_ch, n_bins + 2 * self.pad), np.float32)
 
     def step(self, frame: np.ndarray) -> np.ndarray:
         self.window[:-1] = self.window[1:]
@@ -88,12 +90,11 @@ class _CausalConv2d:
 
 class _LstmCell:
     def __init__(self, w_ih, w_hh, b_ih, b_hh):
-        self.w_ih = w_ih.astype(np.float64)
-        self.w_hh = w_hh.astype(np.float64)
-        self.b = (b_ih + b_hh).astype(np.float64)
+        self.w_ih, self.w_hh = w_ih, w_hh
+        self.b = b_ih + b_hh
         hidden = w_hh.shape[1]
-        self.h = np.zeros(hidden)
-        self.c = np.zeros(hidden)
+        self.h = np.zeros(hidden, np.float32)
+        self.c = np.zeros(hidden, np.float32)
         self.hidden = hidden
 
     def step(self, x: np.ndarray) -> np.ndarray:
@@ -112,14 +113,14 @@ class _FullBand:
     """Per-frame recurrence over the flattened (C, F) feature, residual added."""
 
     def __init__(self, weights: ModelWeights, prefix: str):
-        self.w_in = weights[f"{prefix}.in_proj.w"].astype(np.float64)
-        self.b_in = weights[f"{prefix}.in_proj.b"].astype(np.float64)
+        self.w_in = weights[f"{prefix}.in_proj.w"]
+        self.b_in = weights[f"{prefix}.in_proj.b"]
         self.lstm = _LstmCell(
             weights[f"{prefix}.lstm.w_ih"], weights[f"{prefix}.lstm.w_hh"],
             weights[f"{prefix}.lstm.b_ih"], weights[f"{prefix}.lstm.b_hh"],
         )
-        self.w_out = weights[f"{prefix}.out_proj.w"].astype(np.float64)
-        self.b_out = weights[f"{prefix}.out_proj.b"].astype(np.float64)
+        self.w_out = weights[f"{prefix}.out_proj.w"]
+        self.b_out = weights[f"{prefix}.out_proj.b"]
 
     def step(self, x: np.ndarray) -> np.ndarray:
         flat = x.reshape(-1)
@@ -131,12 +132,12 @@ class _Tac:
     """Channel compress / average / concatenate / restore, pointwise in (t, f)."""
 
     def __init__(self, weights: ModelWeights, prefix: str):
-        self.wa = weights[f"{prefix}.linear_a.w"].astype(np.float64)
-        self.ba = weights[f"{prefix}.linear_a.b"].astype(np.float64)[:, None]
-        self.wb = weights[f"{prefix}.linear_b.w"].astype(np.float64)
-        self.bb = weights[f"{prefix}.linear_b.b"].astype(np.float64)[:, None]
-        self.wc = weights[f"{prefix}.linear_c.w"].astype(np.float64)
-        self.bc = weights[f"{prefix}.linear_c.b"].astype(np.float64)[:, None]
+        self.wa = weights[f"{prefix}.linear_a.w"]
+        self.ba = weights[f"{prefix}.linear_a.b"][:, None]
+        self.wb = weights[f"{prefix}.linear_b.w"]
+        self.bb = weights[f"{prefix}.linear_b.b"][:, None]
+        self.wc = weights[f"{prefix}.linear_c.w"]
+        self.bc = weights[f"{prefix}.linear_c.b"][:, None]
 
     def step(self, x: np.ndarray) -> np.ndarray:
         a = np.maximum(self.wa @ x + self.ba, 0.0)
@@ -159,7 +160,7 @@ class _KvCache:
 
     def __init__(self, n_bins: int, heads: int, head_dim: int, lookback: int | None):
         slots = 16 if lookback is None else lookback
-        self.buf = np.zeros((n_bins, heads, head_dim, slots))
+        self.buf = np.zeros((n_bins, heads, head_dim, slots), np.float32)
         self.n = 0
         self.lookback = lookback
 
@@ -167,7 +168,7 @@ class _KvCache:
         slots = self.buf.shape[-1]
         if self.lookback is None and self.n == slots:
             slots += slots // 4
-            grown = np.zeros(self.buf.shape[:-1] + (slots,))
+            grown = np.zeros(self.buf.shape[:-1] + (slots,), np.float32)
             grown[..., : self.n] = self.buf
             self.buf = grown
         self.buf[..., self.n % slots] = frame
@@ -182,7 +183,7 @@ class _ConformerLayer:
     """Causal conformer block on per-bin sequences; weights shared across bins."""
 
     def __init__(self, weights: ModelWeights, prefix: str, cfg: ModelConfig):
-        get = lambda leaf: weights[f"{prefix}.{leaf}"].astype(np.float64)
+        get = lambda leaf: weights[f"{prefix}.{leaf}"]
         self.ln = {name: (get(f"{name}.g"), get(f"{name}.b"))
                    for name in ("ln_ff1", "ln_att", "ln_conv", "ln_ff2", "ln_out")}
         self.ff1 = (get("ff1.w1"), get("ff1.b1"), get("ff1.w2"), get("ff1.b2"))
@@ -197,11 +198,13 @@ class _ConformerLayer:
 
         self.heads = cfg.attn_heads
         self.head_dim = cfg.subband_hidden // cfg.attn_heads
-        self.scale = 1.0 / np.sqrt(self.head_dim)
+        # float32: under NEP 50 a float64 scalar would make the scaling float64
+        self.scale = np.float32(1.0 / np.sqrt(self.head_dim))
         self.k_cache = _KvCache(cfg.bins, self.heads, self.head_dim, cfg.lookback_frames)
         self.v_cache = _KvCache(cfg.bins, self.heads, self.head_dim, cfg.lookback_frames)
         # the last kt GLU outputs, oldest first; zeros before the stream
-        self.conv_window = np.zeros((self.dw[0].shape[1], cfg.bins, cfg.subband_hidden))
+        self.conv_window = np.zeros((self.dw[0].shape[1], cfg.bins, cfg.subband_hidden),
+                                    np.float32)
 
     def _ff(self, x, params):
         w1, b1, w2, b2 = params
@@ -252,14 +255,14 @@ class _SubBand:
     """Per-bin conformer stack between channel projections, residual added."""
 
     def __init__(self, weights: ModelWeights, prefix: str, cfg: ModelConfig):
-        self.w_in = weights[f"{prefix}.conv_in.w"].astype(np.float64)
-        self.b_in = weights[f"{prefix}.conv_in.b"].astype(np.float64)
+        self.w_in = weights[f"{prefix}.conv_in.w"]
+        self.b_in = weights[f"{prefix}.conv_in.b"]
         self.layers = [
             _ConformerLayer(weights, f"{prefix}.layer{j}", cfg)
             for j in range(cfg.conformer_layers)
         ]
-        self.w_out = weights[f"{prefix}.proj_out.w"].astype(np.float64)
-        self.b_out = weights[f"{prefix}.proj_out.b"].astype(np.float64)
+        self.w_out = weights[f"{prefix}.proj_out.w"]
+        self.b_out = weights[f"{prefix}.proj_out.b"]
 
     def step(self, x: np.ndarray) -> np.ndarray:
         z = x.T @ self.w_in.T + self.b_in  # (F, H)
@@ -275,9 +278,8 @@ class _EncoderStage:
         conv = lambda p: _CausalConv2d(weights[f"{p}.w"], weights[f"{p}.b"], cfg.bins)
         self.convs = {name: (conv(f"enc_{name}.conv1"), conv(f"enc_{name}.conv2"))
                       for name in ("spec", "lps", "ipd")}
-        merge_w = weights["merge.w"].astype(np.float64)
-        self.merge_w = merge_w[:, :, 0, 0]
-        self.merge_b = weights["merge.b"].astype(np.float64)[:, None]
+        self.merge_w = weights["merge.w"][:, :, 0, 0]
+        self.merge_b = weights["merge.b"][:, None]
 
     def step(self, spec_feat: np.ndarray, lps: np.ndarray, ipd: np.ndarray) -> np.ndarray:
         outs = []
@@ -313,10 +315,10 @@ class StreamingMaskNet:
             for i in range(cfg.n_full_sub)
         ]
         self.decoder = _CausalConv2d(weights["decoder.w"], weights["decoder.b"], cfg.bins)
-        self.w_speech = weights["head_speech.w"].astype(np.float64)
-        self.b_speech = weights["head_speech.b"].astype(np.float64)[:, None]
-        self.w_noise = weights["head_noise.w"].astype(np.float64)
-        self.b_noise = weights["head_noise.b"].astype(np.float64)[:, None]
+        self.w_speech = weights["head_speech.w"]
+        self.b_speech = weights["head_speech.b"][:, None]
+        self.w_noise = weights["head_noise.w"]
+        self.b_noise = weights["head_noise.b"][:, None]
         self.frame_index = 0
 
     def step(self, snapshot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +366,7 @@ def forward(spec: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
         raise InvalidInput(f"spectrogram must be (Z, T, F), got ndim={spec.ndim}")
     net = StreamingMaskNet(weights, cfg, start=start)
     n_frames = spec.shape[1]
-    speech = np.empty((cfg.zones, n_frames, cfg.bins))
+    speech = np.empty((cfg.zones, n_frames, cfg.bins), np.float32)
     noise = np.empty_like(speech)
     for t in range(n_frames):
         speech[:, t, :], noise[:, t, :] = net.step(spec[:, t, :])

@@ -170,6 +170,30 @@ class TestManifest:
         total = render.zone_images.sum(axis=0) + render.noise_label
         np.testing.assert_allclose(render.mixture, total, atol=1e-12)
 
+    def test_background_rate_mismatch_rejected(self, tmp_path, rng):
+        manifest = self._manifest(tmp_path, rng)
+        write_wav(tmp_path / "noise.wav", rng.standard_normal(300) * 0.1, FS // 2)
+        with pytest.raises(InvalidInput, match="noise.wav"):
+            mix_scene(manifest, base_dir=tmp_path)
+
+    def test_transient_rate_mismatch_rejected(self, tmp_path, rng):
+        manifest = self._manifest(tmp_path, rng)
+        write_wav(tmp_path / "click.wav", rng.standard_normal(50) * 0.1, FS // 2)
+        manifest.transients.append(NoiseEntry(file="click.wav", snr_db=5.0))
+        with pytest.raises(InvalidInput, match="click.wav"):
+            mix_scene(manifest, base_dir=tmp_path)
+
+    def test_ir_rate_mismatch_rejected(self, tmp_path, rng):
+        manifest = self._manifest(tmp_path, rng)
+        write_ir(tmp_path / "ir2.wav", ImpulseResponse(unit_impulse(2, 16).taps,
+                                                       sample_rate=FS // 2))
+        with pytest.raises(InvalidInput, match="IR 2"):
+            mix_scene(manifest, base_dir=tmp_path)
+        override = {1: [ImpulseResponse(unit_impulse(m, 16).taps, sample_rate=FS // 2)
+                        for m in range(4)]}
+        with pytest.raises(InvalidInput, match="IR 0"):
+            mix_scene(manifest, base_dir=tmp_path, irs_by_zone=override)
+
     def test_zone_collision_rejected(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng)
         manifest.speakers.append(manifest.speakers[0])

@@ -181,6 +181,13 @@ class TestSimulateAndEval:
         assert main(["simulate", "--manifest", str(scene_dir / "bad.json"),
                      "--out-dir", str(scene_dir / "x")]) == 2
 
+    def test_simulate_noise_rate_mismatch_exit_2_without_outputs(self, scene_dir, rng):
+        write_wav(scene_dir / "noise.wav", rng.standard_normal(1000) * 0.1, FS // 2)
+        out = scene_dir / "rendered"
+        assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     def test_simulate_with_strategy_override(self, scene_dir):
         for name, k in (("sim", 2), ("rec", 5)):
             ir_dir = scene_dir / name
@@ -281,3 +288,9 @@ class TestBench:
         assert 0.2 <= report["gmacs_per_second"] <= 0.8
         assert report["rtf_median"] > 0
         assert report["params"] > 0
+
+    def test_bench_records_one_blas_thread(self, tmp_path):
+        report_path = tmp_path / "bench.json"
+        assert main(["bench", "--variant", "S", "--seconds", "0.1", "--runs", "1",
+                     "--seed", "1", "--report", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["blas_threads"] == 1

@@ -205,3 +205,45 @@ class TestRtf:
         short = rtf_benchmark(make_run(0.8), 0.8, runs=3, warmup=1).median
         long = rtf_benchmark(make_run(1.6), 1.6, runs=3, warmup=1).median
         assert abs(long - short) / short < 0.2
+
+
+class TestBlasPinning:
+    def test_timed_calls_run_on_one_blas_thread_and_setting_is_restored(self):
+        from cabinsep.metrics import _openblas
+
+        lib = _openblas()
+        original = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        before = lib.scipy_openblas_get_num_threads64_()
+        seen = []
+        try:
+            report = rtf_benchmark(
+                lambda: seen.append(lib.scipy_openblas_get_num_threads64_()),
+                audio_seconds=1.0, runs=3, warmup=1)
+            after = lib.scipy_openblas_get_num_threads64_()
+        finally:
+            lib.scipy_openblas_set_num_threads64_(original)
+        assert seen == [1] * 4
+        assert report.blas_threads == 1
+        assert report.to_dict()["blas_threads"] == 1
+        assert after == before
+
+    def test_setting_restored_when_the_callable_raises(self):
+        from cabinsep.metrics import _openblas
+
+        lib = _openblas()
+        before = lib.scipy_openblas_get_num_threads64_()
+
+        def fail():
+            raise ZeroDivisionError
+
+        with pytest.raises(ZeroDivisionError):
+            rtf_benchmark(fail, audio_seconds=1.0)
+        assert lib.scipy_openblas_get_num_threads64_() == before
+
+    def test_missing_library_fails_loudly(self, monkeypatch, tmp_path):
+        import cabinsep.metrics as metrics
+
+        monkeypatch.setattr(metrics.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        with pytest.raises(RuntimeError, match="openblas"):
+            rtf_benchmark(lambda: None, audio_seconds=1.0)

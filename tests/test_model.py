@@ -83,7 +83,7 @@ def list_conv_module(self, x):
     """Reference `_ConformerLayer._conv_module`: past GLU outputs in a list
     rebuilt every frame."""
     if not hasattr(self, "history"):
-        self.history = [np.zeros((x.shape[0], self.dw[0].shape[0]))
+        self.history = [np.zeros((x.shape[0], self.dw[0].shape[0]), np.float32)
                         for _ in range(self.dw[0].shape[1] - 1)]
     u = _layer_norm(x, *self.ln["ln_conv"])
     w1, b1 = self.pw1
@@ -343,14 +343,15 @@ class TestCausalConv:
         # reference: pad every past frame separately and gather the
         # (kt, kf, in, F) patches tap by tap; the product must be bit-identical
         out_ch, in_ch, kt, kf, frames = 3, 2, 3, 3, 6
-        w = rng.standard_normal((out_ch, in_ch, kt, kf))
-        b = rng.standard_normal(out_ch)
-        x = rng.standard_normal((in_ch, frames, SMALL_BINS))
+        w = rng.standard_normal((out_ch, in_ch, kt, kf)).astype(np.float32)
+        b = rng.standard_normal(out_ch).astype(np.float32)
+        x = rng.standard_normal((in_ch, frames, SMALL_BINS)).astype(np.float32)
         conv = _CausalConv2d(w, b, SMALL_BINS)
         w_mat = w.transpose(0, 2, 3, 1).reshape(out_ch, -1)
-        history = np.concatenate([np.zeros((in_ch, kt - 1, SMALL_BINS)), x], axis=1)
+        history = np.concatenate([np.zeros((in_ch, kt - 1, SMALL_BINS), np.float32), x],
+                                 axis=1)
         for t in range(frames):
-            patches = np.empty((kt, kf, in_ch, SMALL_BINS))
+            patches = np.empty((kt, kf, in_ch, SMALL_BINS), np.float32)
             for dt in range(kt):
                 padded = np.pad(history[:, t + dt], ((0, 0), (kf // 2, kf // 2)))
                 for df in range(kf):
@@ -483,12 +484,13 @@ class TestKvRing:
         ring = forward(spec, small_weights, cfg)
         monkeypatch.setattr(_ConformerLayer, "_attend", chronological_attend)
         reference = forward(spec, small_weights, cfg)
-        np.testing.assert_allclose(ring.speech, reference.speech, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(ring.noise, reference.noise, rtol=0, atol=1e-13)
+        # two float32 summation orders: ~450 ulps at 1.0, as 1e-13 was in float64
+        np.testing.assert_allclose(ring.speech, reference.speech, rtol=0, atol=5e-5)
+        np.testing.assert_allclose(ring.noise, reference.noise, rtol=0, atol=5e-5)
 
     def test_unbounded_growth_keeps_every_frame(self, rng):
         cache = _KvCache(3, 2, 2, None)
-        frames = rng.standard_normal((100, 3, 2, 2))
+        frames = rng.standard_normal((100, 3, 2, 2)).astype(np.float32)
         capacities = set()
         for n, frame in enumerate(frames, start=1):
             cache.append(frame)
@@ -501,10 +503,44 @@ class TestKvRing:
 class TestConformerConv:
     def test_window_matches_list_history_reference(self, rng, small_cfg, small_weights,
                                                    monkeypatch):
-        emb = rng.standard_normal((24, 9, SMALL_BINS))
+        emb = rng.standard_normal((24, 9, SMALL_BINS)).astype(np.float32)
         window = sub_band(emb, small_weights, small_cfg)
         monkeypatch.setattr(_ConformerLayer, "_conv_module", list_conv_module)
         np.testing.assert_array_equal(window, sub_band(emb, small_weights, small_cfg))
+
+
+class TestFloat32:
+    def test_network_computes_in_float32_on_the_container_arrays(self, rng, small_cfg,
+                                                                  small_weights):
+        assert small_cfg.lookback_frames is None  # the KV caches grow
+        net = StreamingMaskNet(small_weights, small_cfg)
+        for t in range(40):
+            masks = net.step(random_spectrogram(rng, frames=1)[:, 0])
+            assert [m.dtype for m in masks] == [np.float32, np.float32]
+        (fullband, tac, subband), = net.blocks
+        caches = [c for layer in subband.layers for c in (layer.k_cache, layer.v_cache)]
+        assert all(c.buf.shape[-1] > 16 for c in caches)  # grew past the initial slots
+        state = [c.buf for c in caches] + [layer.conv_window for layer in subband.layers]
+        state += [conv.window for pair in net.encoder.convs.values() for conv in pair]
+        state += [net.decoder.window, fullband.lstm.h, fullband.lstm.c]
+        assert [a.dtype for a in state] == [np.float32] * len(state)
+        # one matrix per stage is the container's own array, not a copy; the
+        # conv kernels are re-laid out as matrices, so those are copies
+        held = {
+            "merge.w": net.encoder.merge_w,
+            "block0.fullband.in_proj.w": fullband.w_in,
+            "block0.fullband.lstm.w_hh": fullband.lstm.w_hh,
+            "block0.tac.linear_a.w": tac.wa,
+            "block0.subband.conv_in.w": subband.w_in,
+            "block0.subband.layer0.att.wq": subband.layers[0].wq,
+            "head_speech.w": net.w_speech,
+        }
+        for name, array in held.items():
+            assert np.shares_memory(array, small_weights[name]), name
+
+    def test_forward_masks_are_float32(self, rng, small_cfg, small_weights):
+        masks = forward(random_spectrogram(rng, frames=3), small_weights, small_cfg)
+        assert masks.speech.dtype == masks.noise.dtype == np.float32
 
 
 class TestForward:

@@ -30,7 +30,7 @@ def main():
         def run(wave=wave, weights=weights, cfg=cfg):
             separate_waveform(wave, weights, cfg)
 
-        rtf = rtf_benchmark(run, args.seconds, runs=args.runs, warmup=1)
+        rtf = rtf_benchmark(run, args.seconds, runs=args.runs)
         macs = count_macs(cfg, seconds=args.seconds)
         print(f"{variant:8} {count_params(cfg):>10} {macs.gmacs_per_second:>8.3f} "
               f"{rtf.median:>8.3f} {rtf.spread:>8.3f}")

@@ -72,14 +72,6 @@ def _load_model_config(args) -> ModelConfig:
     return cfg
 
 
-def _mvdr_config(args) -> MvdrConfig:
-    return MvdrConfig(
-        forgetting=args.forgetting,
-        loading=args.loading,
-        recompute_every=args.cadence,
-    )
-
-
 # ---------------------------------------------------------------------------
 # separate
 # ---------------------------------------------------------------------------
@@ -102,9 +94,8 @@ def cmd_separate(args) -> int:
             raise InvalidConfig("multichannel separation requires --weights")
         weights = ModelWeights.load(args.weights)
 
-    result = separate_waveform(
-        wave, weights, cfg, StftConfig(), _mvdr_config(args), start=args.start
-    )
+    mvdr_cfg = MvdrConfig(forgetting=args.forgetting, loading=args.loading)
+    result = separate_waveform(wave, weights, cfg, StftConfig(), mvdr_cfg)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,8 +111,7 @@ def cmd_separate(args) -> int:
         "outputs": names,
         "per_zone_rms": [float(np.sqrt(np.mean(result.zones[z] ** 2)))
                          for z in range(result.zones.shape[0])],
-        "mvdr": {"forgetting": args.forgetting, "loading": args.loading,
-                 "recompute_every": args.cadence},
+        "mvdr": {"forgetting": args.forgetting, "loading": args.loading},
     }
     (out_dir / "separate_report.json").write_text(json.dumps(report, indent=2))
     print(f"wrote {len(names)} zone files to {out_dir}")
@@ -324,7 +314,7 @@ def cmd_bench(args) -> int:
     def run():
         separate_waveform(wave, weights, cfg)
 
-    rtf = rtf_benchmark(run, args.seconds, runs=args.runs, warmup=1)
+    rtf = rtf_benchmark(run, args.seconds, runs=args.runs)
     macs = count_macs(cfg, seconds=args.seconds)
     report = {
         "variant": args.variant,
@@ -373,11 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--lambda", dest="forgetting", type=float, default=1.0,
                      help="covariance forgetting factor")
     sep.add_argument("--loading", type=float, default=1e-4)
-    sep.add_argument("--cadence", type=int, default=1,
-                     help="recompute beamformer weights every N frames")
     sep.add_argument("--chunk-seconds", type=float, default=None,
                      help="limit conformer attention lookback")
-    sep.add_argument("--start", type=int, default=0, choices=(0, 1))
     sep.set_defaults(func=cmd_separate)
 
     sim = sub.add_parser("simulate", help="render a scene manifest to WAV files")

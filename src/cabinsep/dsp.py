@@ -48,10 +48,6 @@ class StftConfig:
         """One-sided bin count F = fft_size/2 + 1."""
         return self.fft_size // 2 + 1
 
-    @property
-    def frames_per_second(self) -> float:
-        return self.sample_rate / self.hop
-
     def window(self) -> np.ndarray:
         # periodic window, the usual STFT choice
         return get_window("hamming", self.window_length, fftbins=True)

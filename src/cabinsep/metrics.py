@@ -1,5 +1,5 @@
-"""Evaluation and loss machinery: SI-SNR, log-mel MAE, combined loss,
-zone-positioning protocol, and real-time-factor benchmarking."""
+"""Evaluation: SI-SNR, the zone-positioning protocol, and real-time-factor
+benchmarking."""
 
 from __future__ import annotations
 
@@ -10,12 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import StftConfig, analyze
 from .errors import InvalidInput
 
 SI_SNR_CLAMP_DB = 60.0
-DEFAULT_MEL_BANDS = 80
-_LOG_FLOOR = 1e-10
 _SILENCE_RMS = 1e-12
 
 
@@ -42,77 +39,6 @@ def si_snr(estimate: np.ndarray, target: np.ndarray) -> float:
         return SI_SNR_CLAMP_DB
     value = 10.0 * np.log10(p_proj / p_res)
     return float(np.clip(value, -SI_SNR_CLAMP_DB, SI_SNR_CLAMP_DB))
-
-
-def _hz_to_mel(f):
-    return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
-
-
-def _mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
-
-
-def mel_filterbank(n_mels: int = DEFAULT_MEL_BANDS,
-                   cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """(n_mels, bins) triangular mel filters spanning [0, fs/2]."""
-    nyquist = cfg.sample_rate / 2.0
-    mel_edges = np.linspace(_hz_to_mel(0.0), _hz_to_mel(nyquist), n_mels + 2)
-    hz_edges = _mel_to_hz(mel_edges)
-    bin_freqs = np.arange(cfg.bins) * cfg.sample_rate / cfg.fft_size
-    filters = np.zeros((n_mels, cfg.bins))
-    for m in range(n_mels):
-        lo, mid, hi = hz_edges[m], hz_edges[m + 1], hz_edges[m + 2]
-        rising = (bin_freqs - lo) / max(mid - lo, 1e-12)
-        falling = (hi - bin_freqs) / max(hi - mid, 1e-12)
-        filters[m] = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-    return filters
-
-
-def fbank_features(wave: np.ndarray, n_mels: int = DEFAULT_MEL_BANDS,
-                   cfg: StftConfig = StftConfig()) -> np.ndarray:
-    """(frames, n_mels) log-mel features, log floored at 1e-10."""
-    spec = analyze(np.asarray(wave, dtype=np.float64), cfg)[0]
-    power = spec.real**2 + spec.imag**2
-    mel = power @ mel_filterbank(n_mels, cfg).T
-    return np.log(np.maximum(mel, _LOG_FLOOR))
-
-
-def fbank_mae(a: np.ndarray, b: np.ndarray, n_mels: int = DEFAULT_MEL_BANDS,
-              cfg: StftConfig = StftConfig()) -> float:
-    """Mean absolute error between the log-mel features of two waveforms."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise InvalidInput(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean(np.abs(fbank_features(a, n_mels, cfg) -
-                                fbank_features(b, n_mels, cfg))))
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    alpha: float = 0.01   # speech log-mel MAE
-    beta: float = 1.0     # negated speech SI-SNR
-    gamma: float = 0.01   # noise log-mel MAE
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise InvalidInput("loss weights must be non-negative")
-
-
-def combined_loss(speech: np.ndarray, speech_label: np.ndarray,
-                  noise: np.ndarray, noise_label: np.ndarray,
-                  weights: LossWeights = LossWeights(),
-                  cfg: StftConfig = StftConfig()) -> float:
-    """alpha * MAE(speech) - beta * SI-SNR(speech) + gamma * MAE(noise).
-
-    SI-SNR enters negated so the loss decreases as separation improves.
-    """
-    loss = weights.beta * (-si_snr(speech, speech_label))
-    if weights.alpha > 0:
-        loss += weights.alpha * fbank_mae(speech, speech_label, cfg=cfg)
-    if weights.gamma > 0:
-        loss += weights.gamma * fbank_mae(noise, noise_label, cfg=cfg)
-    return float(loss)
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +163,11 @@ def _openblas() -> ctypes.CDLL:
     return lib
 
 
-def rtf_benchmark(process, audio_seconds: float, runs: int = 5,
-                  warmup: int = 1) -> RtfReport:
+def rtf_benchmark(process, audio_seconds: float, runs: int = 5) -> RtfReport:
     """Wall-clock real-time factor of `process()` over `audio_seconds` of audio.
 
-    Calls the zero-argument callable `warmup` times unmeasured, then `runs`
-    times measured; RTF = elapsed / audio duration. Single-threaded: numpy's
+    Calls the zero-argument callable once unmeasured, then `runs` times
+    measured; RTF = elapsed / audio duration. Single-threaded: numpy's
     bundled OpenBLAS is set to one thread for all calls and restored after,
     and a RuntimeError is raised if that library cannot be found. The
     callable must not spawn workers of its own.
@@ -255,8 +180,7 @@ def rtf_benchmark(process, audio_seconds: float, runs: int = 5,
     previous = blas.scipy_openblas_get_num_threads64_()
     blas.scipy_openblas_set_num_threads64_(1)
     try:
-        for _ in range(warmup):
-            process()
+        process()
         rtfs = []
         for _ in range(runs):
             start = time.perf_counter()

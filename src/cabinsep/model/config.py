@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import Field, dataclass, fields, replace
 
 from ..errors import InvalidConfig
 
@@ -48,6 +49,10 @@ class ModelConfig:
             raise InvalidConfig("bins must be >= 2")
         if self.n_full_sub < 1:
             raise InvalidConfig("n_full_sub must be >= 1")
+        if self.tac_compression < 1 or self.attn_heads < 1:
+            raise InvalidConfig("tac_compression and attn_heads must be >= 1")
+        if not self.hop_seconds > 0:
+            raise InvalidConfig("hop_seconds must be positive")
         if self.embed_channels % self.tac_compression != 0:
             raise InvalidConfig(
                 f"embed_channels ({self.embed_channels}) must be divisible by "
@@ -103,23 +108,30 @@ class ModelConfig:
         for key, value in raw.items():
             if key not in type_map:
                 raise InvalidConfig(f"unknown model config key {key!r}")
-            kwargs[key] = _coerce(key, value)
+            kwargs[key] = _coerce(type_map[key], value)
         return cls(**kwargs)
 
 
-def _coerce(key: str, value: str):
-    if value == "None":
+def _coerce(field: Field, value: str):
+    """Parse one value as its field's type; anything else is InvalidConfig."""
+    if value == "None" and "None" in field.type:
         return None
-    if key == "ipd_pair":
-        parts = value.split(",")
-        return tuple(int(p) for p in parts)
-    if key == "time_skip":
-        return value == "True"
-    if key == "variant":
+    if field.type.startswith("str"):
         return value
-    if key in ("chunk_lookback_seconds", "hop_seconds", "lps_floor"):
-        return float(value)
-    return int(value)
+    try:
+        if field.type == "bool":
+            return {"True": True, "False": False}[value]
+        if field.type.startswith("tuple"):
+            first, second = (int(p) for p in value.split(","))
+            return (first, second)
+        if field.type.startswith("float"):
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError
+            return number
+        return int(value)
+    except (KeyError, ValueError):
+        raise InvalidConfig(f"{field.name} = {value!r} is not {field.type}") from None
 
 
 def parse_kv_text(text: str) -> dict[str, str]:

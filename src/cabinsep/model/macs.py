@@ -6,7 +6,7 @@ usual convention for GMACs figures. Layer sizes come from the weight map
 (`required_shapes`): each weight tensor with two or more dimensions costs
 the product of its shape once per position it runs at. Positions are one
 per frame for `blockN.fullband.*`, one per TAC frame and bin for
-`blockN.tac.*` (every other frame from `start` with `time_skip`), and one
+`blockN.tac.*` (frames 0, 2, 4, ... with `time_skip`), and one
 per frame and bin for everything else. Biases and layer-norm parameters
 have one dimension and are skipped.
 
@@ -53,11 +53,11 @@ class MacReport:
         }
 
 
-def count_macs(cfg: ModelConfig, seconds: float = 1.0, start: int = 0) -> MacReport:
+def count_macs(cfg: ModelConfig, seconds: float = 1.0) -> MacReport:
     """Itemized MAC count of one forward pass over `seconds` of audio."""
     fps = 1.0 / cfg.hop_seconds
     frames = int(math.ceil(seconds * fps))
-    tac_frames = math.ceil((frames - start) / 2) if cfg.time_skip else frames
+    tac_frames = math.ceil(frames / 2) if cfg.time_skip else frames
     f = cfg.bins
     attention = (cfg.conformer_layers * f * 2 * cfg.subband_hidden
                  * _attention_span_sum(frames, cfg.lookback_frames))

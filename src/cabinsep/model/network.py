@@ -16,8 +16,8 @@ Stage order per frame:
     -> N x (full-band recurrence -> TAC -> sub-band conformer)
     -> causal deconvolution back to Z channels -> two sigmoid mask heads.
 
-With `time_skip` the TAC runs on every other frame from `start` and the
-other frames pass it unchanged; without it the TAC runs on every frame.
+With `time_skip` the TAC runs on frames 0, 2, 4, ... and the other frames
+pass it unchanged; without it the TAC runs on every frame.
 
 The network computes in float32, straight off the weight container's arrays.
 The features become float32 once, in the encoder's conv windows; the STFT,
@@ -297,14 +297,11 @@ class StreamingMaskNet:
     shared across concurrently running instances.
     """
 
-    def __init__(self, weights: ModelWeights, cfg: ModelConfig, start: int = 0):
-        if start not in (0, 1):
-            raise InvalidInput("time-skip start index must be 0 or 1")
+    def __init__(self, weights: ModelWeights, cfg: ModelConfig):
         if cfg.zones < 2:
             raise InvalidInput("mask network needs at least 2 zones (IPD pair)")
         weights.validate(cfg)
         self.cfg = cfg
-        self.start = start
         self.encoder = _EncoderStage(weights, cfg)
         self.blocks = [
             (
@@ -340,8 +337,7 @@ class StreamingMaskNet:
         ipd = features.compute_ipd(snapshot, *self.cfg.ipd_pair)
 
         x = self.encoder.step(spec_feat, lps, ipd)
-        t = self.frame_index
-        selected = not self.cfg.time_skip or (t >= self.start and (t - self.start) % 2 == 0)
+        selected = not self.cfg.time_skip or self.frame_index % 2 == 0
         for fullband, tac, subband in self.blocks:
             x = fullband.step(x)
             if selected:
@@ -354,8 +350,7 @@ class StreamingMaskNet:
         return speech, noise
 
 
-def forward(spec: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
-            start: int = 0) -> MaskPair:
+def forward(spec: np.ndarray, weights: ModelWeights, cfg: ModelConfig) -> MaskPair:
     """Run the mask network over a whole (Z, T, F) spectrogram.
 
     Processes frames in order through `StreamingMaskNet`, so the result is
@@ -364,7 +359,7 @@ def forward(spec: np.ndarray, weights: ModelWeights, cfg: ModelConfig,
     spec = np.asarray(spec)
     if spec.ndim != 3:
         raise InvalidInput(f"spectrogram must be (Z, T, F), got ndim={spec.ndim}")
-    net = StreamingMaskNet(weights, cfg, start=start)
+    net = StreamingMaskNet(weights, cfg)
     n_frames = spec.shape[1]
     speech = np.empty((cfg.zones, n_frames, cfg.bins), np.float32)
     noise = np.empty_like(speech)

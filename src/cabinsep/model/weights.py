@@ -10,6 +10,8 @@ File format (little-endian):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InvalidInput, WeightShapeError
@@ -200,56 +202,23 @@ class ModelWeights:
         return cls(tensors, fingerprint=fingerprint, seed=seed)
 
 
-def _fan_in(name: str, shape: tuple[int, ...]) -> int:
-    if name.endswith(".w_hh"):
-        return shape[1]
-    if len(shape) == 4:  # conv: (out, in, kt, kf)
-        return shape[1] * shape[2] * shape[3]
-    if len(shape) == 2:
-        return shape[1]
-    return max(shape[0], 1)
-
-
 def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
     """Deterministic random weights: uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)).
 
-    Layer-norm gains are 1 and all layer-norm offsets 0. Same seed and
-    config give a bit-identical container.
+    A weight's fan-in is the product of its dimensions after the first, and
+    bias `layer.bX` takes the bound of weight `layer.wX`. Layer-norm gains
+    are 1 and all layer-norm offsets 0. Same seed and config give a
+    bit-identical container.
     """
     rng = np.random.default_rng(seed)
+    shapes = required_shapes(cfg)
     tensors: dict[str, np.ndarray] = {}
-    for name, shape in required_shapes(cfg).items():
+    for name, shape in shapes.items():
         layer, leaf = name.rsplit(".", 1)
-        if leaf == "g" and ".ln_" in name:
-            tensors[name] = np.ones(shape, dtype=np.float32)
+        if ".ln_" in layer:
+            tensors[name] = (np.ones if leaf == "g" else np.zeros)(shape, dtype=np.float32)
             continue
-        if leaf == "b" and ".ln_" in name:
-            tensors[name] = np.zeros(shape, dtype=np.float32)
-            continue
-        if len(shape) == 1:
-            # bias: bound from the owning layer's weight tensor
-            sibling = _bias_sibling(name)
-            ref_shape = required_shapes(cfg).get(sibling, shape)
-            bound = 1.0 / np.sqrt(_fan_in(sibling, ref_shape))
-        else:
-            bound = 1.0 / np.sqrt(_fan_in(name, shape))
+        weight_shape = shapes[f"{layer}.w{leaf[1:]}"] if len(shape) == 1 else shape
+        bound = 1.0 / np.sqrt(math.prod(weight_shape[1:]))
         tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return ModelWeights(tensors, fingerprint=cfg.fingerprint(), seed=seed)
-
-
-def _bias_sibling(bias_name: str) -> str:
-    """Weight tensor whose fan-in scales the given bias tensor."""
-    for suffix, repl in (
-        (".b_ih", ".w_ih"),
-        (".b_hh", ".w_hh"),
-        (".b1", ".w1"),
-        (".b2", ".w2"),
-        (".bq", ".wq"),
-        (".bk", ".wk"),
-        (".bv", ".wv"),
-        (".bo", ".wo"),
-        (".b", ".w"),
-    ):
-        if bias_name.endswith(suffix):
-            return bias_name[: -len(suffix)] + repl
-    return bias_name

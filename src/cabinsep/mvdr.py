@@ -45,12 +45,9 @@ def _check_forgetting_loading(forgetting: float, loading: float) -> None:
 class MvdrConfig:
     forgetting: float = 1.0       # lam = 1.0 accumulates; < 1 forgets geometrically
     loading: float = 1e-4         # diagonal loading relative to mean eigenvalue
-    recompute_every: int = 1      # weight refresh cadence in frames
 
     def __post_init__(self):
         _check_forgetting_loading(self.forgetting, self.loading)
-        if self.recompute_every < 1:
-            raise InvalidInput("recompute cadence must be >= 1")
 
 
 @dataclass
@@ -168,10 +165,11 @@ def separate_stream(spec: np.ndarray, masks: MaskPair,
                     cfg: MvdrConfig = MvdrConfig()) -> np.ndarray:
     """Run the streaming beamformer over a whole spectrogram.
 
-    Strictly causal frame loop: covariances are updated with frame t before
-    the frame-t weights are computed, and weights are refreshed every
-    `cfg.recompute_every` frames. Prefix inputs therefore reproduce prefix
-    outputs bit-exactly.
+    Strictly causal frame loop: covariances are updated with frame t, then
+    the frame-t weights are solved and applied. Prefix inputs therefore
+    reproduce prefix outputs bit-exactly. A zone whose noise covariance
+    cannot be inverted passes its reference microphone through for that
+    frame; a warning is logged the first time this happens for each zone.
 
     Args:
         spec: (Z, T, F) complex mixture spectrogram.
@@ -193,24 +191,20 @@ def separate_stream(spec: np.ndarray, masks: MaskPair,
     state = BeamformerState(zones=z, bins=bins,
                             forgetting=cfg.forgetting, loading=cfg.loading)
     out = np.empty_like(spec)
-    weights = [None] * z
     fallback_zones = set()
     for t in range(frames):
         snapshot = spec[:, t, :]
         update_covariances(state, snapshot, masks.speech[:, t, :], masks.noise[:, t, :])
-        refresh = t % cfg.recompute_every == 0
         for zone in range(z):
-            if refresh:
-                try:
-                    weights[zone] = compute_weights(state, zone)
-                except NumericalError:
-                    if zone not in fallback_zones:
-                        logger.warning(
-                            "zone %d: covariance inversion failed at frame %d, "
-                            "passing reference microphone through", zone, t)
-                        fallback_zones.add(zone)
-                    passthrough = np.zeros((bins, z), dtype=np.complex128)
-                    passthrough[:, zone] = 1.0
-                    weights[zone] = passthrough
-            out[zone, t, :] = apply_weights(weights[zone], snapshot)
+            try:
+                weights = compute_weights(state, zone)
+            except NumericalError:
+                if zone not in fallback_zones:
+                    logger.warning(
+                        "zone %d: covariance inversion failed at frame %d, "
+                        "passing reference microphone through", zone, t)
+                    fallback_zones.add(zone)
+                out[zone, t, :] = snapshot[zone]
+            else:
+                out[zone, t, :] = apply_weights(weights, snapshot)
     return out

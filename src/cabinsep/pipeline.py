@@ -14,14 +14,12 @@ import numpy as np
 from .dsp import StftConfig, analyze, as_multichannel, synthesize
 from .errors import InvalidInput
 from .model import ModelConfig, ModelWeights, forward
-from .model.network import MaskPair
 from .mvdr import MvdrConfig, separate_stream
 
 
 @dataclass
 class SeparationResult:
     zones: np.ndarray            # (Z, samples) per-zone waveforms
-    masks: MaskPair | None       # None when the mask network was bypassed (Z = 1)
     spectrogram: np.ndarray      # (Z, T, F) beamformed output spectrogram
 
 
@@ -31,7 +29,6 @@ def separate_waveform(
     model_cfg: ModelConfig,
     stft_cfg: StftConfig = StftConfig(),
     mvdr_cfg: MvdrConfig = MvdrConfig(),
-    start: int = 0,
 ) -> SeparationResult:
     """Separate a Z-channel mixture into per-zone waveforms.
 
@@ -55,12 +52,11 @@ def separate_waveform(
 
     spec = analyze(wave, stft_cfg)
     if n_chan == 1:
-        out_spec = spec.copy()
-        return SeparationResult(zones=wave.copy(), masks=None, spectrogram=out_spec)
+        return SeparationResult(zones=wave.copy(), spectrogram=spec)
 
     if weights is None:
         raise InvalidInput("multichannel separation requires model weights")
-    masks = forward(spec, weights, model_cfg, start=start)
+    masks = forward(spec, weights, model_cfg)
     out_spec = separate_stream(spec, masks, mvdr_cfg)
     zones = synthesize(out_spec, stft_cfg, length=n_samples)
-    return SeparationResult(zones=zones, masks=masks, spectrogram=out_spec)
+    return SeparationResult(zones=zones, spectrogram=out_spec)

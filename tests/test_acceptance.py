@@ -315,7 +315,7 @@ def test_c11_rtf_harness():
         def run(wave=wave, weights=weights, cfg=cfg):
             separate_waveform(wave, weights, cfg)
 
-        medians[variant] = metrics.rtf_benchmark(run, seconds, runs=5, warmup=1).median
+        medians[variant] = metrics.rtf_benchmark(run, seconds, runs=5).median
     assert medians["S"] <= medians["M"] <= medians["L"]
     elapsed = time.perf_counter() - start
     report(f"PASS [C11] RTF (host, single stream): S={medians['S']:.2f} "

@@ -112,6 +112,16 @@ class TestSeparate:
                      "--chunk-seconds", "1.0", "--out-dir", str(out)]) == 0
         assert (out / "zone1.wav").exists()
 
+    def test_malformed_config_exit_3_without_outputs(self, tmp_path, rng, weights_file):
+        config = tmp_path / "bad.cfg"
+        config.write_text(variant_config("S").to_text().replace("zones = 4", "zones = four"))
+        mix = tmp_path / "mix.wav"
+        write_mixture(mix, rng)
+        out = tmp_path / "o"
+        assert main(["separate", "--input", str(mix), "--weights", str(weights_file),
+                     "--config", str(config), "--out-dir", str(out)]) == 3
+        assert not out.exists()
+
     def test_missing_weights_flag_exit_3(self, tmp_path, rng):
         mix = tmp_path / "mix.wav"
         write_mixture(mix, rng)

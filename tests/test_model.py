@@ -125,6 +125,18 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             ModelConfig.from_text("zones = 4\nbogus = 1\n")
 
+    @pytest.mark.parametrize("text", [
+        "zones = four", "zones = 4.0", "zones = None", "hop_seconds = nan",
+        "chunk_lookback_seconds = inf", "time_skip = yes", "time_skip = 0",
+        "ipd_pair = 0", "ipd_pair = 0,1,2", "ipd_pair = a,b",
+        # values that parse but would divide by zero
+        "tac_compression = 0", "attn_heads = 0",
+        "hop_seconds = 0\nchunk_lookback_seconds = 1.0",
+    ])
+    def test_malformed_value_rejected(self, text):
+        with pytest.raises(InvalidConfig):
+            ModelConfig.from_text(text)
+
     def test_lookback_frames(self):
         cfg = variant_config("L", chunk_lookback_seconds=2.0)
         assert cfg.lookback_frames == 125
@@ -242,42 +254,30 @@ class TestEncode:
 
 
 class TestTimeSkip:
-    """The network runs TAC on frames start, start+2, ... and skips the rest."""
-
-    @staticmethod
-    def two_block_net(start):
-        cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2, conformer_layers=1)
-        return StreamingMaskNet(init_random(cfg, seed=2), cfg, start=start)
+    """The network runs TAC on frames 0, 2, 4, ... and skips the rest."""
 
     def test_even_start(self, rng):
+        cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2, conformer_layers=1)
         for frames in (7, 8):
-            net = self.two_block_net(start=0)
+            net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
             calls = record_tac_frames(net)
             forward_frames(net, random_spectrogram(rng, frames=frames))
             assert calls == [list(range(0, frames, 2))] * 2
 
-    def test_odd_start(self, rng):
-        for frames in (7, 8):
-            net = self.two_block_net(start=1)
-            calls = record_tac_frames(net)
-            forward_frames(net, random_spectrogram(rng, frames=frames))
-            assert calls == [list(range(1, frames, 2))] * 2
-
     def test_shape_preserved_for_all_lengths(self, rng, small_cfg, small_weights):
         total = 40
-        for start in (0, 1):
-            net = StreamingMaskNet(small_weights, small_cfg, start=start)
-            (calls,) = record_tac_frames(net)
-            masks = forward_frames(net, random_spectrogram(rng, frames=total))
-            assert masks.shape == (small_cfg.zones, total, SMALL_BINS)
-            for frames in range(1, total + 1):
-                ran = sum(1 for t in calls if t < frames)
-                assert ran == int(np.ceil(max(frames - start, 0) / 2))
+        net = StreamingMaskNet(small_weights, small_cfg)
+        (calls,) = record_tac_frames(net)
+        masks = forward_frames(net, random_spectrogram(rng, frames=total))
+        assert masks.shape == (small_cfg.zones, total, SMALL_BINS)
+        for frames in range(1, total + 1):
+            ran = sum(1 for t in calls if t < frames)
+            assert ran == int(np.ceil(frames / 2))
 
     def test_merge_places_processed_frames(self, rng, small_cfg, small_weights):
         # the sub-band stage sees TAC's output on selected frames and the
         # full-band output on skipped ones
-        net = StreamingMaskNet(small_weights, small_cfg, start=1)
+        net = StreamingMaskNet(small_weights, small_cfg)
         fullband, tac, subband = net.blocks[0]
         seen = {"fullband": [], "tac": [], "subband": []}
         for name, stage in (("fullband", fullband), ("tac", tac), ("subband", subband)):
@@ -288,29 +288,28 @@ class TestTimeSkip:
             stage.step = step
         forward_frames(net, random_spectrogram(rng, frames=6))
         tac_out = {t: y for t, _, y in seen["tac"]}
-        assert sorted(tac_out) == [1, 3, 5]
+        assert sorted(tac_out) == [0, 2, 4]
         for (t, _, fb_out), (_, sub_in, _) in zip(seen["fullband"], seen["subband"]):
             np.testing.assert_array_equal(sub_in, tac_out.get(t, fb_out))
 
-    def test_merge_round_trip_is_identity(self, rng, small_cfg, small_weights):
-        # with TAC replaced by the identity the start index has no effect
+    def test_merge_round_trip_is_identity(self, rng, small_cfg):
+        # with TAC replaced by the identity, skipping it changes nothing;
+        # same seed and shapes give the same tensors under either fingerprint
         spec = random_spectrogram(rng, frames=7)
         outs = []
-        for start in (0, 1):
-            net = StreamingMaskNet(small_weights, small_cfg, start=start)
+        for cfg in (small_cfg, replace(small_cfg, time_skip=False)):
+            net = StreamingMaskNet(init_random(cfg, seed=7), cfg)
             net.blocks[0][1].step = lambda x: x
             outs.append(forward_frames(net, spec))
         np.testing.assert_array_equal(outs[0], outs[1])
 
-
     def test_without_time_skip_tac_runs_every_frame(self, rng):
         cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2, conformer_layers=1,
                           time_skip=False)
-        for start in (0, 1):
-            net = StreamingMaskNet(init_random(cfg, seed=2), cfg, start=start)
-            calls = record_tac_frames(net)
-            forward_frames(net, random_spectrogram(rng, frames=7))
-            assert calls == [list(range(7))] * 2
+        net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
+        calls = record_tac_frames(net)
+        forward_frames(net, random_spectrogram(rng, frames=7))
+        assert calls == [list(range(7))] * 2
 
     def test_without_time_skip_masks_differ(self, rng, small_cfg):
         # same seed and shapes give the same tensors, each with its own fingerprint
@@ -322,15 +321,14 @@ class TestTimeSkip:
         assert not np.array_equal(outs[0][:, 1], outs[1][:, 1])
 
     @pytest.mark.parametrize("time_skip", [True, False])
-    @pytest.mark.parametrize("start", [0, 1])
     @pytest.mark.parametrize("frames", [1, 2, 7, 64])
-    def test_tac_calls_match_mac_count(self, rng, time_skip, start, frames):
+    def test_tac_calls_match_mac_count(self, rng, time_skip, frames):
         cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2, conformer_layers=1,
                           time_skip=time_skip)
-        net = StreamingMaskNet(init_random(cfg, seed=2), cfg, start=start)
+        net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
         calls = record_tac_frames(net)
         forward_frames(net, random_spectrogram(rng, frames=frames))
-        report = count_macs(cfg, seconds=(frames - 0.5) * cfg.hop_seconds, start=start)
+        report = count_macs(cfg, seconds=(frames - 0.5) * cfg.hop_seconds)
         c = cfg.embed_channels
         per_call = cfg.bins * c * (c // cfg.tac_compression)
         assert report.frames == frames
@@ -561,8 +559,8 @@ class TestForward:
 
     def test_streaming_equivalence_bit_exact(self, rng, small_cfg, small_weights):
         spec = random_spectrogram(rng, frames=9)
-        batch = forward(spec, small_weights, small_cfg, start=0)
-        net = StreamingMaskNet(small_weights, small_cfg, start=0)
+        batch = forward(spec, small_weights, small_cfg)
+        net = StreamingMaskNet(small_weights, small_cfg)
         for t in range(spec.shape[1]):
             s, n = net.step(spec[:, t, :])
             np.testing.assert_array_equal(batch.speech[:, t, :], s)
@@ -572,8 +570,8 @@ class TestForward:
         # 10 s of audio at the 16 ms hop = 625 frames, one call vs stateful steps
         frames = 625
         spec = random_spectrogram(rng, frames=frames, scale=0.3)
-        batch = forward(spec, small_weights, small_cfg, start=1)
-        net = StreamingMaskNet(small_weights, small_cfg, start=1)
+        batch = forward(spec, small_weights, small_cfg)
+        net = StreamingMaskNet(small_weights, small_cfg)
         for t in range(frames):
             s, n = net.step(spec[:, t, :])
             assert np.array_equal(batch.speech[:, t, :], s)
@@ -599,12 +597,6 @@ class TestForward:
             np.testing.assert_array_equal(base.speech[:, :t, :], out.speech[:, :t, :])
             np.testing.assert_array_equal(base.noise[:, :t, :], out.noise[:, :t, :])
 
-    def test_start_index_changes_output(self, rng, small_cfg, small_weights):
-        spec = random_spectrogram(rng, frames=8)
-        a = forward(spec, small_weights, small_cfg, start=0)
-        b = forward(spec, small_weights, small_cfg, start=1)
-        assert not np.array_equal(a.speech, b.speech)
-
     def test_wrong_weights_rejected(self, rng, small_cfg):
         other_cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2,
                                 conformer_layers=2)
@@ -615,10 +607,6 @@ class TestForward:
     def test_single_frame(self, rng, small_cfg, small_weights):
         masks = forward(random_spectrogram(rng, frames=1), small_weights, small_cfg)
         assert masks.speech.shape[1] == 1
-
-    def test_invalid_start_rejected(self, rng, small_cfg, small_weights):
-        with pytest.raises(InvalidInput):
-            forward(random_spectrogram(rng, frames=2), small_weights, small_cfg, start=2)
 
     def test_interleaved_streams_share_weights_independently(self, rng, small_cfg,
                                                              small_weights):
@@ -639,8 +627,8 @@ class TestForward:
     def test_non_finite_frame_rejected_without_touching_state(self, rng, small_cfg,
                                                               small_weights):
         spec = random_spectrogram(rng, frames=6)
-        net = StreamingMaskNet(small_weights, small_cfg, start=1)
-        clean = StreamingMaskNet(small_weights, small_cfg, start=1)
+        net = StreamingMaskNet(small_weights, small_cfg)
+        clean = StreamingMaskNet(small_weights, small_cfg)
         for t in range(3):
             net.step(spec[:, t])
             clean.step(spec[:, t])

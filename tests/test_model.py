@@ -321,13 +321,16 @@ class TestTimeSkip:
         assert not np.array_equal(outs[0][:, 1], outs[1][:, 1])
 
     @pytest.mark.parametrize("time_skip", [True, False])
+    @pytest.mark.parametrize("first_tac_frame", [0])
     @pytest.mark.parametrize("frames", [1, 2, 7, 64])
-    def test_tac_calls_match_mac_count(self, rng, time_skip, frames):
+    def test_tac_calls_match_mac_count(self, rng, time_skip, first_tac_frame, frames):
         cfg = ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=2, conformer_layers=1,
                           time_skip=time_skip)
         net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
         calls = record_tac_frames(net)
         forward_frames(net, random_spectrogram(rng, frames=frames))
+        expected = list(range(first_tac_frame, frames, 2 if time_skip else 1))
+        assert calls == [expected] * len(calls)
         report = count_macs(cfg, seconds=(frames - 0.5) * cfg.hop_seconds)
         c = cfg.embed_channels
         per_call = cfg.bins * c * (c // cfg.tac_compression)

@@ -22,8 +22,9 @@ def main():
     parser.add_argument("--duration", type=float, default=6.0)
     parser.add_argument("--zones", type=int, nargs=2, default=[0, 2],
                         help="0-based occupied zones")
-    parser.add_argument("--lambda", dest="forgetting", type=float, default=1.0)
-    parser.add_argument("--loading", type=float, default=1e-4)
+    parser.add_argument("--lambda", dest="forgetting", type=float,
+                        default=MvdrConfig.forgetting)
+    parser.add_argument("--loading", type=float, default=MvdrConfig.loading)
     args = parser.parse_args()
 
     stft_cfg = dsp.StftConfig()

@@ -18,10 +18,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import lfilter
 
-from .dsp import DEFAULT_SAMPLE_RATE, convolve, read_wav
+from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, analyze, convolve, read_wav
 from .errors import InvalidInput, InvalidManifest
-from .irlab import ImpulseResponse, read_ir
+from .irlab import (
+    CABIN_MICS,
+    ImpulseResponse,
+    cabin_room,
+    read_ir,
+    seat_position,
+    simulate_ism_all,
+)
+from .model.network import MaskPair
 
 BACKGROUND_SNR_RANGE = (-20.0, 25.0)
 TRANSIENT_SNR_RANGE = (-5.0, 5.0)
@@ -76,25 +85,6 @@ class SceneManifest:
             lo, hi = TRANSIENT_SNR_RANGE
             if not (lo <= t.snr_db <= hi):
                 raise InvalidManifest(f"transient SNR {t.snr_db} outside [{lo}, {hi}] dB")
-
-    def to_json(self) -> str:
-        doc = {
-            "zones": self.zones,
-            "sample_rate": self.sample_rate,
-            "seed": self.seed,
-            "speakers": [
-                {"zone": s.zone, "speech": s.speech, "irs": list(s.irs), "gain": s.gain}
-                for s in self.speakers
-            ],
-            "background": None if self.background is None else {
-                "file": self.background.file, "snr_db": self.background.snr_db,
-            },
-            "transients": [
-                {"file": t.file, "snr_db": t.snr_db, "onset_seconds": t.onset_seconds}
-                for t in self.transients
-            ],
-        }
-        return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SceneManifest":
@@ -323,7 +313,7 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
     )
 
 
-def oracle_masks(render: SceneRender, stft_cfg=None):
+def oracle_masks(render: SceneRender, stft_cfg: StftConfig = StftConfig()):
     """Ideal-ratio speech masks and noise masks from a rendered scene.
 
     The speech mask for zone z is the power ratio |X|^2 / (|X|^2 + |Y - X|^2)
@@ -334,18 +324,14 @@ def oracle_masks(render: SceneRender, stft_cfg=None):
     Returns:
         (mixture spectrogram (Z, T, F), MaskPair) -- ready for the beamformer.
     """
-    from .dsp import StftConfig, analyze
-    from .model.network import MaskPair
-
-    cfg = stft_cfg or StftConfig()
-    mixture_spec = analyze(render.mixture, cfg)
-    noise_spec = analyze(render.noise_label, cfg)
+    mixture_spec = analyze(render.mixture, stft_cfg)
+    noise_spec = analyze(render.noise_label, stft_cfg)
     zones = render.mixture.shape[0]
     eps = 1e-12
     speech = np.zeros(mixture_spec.shape)
     noise = np.zeros(mixture_spec.shape)
     for z in range(zones):
-        image = analyze(render.zone_images[z], cfg)[z]
+        image = analyze(render.zone_images[z, z], stft_cfg)[0]
         target_power = image.real**2 + image.imag**2
         residual = mixture_spec[z] - image
         residual_power = residual.real**2 + residual.imag**2
@@ -379,8 +365,6 @@ def synthetic_utterance(rng: np.random.Generator, num_samples: int) -> np.ndarra
     """
     if num_samples < 2:
         raise InvalidInput("utterance needs at least 2 samples")
-    from scipy.signal import lfilter
-
     noise = rng.standard_normal(num_samples)
     tilted = lfilter([1.0], [1.0, -0.92], noise)
     n_nodes = max(int(num_samples / DEFAULT_SAMPLE_RATE * 4), 2)  # ~4 Hz syllable rate
@@ -410,8 +394,6 @@ def sample_cabin_scene(
     background is a noise point source in the front-left footwell rendered
     through its own IRs and scaled to `background_snr_db` at microphone 1.
     """
-    from .irlab import CABIN_MICS, cabin_room, seat_position, simulate_ism_all
-
     num_samples = int(duration_seconds * DEFAULT_SAMPLE_RATE)
     zones = len(CABIN_MICS)
     speakers = []

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,8 @@ from .irlab import (
     extract_ir,
     gen_excitation,
     inverse_filter_ess,
+    mix_ir_sets,
+    read_ir,
     simulate_ism,
     write_ir,
 )
@@ -61,13 +63,17 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
 
+def _given(args, *names) -> dict:
+    """The named flags the user gave, for a constructor that owns their defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _load_model_config(args) -> ModelConfig:
-    if getattr(args, "config", None):
-        text = Path(args.config).read_text()
-        cfg = ModelConfig.from_text(text)
+    if args.config:
+        cfg = ModelConfig.from_text(Path(args.config).read_text())
     else:
         cfg = variant_config(args.variant)
-    if getattr(args, "chunk_seconds", None) is not None:
+    if args.chunk_seconds is not None:
         cfg = replace(cfg, chunk_lookback_seconds=args.chunk_seconds)
     return cfg
 
@@ -80,21 +86,11 @@ def cmd_separate(args) -> int:
     wave, rate = read_wav(args.input)
     if rate != DEFAULT_SAMPLE_RATE:
         raise InvalidInput(f"{args.input}: expected 16 kHz audio, got {rate} Hz")
-    n_chan = wave.shape[0]
-    if n_chan == 1:
-        cfg = replace(variant_config(args.variant), zones=1, variant=None)
-        weights = None
-    else:
-        cfg = _load_model_config(args)
-        if n_chan != cfg.zones:
-            raise InvalidInput(
-                f"{args.input}: {n_chan} channels but the configuration expects {cfg.zones}"
-            )
-        if not args.weights:
-            raise InvalidConfig("multichannel separation requires --weights")
-        weights = ModelWeights.load(args.weights)
-
-    mvdr_cfg = MvdrConfig(forgetting=args.forgetting, loading=args.loading)
+    cfg = _load_model_config(args)
+    if not args.weights and wave.shape[0] > 1:
+        raise InvalidConfig("multichannel separation requires --weights")
+    weights = ModelWeights.load(args.weights) if args.weights else None
+    mvdr_cfg = MvdrConfig(**_given(args, "forgetting", "loading"))
     result = separate_waveform(wave, weights, cfg, StftConfig(), mvdr_cfg)
 
     out_dir = Path(args.out_dir)
@@ -111,7 +107,7 @@ def cmd_separate(args) -> int:
         "outputs": names,
         "per_zone_rms": [float(np.sqrt(np.mean(result.zones[z] ** 2)))
                          for z in range(result.zones.shape[0])],
-        "mvdr": {"forgetting": args.forgetting, "loading": args.loading},
+        "mvdr": asdict(mvdr_cfg),
     }
     (out_dir / "separate_report.json").write_text(json.dumps(report, indent=2))
     print(f"wrote {len(names)} zone files to {out_dir}")
@@ -124,8 +120,6 @@ def cmd_separate(args) -> int:
 
 def _load_ir_set(directory, zones: int):
     """Per-microphone IR set from a directory of mic0.wav .. mic{Z-1}.wav."""
-    from .irlab import read_ir
-
     directory = Path(directory)
     irs = []
     for m in range(zones):
@@ -142,8 +136,6 @@ def cmd_simulate(args) -> int:
     if args.strategy:
         if args.seed is None:
             raise InvalidConfig("--strategy draws an IR assignment and requires --seed")
-        from .irlab import mix_ir_sets
-
         simulated = (_load_ir_set(args.simulated_ir_dir, manifest.zones)
                      if args.simulated_ir_dir else None)
         recorded = (_load_ir_set(args.recorded_ir_dir, manifest.zones)
@@ -179,12 +171,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _excitation_spec(args) -> ExcitationSpec:
-    if args.kind == "ess":
-        return ExcitationSpec(kind="ess", f_start=args.f_start, f_end=args.f_end,
-                              duration=args.duration)
-    if args.kind == "mls":
-        return ExcitationSpec(kind="mls", order=args.order)
-    return ExcitationSpec(kind="tsp", length=args.length, stretch=args.stretch)
+    return ExcitationSpec(**_given(args, "kind", "f_start", "f_end", "duration",
+                                   "order", "length", "stretch"))
 
 
 def cmd_ir_gen(args) -> int:
@@ -200,32 +188,27 @@ def cmd_ir_gen(args) -> int:
 def cmd_ir_extract(args) -> int:
     spec = _excitation_spec(args)
     recording, _ = read_wav(args.recording)
-    ir = extract_ir(recording[0], spec, ir_length=args.ir_length)
+    ir = extract_ir(recording[0], spec, **_given(args, "ir_length"))
     ir.origin = "recorded"
     write_ir(args.out, ir)
-    print(f"extracted {args.ir_length}-tap IR to {args.out}")
+    print(f"extracted {ir.taps.size}-tap IR to {args.out}")
     return EXIT_OK
 
 
 def cmd_ir_ism(args) -> int:
     if args.room:
-        doc = json.loads(Path(args.room).read_text())
-        room = RoomSpec(
-            dimensions=tuple(doc["dimensions"]),
-            source=tuple(doc["source"]),
-            mics=tuple(tuple(m) for m in doc["mics"]),
-            reflection=(tuple(doc["reflection"])
-                        if isinstance(doc["reflection"], list) else doc["reflection"]),
-            max_order=int(doc.get("max_order", 3)),
-            ir_length=int(doc.get("ir_length", 2048)),
-            sample_rate=int(doc.get("sample_rate", DEFAULT_SAMPLE_RATE)),
-        )
+        try:
+            room = RoomSpec(**json.loads(Path(args.room).read_text()))
+        except (json.JSONDecodeError, TypeError) as exc:
+            raise InvalidInput(f"{args.room}: not a RoomSpec JSON object ({exc})") from None
     elif args.preset == "cabin":
         if not args.source:
             raise InvalidInput("--preset cabin requires --source x,y,z")
-        source = tuple(float(v) for v in args.source.split(","))
-        room = cabin_room(source, reflection=args.reflection, max_order=args.max_order,
-                          ir_length=args.ir_length)
+        try:
+            source = tuple(float(v) for v in args.source.split(","))
+        except ValueError:
+            raise InvalidInput(f"--source {args.source!r} is not x,y,z in meters") from None
+        room = cabin_room(source, **_given(args, "reflection", "max_order", "ir_length"))
     else:
         raise InvalidInput("provide --room FILE or --preset cabin")
     ir = simulate_ism(room, args.mic)
@@ -306,6 +289,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = variant_config(args.variant)
+    macs = count_macs(cfg, seconds=args.seconds)  # rejects a bad length before the wave is built
     weights = init_random(cfg, args.seed)
     rng = np.random.default_rng(args.seed)
     samples = int(args.seconds * DEFAULT_SAMPLE_RATE)
@@ -315,7 +299,6 @@ def cmd_bench(args) -> int:
         separate_waveform(wave, weights, cfg)
 
     rtf = rtf_benchmark(run, args.seconds, runs=args.runs)
-    macs = count_macs(cfg, seconds=args.seconds)
     report = {
         "variant": args.variant,
         "params": count_params(cfg),
@@ -360,10 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--out-dir", required=True)
     sep.add_argument("--variant", choices=("S", "M", "L"), default="S")
     sep.add_argument("--config", help="model config as key=value text (overrides --variant)")
-    sep.add_argument("--lambda", dest="forgetting", type=float, default=1.0,
+    sep.add_argument("--lambda", dest="forgetting", type=float,
                      help="covariance forgetting factor")
-    sep.add_argument("--loading", type=float, default=1e-4)
-    sep.add_argument("--chunk-seconds", type=float, default=None,
+    sep.add_argument("--loading", type=float)
+    sep.add_argument("--chunk-seconds", type=float,
                      help="limit conformer attention lookback")
     sep.set_defaults(func=cmd_separate)
 
@@ -382,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_excitation_args(p):
         p.add_argument("--kind", choices=("ess", "mls", "tsp"), required=True)
-        p.add_argument("--f-start", type=float, default=20.0)
-        p.add_argument("--f-end", type=float, default=8000.0)
-        p.add_argument("--duration", type=float, default=3.0)
-        p.add_argument("--order", type=int, default=14)
-        p.add_argument("--length", type=int, default=16384)
-        p.add_argument("--stretch", type=int, default=None)
+        p.add_argument("--f-start", type=float)
+        p.add_argument("--f-end", type=float)
+        p.add_argument("--duration", type=float)
+        p.add_argument("--order", type=int)
+        p.add_argument("--length", type=int)
+        p.add_argument("--stretch", type=int)
 
     gen = ir_sub.add_parser("gen", help="generate an excitation signal")
     add_excitation_args(gen)
@@ -399,16 +382,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_excitation_args(ext)
     ext.add_argument("--recording", required=True)
     ext.add_argument("--out", required=True)
-    ext.add_argument("--ir-length", type=int, default=2048)
+    ext.add_argument("--ir-length", type=int)
     ext.set_defaults(func=cmd_ir_extract)
 
     ism = ir_sub.add_parser("ism", help="simulate a shoebox impulse response")
     ism.add_argument("--room", help="RoomSpec JSON file")
     ism.add_argument("--preset", choices=("cabin",))
     ism.add_argument("--source", help="x,y,z meters (with --preset)")
-    ism.add_argument("--reflection", type=float, default=0.35)
-    ism.add_argument("--max-order", type=int, default=3)
-    ism.add_argument("--ir-length", type=int, default=2048)
+    ism.add_argument("--reflection", type=float)
+    ism.add_argument("--max-order", type=int)
+    ism.add_argument("--ir-length", type=int)
     ism.add_argument("--mic", type=int, required=True)
     ism.add_argument("--out", required=True)
     ism.set_defaults(func=cmd_ir_ism)

@@ -77,18 +77,23 @@ class RoomSpec:
     sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
+        for name in ("max_order", "ir_length", "sample_rate"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InvalidConfig(f"{name} must be an integer")
         betas = self.reflection_pairs()
-        if np.any(betas < 0.0) or np.any(betas >= 1.0):
+        if not np.all((betas >= 0.0) & (betas < 1.0)):  # NaN fails too
             raise InvalidConfig("reflection coefficients must lie in [0, 1)")
         if self.max_order < 0:
             raise InvalidConfig("max_order must be >= 0")
         if self.ir_length < 1:
             raise InvalidConfig("ir_length must be >= 1")
-        for name, pos in (("source", self.source), *(
-                (f"mic {i}", m) for i, m in enumerate(self.mics))):
-            for axis in range(3):
-                if not (0.0 < pos[axis] < self.dimensions[axis]):
-                    raise InvalidInput(f"{name} position {pos} is not strictly inside the room")
+        positions = (("source", self.source), *((f"mic {i}", m) for i, m in enumerate(self.mics)))
+        for name, pos in (("dimensions", self.dimensions), *positions):
+            if len(pos) != 3:
+                raise InvalidInput(f"{name} {pos} must have exactly three coordinates")
+        for name, pos in positions:
+            if not all(0.0 < p < d for p, d in zip(pos, self.dimensions)):
+                raise InvalidInput(f"{name} position {pos} is not strictly inside the room")
 
     def reflection_pairs(self) -> np.ndarray:
         """(2, 3) array: row 0 near walls, row 1 far walls, columns x/y/z."""
@@ -96,12 +101,16 @@ class RoomSpec:
             return np.full((2, 3), float(self.reflection))
         if len(self.reflection) != 6:
             raise InvalidConfig("reflection must be a scalar or a 6-tuple")
-        r = np.asarray(self.reflection, dtype=np.float64)
+        try:
+            r = np.asarray(self.reflection, dtype=np.float64)
+        except ValueError:
+            raise InvalidConfig(f"reflection {self.reflection} holds non-numbers") from None
         return np.stack([r[0::2], r[1::2]])
 
 
-def cabin_room(source, reflection: float = 0.35, max_order: int = 3,
-               ir_length: int = 2048) -> RoomSpec:
+def cabin_room(source, reflection: float = RoomSpec.reflection,
+               max_order: int = RoomSpec.max_order,
+               ir_length: int = RoomSpec.ir_length) -> RoomSpec:
     """RoomSpec for the default cabin geometry with the given source position."""
     return RoomSpec(
         dimensions=CABIN_DIMENSIONS,
@@ -224,8 +233,8 @@ class ExcitationSpec:
                     f"need 0 < f_start < f_end <= fs/2, got "
                     f"({self.f_start}, {self.f_end}) at fs={self.sample_rate}"
                 )
-            if self.duration <= 0:
-                raise InvalidConfig("sweep duration must be positive")
+            if not (0.0 < self.duration < math.inf):
+                raise InvalidConfig("sweep duration must be positive and finite")
         elif self.kind == "mls":
             if not (2 <= self.order <= 24):
                 raise InvalidConfig("MLS order must be in [2, 24]")
@@ -320,6 +329,8 @@ def extract_ir(recording: np.ndarray, spec: ExcitationSpec,
     division by the all-pass phase. The output is aligned so a system delay
     of k samples appears at tap k.
     """
+    if ir_length < 1:
+        raise InvalidInput(f"ir_length must be >= 1, got {ir_length}")
     recording = np.asarray(recording, dtype=np.float64)
     if recording.ndim != 1:
         raise InvalidInput("recording must be a 1-D waveform")

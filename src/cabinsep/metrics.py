@@ -172,8 +172,8 @@ def rtf_benchmark(process, audio_seconds: float, runs: int = 5) -> RtfReport:
     and a RuntimeError is raised if that library cannot be found. The
     callable must not spawn workers of its own.
     """
-    if audio_seconds <= 0:
-        raise InvalidInput("audio_seconds must be positive")
+    if not 0 < audio_seconds < np.inf:
+        raise InvalidInput("audio_seconds must be positive and finite")
     if runs < 1:
         raise InvalidInput("need at least one measured run")
     blas = _openblas()

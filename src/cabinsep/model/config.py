@@ -43,8 +43,14 @@ class ModelConfig:
     variant: str | None = None
 
     def __post_init__(self):
-        if self.zones < 1:
-            raise InvalidConfig("zones must be >= 1")
+        if self.zones < 2:
+            raise InvalidConfig("zones must be >= 2: the IPD feature needs a microphone pair")
+        if not (len(self.ipd_pair) == 2 and self.ipd_pair[0] != self.ipd_pair[1]
+                and all(0 <= m < self.zones for m in self.ipd_pair)):
+            raise InvalidConfig(
+                f"ipd_pair {self.ipd_pair} must name two distinct microphones "
+                f"among 0..{self.zones - 1}"
+            )
         if self.bins < 2:
             raise InvalidConfig("bins must be >= 2")
         if self.n_full_sub < 1:
@@ -60,9 +66,10 @@ class ModelConfig:
             )
         if self.subband_hidden % self.attn_heads != 0:
             raise InvalidConfig("subband_hidden must be divisible by attn_heads")
-        if self.chunk_lookback_seconds is not None and (
-                self.chunk_lookback_seconds <= 0 or self.lookback_frames < 1):
-            raise InvalidConfig("chunk_lookback_seconds must span at least one hop when set")
+        if self.chunk_lookback_seconds is not None and not (
+                0 < self.chunk_lookback_seconds < math.inf and self.lookback_frames >= 1):
+            raise InvalidConfig(
+                "chunk_lookback_seconds must be finite and span at least one hop when set")
         if self.variant is not None:
             preset = VARIANT_PRESETS.get(self.variant)
             if preset is None:

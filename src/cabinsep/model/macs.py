@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from ..errors import InvalidInput
 from .config import ModelConfig
 from .weights import count_params, required_shapes
 
@@ -43,18 +44,11 @@ class MacReport:
     def tac_total(self) -> float:
         return sum(v for k, v in self.items.items() if ".tac" in k)
 
-    def to_dict(self) -> dict:
-        return {
-            "seconds": self.seconds,
-            "frames": self.frames,
-            "total_macs": self.total,
-            "gmacs_per_second": self.gmacs_per_second,
-            "items": dict(self.items),
-        }
-
 
 def count_macs(cfg: ModelConfig, seconds: float = 1.0) -> MacReport:
     """Itemized MAC count of one forward pass over `seconds` of audio."""
+    if not 0 < seconds < math.inf:
+        raise InvalidInput(f"seconds must be positive and finite, got {seconds}")
     fps = 1.0 / cfg.hop_seconds
     frames = int(math.ceil(seconds * fps))
     tac_frames = math.ceil(frames / 2) if cfg.time_skip else frames

@@ -298,8 +298,6 @@ class StreamingMaskNet:
     """
 
     def __init__(self, weights: ModelWeights, cfg: ModelConfig):
-        if cfg.zones < 2:
-            raise InvalidInput("mask network needs at least 2 zones (IPD pair)")
         weights.validate(cfg)
         self.cfg = cfg
         self.encoder = _EncoderStage(weights, cfg)

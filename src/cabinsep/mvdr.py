@@ -56,8 +56,8 @@ class BeamformerState:
 
     zones: int
     bins: int
-    forgetting: float = 1.0
-    loading: float = 1e-4
+    forgetting: float = MvdrConfig.forgetting
+    loading: float = MvdrConfig.loading
     speech_cov: np.ndarray = field(init=False)  # (zones, bins, Z, Z) Hermitian
     noise_cov: np.ndarray = field(init=False)
     frame_count: int = 0

@@ -32,8 +32,9 @@ def separate_waveform(
 ) -> SeparationResult:
     """Separate a Z-channel mixture into per-zone waveforms.
 
-    For Z = 1 the beamformer is an exact passthrough and the mask network
-    is bypassed (weights may be None). Non-finite samples are rejected.
+    A one-channel input passes through unchanged before the configuration
+    is read, whatever `model_cfg` and `weights` are (weights may be None).
+    Non-finite samples are rejected.
     """
     wave = as_multichannel(wave)
     n_chan, n_samples = wave.shape
@@ -41,6 +42,8 @@ def separate_waveform(
         raise InvalidInput("empty input waveform")
     if not np.isfinite(wave).all():
         raise InvalidInput("input waveform holds non-finite samples")
+    if n_chan == 1:
+        return SeparationResult(zones=wave.copy(), spectrogram=analyze(wave, stft_cfg))
     if n_chan != model_cfg.zones:
         raise InvalidInput(
             f"input has {n_chan} channels but the configuration expects {model_cfg.zones}"
@@ -49,13 +52,10 @@ def separate_waveform(
         raise InvalidInput(
             f"STFT bins ({stft_cfg.bins}) disagree with the model ({model_cfg.bins})"
         )
-
-    spec = analyze(wave, stft_cfg)
-    if n_chan == 1:
-        return SeparationResult(zones=wave.copy(), spectrogram=spec)
-
     if weights is None:
         raise InvalidInput("multichannel separation requires model weights")
+
+    spec = analyze(wave, stft_cfg)
     masks = forward(spec, weights, model_cfg)
     out_spec = separate_stream(spec, masks, mvdr_cfg)
     zones = synthesize(out_spec, stft_cfg, length=n_samples)

@@ -159,8 +159,13 @@ class TestManifest:
 
     def test_json_round_trip(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng)
-        back = SceneManifest.from_json(manifest.to_json())
-        assert back == manifest
+        doc = {
+            "zones": 4, "sample_rate": FS,
+            "speakers": [{"zone": 1, "speech": "speech.wav",
+                          "irs": [f"ir{m}.wav" for m in range(4)]}],
+            "background": {"file": "noise.wav", "snr_db": 5.0},
+        }
+        assert SceneManifest.from_json(json.dumps(doc)) == manifest
 
     def test_render_from_files(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng)

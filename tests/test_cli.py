@@ -1,16 +1,24 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from cabinsep.augment import NoiseEntry, SceneManifest, SpeakerEntry
 from cabinsep.cli import main
 from cabinsep.dsp import read_wav, write_wav
-from cabinsep.irlab import ImpulseResponse, write_ir
-from cabinsep.model import init_random, variant_config
+from cabinsep.irlab import (
+    ExcitationSpec,
+    ImpulseResponse,
+    cabin_room,
+    gen_excitation,
+    simulate_ism,
+    write_ir,
+)
+from cabinsep.model import ModelWeights, init_random, variant_config
+from cabinsep.mvdr import MvdrConfig
 
 FS = 16000
+ROOM = {"dimensions": [3.0, 2.0, 1.5], "source": [1.0, 1.0, 0.8], "mics": [[2.0, 1.0, 1.0]]}
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +61,7 @@ class TestSeparate:
         report = json.loads((out / "separate_report.json").read_text())
         assert report["zones"] == 4
         assert len(report["per_zone_rms"]) == 4
+        assert report["mvdr"] == asdict(MvdrConfig())
 
     def test_mono_passthrough_identical(self, tmp_path, rng):
         mix = tmp_path / "mono.wav"
@@ -167,13 +176,13 @@ class TestSimulateAndEval:
             taps = np.zeros(16)
             taps[m + 1] = 1.0
             write_ir(tmp_path / f"ir{m}.wav", ImpulseResponse(taps))
-        manifest = SceneManifest(
-            zones=4,
-            speakers=[SpeakerEntry(zone=2, speech="speech.wav",
-                                   irs=tuple(f"ir{m}.wav" for m in range(4)))],
-            background=NoiseEntry(file="noise.wav", snr_db=10.0),
-        )
-        (tmp_path / "scene.json").write_text(manifest.to_json())
+        manifest = {
+            "zones": 4,
+            "speakers": [{"zone": 2, "speech": "speech.wav",
+                          "irs": [f"ir{m}.wav" for m in range(4)]}],
+            "background": {"file": "noise.wav", "snr_db": 10.0},
+        }
+        (tmp_path / "scene.json").write_text(json.dumps(manifest))
         return tmp_path
 
     def test_simulate_writes_scene(self, scene_dir):
@@ -283,6 +292,32 @@ class TestIrCommands:
         ir, _ = read_wav(out)
         assert np.any(ir != 0)
 
+    def test_ism_preset_defaults_are_cabin_room_defaults(self, tmp_path):
+        out = tmp_path / "ir.wav"
+        assert main(["ir", "ism", "--preset", "cabin", "--source", "1.2,0.5,0.9",
+                     "--mic", "2", "--out", str(out)]) == 0
+        taps, _ = read_wav(out)
+        expected = simulate_ism(cabin_room((1.2, 0.5, 0.9)), 2).taps
+        np.testing.assert_array_equal(taps[0], expected.astype(np.float32))
+
+    def test_room_without_reflection_takes_the_default(self, tmp_path):
+        (tmp_path / "bare.json").write_text(json.dumps(ROOM))
+        (tmp_path / "full.json").write_text(json.dumps({**ROOM, "reflection": 0.35}))
+        taps = []
+        for name in ("bare", "full"):
+            assert main(["ir", "ism", "--room", str(tmp_path / f"{name}.json"), "--mic", "0",
+                         "--out", str(tmp_path / f"{name}.wav")]) == 0
+            taps.append(read_wav(tmp_path / f"{name}.wav")[0])
+        np.testing.assert_array_equal(taps[0], taps[1])
+
+    @pytest.mark.parametrize("kind", ["ess", "mls", "tsp"])
+    def test_gen_defaults_are_excitation_spec_defaults(self, tmp_path, kind):
+        out = tmp_path / "exc.wav"
+        assert main(["ir", "gen", "--kind", kind, "--out", str(out)]) == 0
+        signal, _ = read_wav(out)
+        expected = gen_excitation(ExcitationSpec(kind=kind))
+        np.testing.assert_array_equal(signal[0], expected.astype(np.float32))
+
     def test_ism_requires_geometry(self, tmp_path):
         assert main(["ir", "ism", "--mic", "0",
                      "--out", str(tmp_path / "x.wav")]) == 2
@@ -304,3 +339,61 @@ class TestBench:
         assert main(["bench", "--variant", "S", "--seconds", "0.1", "--runs", "1",
                      "--seed", "1", "--report", str(report_path)]) == 0
         assert json.loads(report_path.read_text())["blas_threads"] == 1
+
+# expected exit code and argv; {out} is the file or directory that must not
+# be written, the other names are files written by `bad_input_files`
+BAD_INPUTS = {
+    "separate_chunk_nan": (3, "separate --input {mix} --weights {weights} "
+                              "--chunk-seconds nan --out-dir {out}"),
+    "separate_chunk_inf": (3, "separate --input {mix} --weights {weights} "
+                              "--chunk-seconds inf --out-dir {out}"),
+    "separate_ipd_pair_outside_zones": (3, "separate --input {mix} --weights {unmarked} "
+                                           "--config {ipd_config} --out-dir {out}"),
+    "gen_duration_nan": (3, "ir gen --kind ess --duration nan --out {out}"),
+    "gen_duration_inf": (3, "ir gen --kind ess --duration inf --out {out}"),
+    "bench_seconds_negative": (2, "bench --variant S --seconds -1 --runs 1 --seed 0 "
+                                  "--report {out}"),
+    "bench_seconds_nan": (2, "bench --variant S --seconds nan --runs 1 --seed 0 "
+                             "--report {out}"),
+    "extract_negative_ir_length": (2, "ir extract --kind mls --order 4 --recording {mix} "
+                                      "--ir-length -3 --out {out}"),
+    "ism_reflection_nan": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --reflection nan "
+                              "--mic 0 --out {out}"),
+    "ism_source_not_numbers": (2, "ir ism --preset cabin --source x,y,z --mic 0 --out {out}"),
+    "ism_source_two_coordinates": (2, "ir ism --preset cabin --source 1,1 --mic 0 "
+                                      "--out {out}"),
+    "ism_room_invalid_json": (2, "ir ism --room {room_invalid_json} --mic 0 --out {out}"),
+    "ism_room_missing_dimensions": (2, "ir ism --room {room_missing_dimensions} --mic 0 "
+                                       "--out {out}"),
+    "ism_room_unknown_key": (2, "ir ism --room {room_unknown_key} --mic 0 --out {out}"),
+    "ism_room_reflection_not_numbers": (3, "ir ism --room {room_reflection_not_numbers} "
+                                           "--mic 0 --out {out}"),
+}
+
+
+@pytest.fixture
+def bad_input_files(tmp_path, rng, weights_file):
+    files = {"mix": tmp_path / "mix.wav", "out": tmp_path / "out",
+             "unmarked": tmp_path / "unmarked.bin", "ipd_config": tmp_path / "ipd.cfg"}
+    write_mixture(files["mix"], rng)
+    # no stored fingerprint, so the container loads under any config of its shapes
+    ModelWeights(ModelWeights.load(weights_file).tensors).save(files["unmarked"])
+    files["ipd_config"].write_text(
+        variant_config("S").to_text().replace("ipd_pair = 0,1", "ipd_pair = 0,9"))
+    rooms = {"room_invalid_json": "{",
+             "room_missing_dimensions": json.dumps(
+                 {k: v for k, v in ROOM.items() if k != "dimensions"}),
+             "room_unknown_key": json.dumps({**ROOM, "absorption": 0.2}),
+             "room_reflection_not_numbers": json.dumps({**ROOM, "reflection": ["a"] * 6})}
+    for name, text in rooms.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(text)
+    files["weights"] = weights_file
+    return files
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_defined_exit_without_output(case, bad_input_files):
+    expected, argv = BAD_INPUTS[case]
+    assert main([a.format(**bad_input_files) for a in argv.split()]) == expected
+    assert not bad_input_files["out"].exists()

@@ -58,12 +58,6 @@ class TestMacCounter:
             assert f"block{i}.subband.attention" in items
         assert all(v >= 0 for v in items.values())
 
-    def test_report_dict(self):
-        report = count_macs(variant_config("S"), seconds=2.0)
-        doc = report.to_dict()
-        assert doc["total_macs"] == report.total
-        assert doc["seconds"] == 2.0
-
 
 class TestPinnedCounts:
     """Totals and item keys as counted before the items came from the weight map."""

@@ -132,6 +132,9 @@ class TestConfig:
         # values that parse but would divide by zero
         "tac_compression = 0", "attn_heads = 0",
         "hop_seconds = 0\nchunk_lookback_seconds = 1.0",
+        # the IPD needs two distinct microphones among the zones
+        "zones = 1", "ipd_pair = 0,9", "ipd_pair = 2,2", "ipd_pair = -1,0",
+        "zones = 2\nipd_pair = 0,2",
     ])
     def test_malformed_value_rejected(self, text):
         with pytest.raises(InvalidConfig):

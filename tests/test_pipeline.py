@@ -3,16 +3,14 @@ import pytest
 
 from cabinsep.dsp import analyze
 from cabinsep.errors import InvalidInput
-from cabinsep.model import ModelConfig
 from cabinsep.mvdr import MvdrConfig
 from cabinsep.pipeline import separate_waveform
 
 
 class TestSeparateWaveform:
-    def test_single_channel_passthrough(self, rng, small_stft):
-        cfg = ModelConfig(zones=1, bins=33, ipd_pair=(0, 1))
+    def test_single_channel_passthrough(self, rng, small_cfg, small_stft):
         wave = rng.standard_normal((1, 2000)) * 0.1
-        result = separate_waveform(wave, None, cfg, small_stft)
+        result = separate_waveform(wave, None, small_cfg, small_stft)
         np.testing.assert_array_equal(result.zones, wave)
 
     def test_multichannel_shapes(self, rng, small_cfg, small_weights, small_stft):
@@ -66,14 +64,13 @@ class TestSeparateWaveform:
         assert not np.array_equal(a.zones, b.zones)
 
     def test_non_finite_input_rejected(self, rng, small_cfg, small_weights, small_stft):
-        mono_cfg = ModelConfig(zones=1, bins=33, ipd_pair=(0, 1))
         for bad in (np.nan, np.inf, -np.inf):
             wave = rng.standard_normal((4, 1600)) * 0.1
             wave[2, 700] = bad
             with pytest.raises(InvalidInput):
                 separate_waveform(wave, small_weights, small_cfg, small_stft)
             with pytest.raises(InvalidInput):
-                separate_waveform(wave[2:3], None, mono_cfg, small_stft)
+                separate_waveform(wave[2:3], None, small_cfg, small_stft)
 
 
 # each case turns a 0.05-rms noise input into a bad one

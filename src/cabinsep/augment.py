@@ -60,7 +60,7 @@ class SceneManifest:
     transients: list[NoiseEntry] = field(default_factory=list)
     seed: int | None = None
 
-    def validate(self, ir_override_zones: set[int] | frozenset = frozenset()) -> None:
+    def validate(self) -> None:
         if not (1 <= len(self.speakers) <= self.zones):
             raise InvalidManifest(
                 f"need between 1 and {self.zones} speakers, got {len(self.speakers)}"
@@ -71,10 +71,6 @@ class SceneManifest:
         for s in self.speakers:
             if not (0 <= s.zone < self.zones):
                 raise InvalidManifest(f"speaker zone {s.zone} out of range")
-            if s.zone not in ir_override_zones and len(s.irs) != self.zones:
-                raise InvalidManifest(
-                    f"speaker in zone {s.zone} has {len(s.irs)} IRs, expected {self.zones}"
-                )
         if self.background is not None:
             lo, hi = BACKGROUND_SNR_RANGE
             if not (lo <= self.background.snr_db <= hi):
@@ -267,7 +263,7 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
     zones present in the mapping. Every WAV and IR must have the manifest's
     sample rate, else InvalidInput.
     """
-    manifest.validate(ir_override_zones=set(irs_by_zone or {}))
+    manifest.validate()
     base = Path(base_dir)
 
     def _resolve(name: str) -> Path:

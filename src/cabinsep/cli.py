@@ -189,7 +189,6 @@ def cmd_ir_extract(args) -> int:
     spec = _excitation_spec(args)
     recording, _ = read_wav(args.recording)
     ir = extract_ir(recording[0], spec, **_given(args, "ir_length"))
-    ir.origin = "recorded"
     write_ir(args.out, ir)
     print(f"extracted {ir.taps.size}-tap IR to {args.out}")
     return EXIT_OK
@@ -212,7 +211,6 @@ def cmd_ir_ism(args) -> int:
     else:
         raise InvalidInput("provide --room FILE or --preset cabin")
     ir = simulate_ism(room, args.mic)
-    ir.zone = args.mic
     write_ir(args.out, ir)
     print(f"simulated IR (mic {args.mic}, {room.ir_length} taps) to {args.out}")
     return EXIT_OK

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal import fftconvolve, get_window
 
@@ -93,8 +94,7 @@ def analyze(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
 
     window = cfg.window()
     # (channels, frames, window_length) strided view over hops
-    idx = np.arange(cfg.window_length)[None, :] + cfg.hop * np.arange(frames)[:, None]
-    segments = padded[:, idx] * window
+    segments = sliding_window_view(padded, cfg.window_length, axis=-1)[:, ::cfg.hop] * window
     return np.fft.rfft(segments, n=cfg.fft_size, axis=-1)
 
 

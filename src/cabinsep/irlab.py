@@ -8,10 +8,8 @@ IRs to microphone channels when synthesizing scenes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve, max_len_seq
@@ -39,17 +37,16 @@ CABIN_SEATS = (
 
 _SINC_HALF_WIDTH = 8  # 16-tap Hann-windowed sinc for fractional delays
 
+# longest IR or excitation in samples: the length an order-24 MLS allows
+_MAX_SAMPLES = 2**24
+
 
 @dataclass
 class ImpulseResponse:
-    """FIR response plus provenance metadata."""
+    """FIR response and the sample rate of its taps."""
 
     taps: np.ndarray
     sample_rate: int = DEFAULT_SAMPLE_RATE
-    origin: str = "synthetic-test"  # simulated | recorded | synthetic-test
-    zone: int | None = None
-    source_position: tuple[float, float, float] | None = None
-    mic_position: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
@@ -85,8 +82,8 @@ class RoomSpec:
             raise InvalidConfig("reflection coefficients must lie in [0, 1)")
         if self.max_order < 0:
             raise InvalidConfig("max_order must be >= 0")
-        if self.ir_length < 1:
-            raise InvalidConfig("ir_length must be >= 1")
+        if not (1 <= self.ir_length <= _MAX_SAMPLES):
+            raise InvalidConfig(f"ir_length must be in [1, {_MAX_SAMPLES}], got {self.ir_length}")
         positions = (("source", self.source), *((f"mic {i}", m) for i, m in enumerate(self.mics)))
         for name, pos in (("dimensions", self.dimensions), *positions):
             if len(pos) != 3:
@@ -190,10 +187,7 @@ def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
                                 np.prod(betas[0] ** near_hits) * np.prod(betas[1] ** far_hits)
                             ) / (4.0 * np.pi * dist)
                             _add_arrival(taps, dist / SPEED_OF_SOUND * fs, gain)
-    return ImpulseResponse(
-        taps=taps, sample_rate=fs, origin="simulated", zone=None,
-        source_position=tuple(source), mic_position=tuple(mic_pos),
-    )
+    return ImpulseResponse(taps=taps, sample_rate=fs)
 
 
 def simulate_ism_all(room: RoomSpec) -> list[ImpulseResponse]:
@@ -243,6 +237,9 @@ class ExcitationSpec:
                 raise InvalidConfig("TSP length must be an even integer >= 4")
             if self.stretch is not None and not (0 < self.stretch < self.length // 2):
                 raise InvalidConfig("TSP stretch must be in (0, length/2)")
+        if self.num_samples() > _MAX_SAMPLES:
+            raise InvalidConfig(
+                f"excitation of {self.num_samples()} samples exceeds {_MAX_SAMPLES}")
 
     @property
     def tsp_stretch(self) -> int:
@@ -329,8 +326,8 @@ def extract_ir(recording: np.ndarray, spec: ExcitationSpec,
     division by the all-pass phase. The output is aligned so a system delay
     of k samples appears at tap k.
     """
-    if ir_length < 1:
-        raise InvalidInput(f"ir_length must be >= 1, got {ir_length}")
+    if not (1 <= ir_length <= _MAX_SAMPLES):
+        raise InvalidInput(f"ir_length must be in [1, {_MAX_SAMPLES}], got {ir_length}")
     recording = np.asarray(recording, dtype=np.float64)
     if recording.ndim != 1:
         raise InvalidInput("recording must be a 1-D waveform")
@@ -360,16 +357,12 @@ def extract_ir(recording: np.ndarray, spec: ExcitationSpec,
 
     if taps.shape[0] < ir_length:
         taps = np.pad(taps, (0, ir_length - taps.shape[0]))
-    return ImpulseResponse(taps=taps, sample_rate=spec.sample_rate, origin="synthetic-test")
+    return ImpulseResponse(taps=taps, sample_rate=spec.sample_rate)
 
 
 def _wrap_periodic(signal: np.ndarray, period: int) -> np.ndarray:
     """Fold a linear-convolution tail back onto one period (circular identity)."""
-    wrapped = np.zeros(period)
-    for start in range(0, signal.shape[0], period):
-        chunk = signal[start : start + period]
-        wrapped[: chunk.shape[0]] += chunk
-    return wrapped
+    return np.pad(signal, (0, -signal.shape[0] % period)).reshape(-1, period).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,34 +407,16 @@ def mix_ir_sets(simulated: list[ImpulseResponse] | None,
 
 
 # ---------------------------------------------------------------------------
-# IR files: float32 WAV plus a JSON sidecar with the metadata
+# IR files: one mono float32 WAV whose header holds the sample rate
 # ---------------------------------------------------------------------------
 
 def write_ir(path, ir: ImpulseResponse) -> None:
-    path = Path(path)
     write_wav(path, ir.taps, sample_rate=ir.sample_rate)
-    sidecar = {
-        "sample_rate": ir.sample_rate,
-        "origin": ir.origin,
-        "zone": ir.zone,
-        "source_position": list(ir.source_position) if ir.source_position else None,
-        "mic_position": list(ir.mic_position) if ir.mic_position else None,
-    }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2))
 
 
 def read_ir(path) -> ImpulseResponse:
-    path = Path(path)
+    """Read a one-channel IR WAV; any other channel count is InvalidInput."""
     wave, rate = read_wav(path)
-    meta = {}
-    sidecar = Path(str(path) + ".json")
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-    return ImpulseResponse(
-        taps=wave[0],
-        sample_rate=meta.get("sample_rate", rate),
-        origin=meta.get("origin", "recorded"),
-        zone=meta.get("zone"),
-        source_position=tuple(meta["source_position"]) if meta.get("source_position") else None,
-        mic_position=tuple(meta["mic_position"]) if meta.get("mic_position") else None,
-    )
+    if wave.shape[0] != 1:
+        raise InvalidInput(f"{path}: an IR WAV needs exactly one channel, got {wave.shape[0]}")
+    return ImpulseResponse(taps=wave[0], sample_rate=rate)

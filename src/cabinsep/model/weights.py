@@ -2,10 +2,13 @@
 
 File format (little-endian):
     line 1: "CABINSEP-WEIGHTS v1"
-    lines:  "meta <key> <value>"
+    line 2: "meta fingerprint <config fingerprint, or - for none>"
     lines:  "tensor <name> float32 <d0>x<d1>x..."  (payload order)
     line:   "DATA"
     then the concatenated row-major float32 payload.
+
+`load` skips any other "meta <key> <value>" line, such as the "meta seed"
+line that older containers carry.
 """
 
 from __future__ import annotations
@@ -104,15 +107,13 @@ def count_params(cfg: ModelConfig) -> int:
 
 
 class ModelWeights:
-    """Named float32 tensor map plus metadata, with a bit-exact file format."""
+    """Named float32 tensor map plus its config fingerprint, with a bit-exact file format."""
 
-    def __init__(self, tensors: dict[str, np.ndarray], fingerprint: str = "",
-                 seed: int | None = None):
+    def __init__(self, tensors: dict[str, np.ndarray], fingerprint: str = ""):
         self.tensors = {
             name: np.ascontiguousarray(t, dtype=np.float32) for name, t in tensors.items()
         }
         self.fingerprint = fingerprint
-        self.seed = seed
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -144,7 +145,6 @@ class ModelWeights:
     def save(self, path) -> None:
         header = [_MAGIC]
         header.append(f"meta fingerprint {self.fingerprint or '-'}")
-        header.append(f"meta seed {self.seed if self.seed is not None else '-'}")
         for name, tensor in self.tensors.items():
             dims = "x".join(str(d) for d in tensor.shape) if tensor.ndim else "1"
             header.append(f"tensor {name} float32 {dims}")
@@ -167,7 +167,7 @@ class ModelWeights:
             raise InvalidInput(f"{path}: bad magic line")
         payload = blob[split + len(marker):]
 
-        fingerprint, seed = "", None
+        fingerprint = ""
         entries: list[tuple[str, tuple[int, ...]]] = []
         for line in header_lines[1:]:
             parts = line.split()
@@ -176,8 +176,6 @@ class ModelWeights:
             if parts[0] == "meta":
                 if parts[1] == "fingerprint":
                     fingerprint = "" if parts[2] == "-" else parts[2]
-                elif parts[1] == "seed":
-                    seed = None if parts[2] == "-" else int(parts[2])
             elif parts[0] == "tensor":
                 name, dtype, dims = parts[1], parts[2], parts[3]
                 if dtype != "float32":
@@ -199,7 +197,7 @@ class ModelWeights:
             offset += nbytes
         if offset != len(payload):
             raise InvalidInput(f"{path}: {len(payload) - offset} trailing payload bytes")
-        return cls(tensors, fingerprint=fingerprint, seed=seed)
+        return cls(tensors, fingerprint=fingerprint)
 
 
 def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
@@ -221,4 +219,4 @@ def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:
         weight_shape = shapes[f"{layer}.w{leaf[1:]}"] if len(shape) == 1 else shape
         bound = 1.0 / np.sqrt(math.prod(weight_shape[1:]))
         tensors[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    return ModelWeights(tensors, fingerprint=cfg.fingerprint(), seed=seed)
+    return ModelWeights(tensors, fingerprint=cfg.fingerprint())

@@ -199,6 +199,14 @@ class TestManifest:
         with pytest.raises(InvalidInput, match="IR 0"):
             mix_scene(manifest, base_dir=tmp_path, irs_by_zone=override)
 
+    def test_wrong_ir_count_rejected(self, tmp_path, rng):
+        manifest = self._manifest(tmp_path, rng)
+        entry = manifest.speakers[0]
+        manifest.speakers[0] = SpeakerEntry(zone=entry.zone, speech=entry.speech,
+                                            irs=entry.irs[:3])
+        with pytest.raises(InvalidInput, match="expected 4 IRs, got 3"):
+            mix_scene(manifest, base_dir=tmp_path)
+
     def test_zone_collision_rejected(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng)
         manifest.speakers.append(manifest.speakers[0])

@@ -214,8 +214,7 @@ class TestSimulateAndEval:
             for m in range(4):
                 taps = np.zeros(16)
                 taps[k] = 1.0
-                write_ir(ir_dir / f"mic{m}.wav", ImpulseResponse(
-                    taps, origin="simulated" if name == "sim" else "recorded"))
+                write_ir(ir_dir / f"mic{m}.wav", ImpulseResponse(taps))
         out = scene_dir / "strategy_out"
         assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
                      "--out-dir", str(out), "--strategy", "only",
@@ -224,6 +223,22 @@ class TestSimulateAndEval:
         # recorded IRs delay by 5 samples; the manifest's own IRs by zone+1=3
         label, _ = read_wav(out / "zone3_label.wav")
         assert np.argmax(np.abs(label[0])) >= 5
+
+    def test_simulate_multichannel_ir_exit_2_without_outputs(self, scene_dir):
+        write_wav(scene_dir / "ir1.wav", np.ones((2, 16)), FS)
+        out = scene_dir / "rendered"
+        assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    def test_simulate_wrong_ir_count_exit_2_without_outputs(self, scene_dir):
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        manifest["speakers"][0]["irs"] = manifest["speakers"][0]["irs"][:3]
+        (scene_dir / "three_irs.json").write_text(json.dumps(manifest))
+        out = scene_dir / "rendered"
+        assert main(["simulate", "--manifest", str(scene_dir / "three_irs.json"),
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_simulate_strategy_requires_seed(self, scene_dir):
         assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
@@ -272,9 +287,21 @@ class TestIrCommands:
         out = tmp_path / "cabin_ir.wav"
         assert main(["ir", "ism", "--preset", "cabin", "--source", "1.2,0.5,0.9",
                      "--mic", "0", "--out", str(out)]) == 0
-        assert out.exists()
-        sidecar = json.loads((tmp_path / "cabin_ir.wav.json").read_text())
-        assert sidecar["origin"] == "simulated"
+        assert [p.name for p in tmp_path.iterdir()] == ["cabin_ir.wav"]
+        taps, rate = read_wav(out)
+        assert rate == FS and taps.shape[0] == 1
+
+    def test_extract_writes_one_mono_wav(self, tmp_path):
+        rec_path = tmp_path / "rec.wav"
+        write_wav(rec_path, gen_excitation(ExcitationSpec(kind="mls", order=8)), FS)
+        out_dir = tmp_path / "irs"
+        out_dir.mkdir()
+        assert main(["ir", "extract", "--kind", "mls", "--order", "8",
+                     "--recording", str(rec_path), "--out", str(out_dir / "ir.wav"),
+                     "--ir-length", "64"]) == 0
+        assert [p.name for p in out_dir.iterdir()] == ["ir.wav"]
+        taps, rate = read_wav(out_dir / "ir.wav")
+        assert rate == FS and taps.shape == (1, 64)
 
     def test_ism_with_room_file(self, tmp_path):
         room = {
@@ -357,6 +384,10 @@ BAD_INPUTS = {
                              "--report {out}"),
     "extract_negative_ir_length": (2, "ir extract --kind mls --order 4 --recording {mix} "
                                       "--ir-length -3 --out {out}"),
+    "ism_ir_length_huge": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --mic 0 "
+                              "--ir-length 1000000000000000 --out {out}"),
+    "gen_ess_duration_huge": (3, "ir gen --kind ess --duration 1e9 --out {out}"),
+    "gen_tsp_length_huge": (3, "ir gen --kind tsp --length 10000000000000 --out {out}"),
     "ism_reflection_nan": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --reflection nan "
                               "--mic 0 --out {out}"),
     "ism_source_not_numbers": (2, "ir ism --preset cabin --source x,y,z --mic 0 --out {out}"),

@@ -75,6 +75,21 @@ class TestAnalyze:
         got = analyze(x, cfg)[0, frame_idx]
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
+    @pytest.mark.parametrize("fft_size, window_length, hop",
+                             [(512, 512, 256), (64, 64, 32), (512, 400, 160)])
+    @pytest.mark.parametrize("n", [1, 400, 16001])
+    def test_frames_equal_explicit_slices(self, rng, fft_size, window_length, hop, n):
+        # reference: each frame cut from the zero-padded signal by slicing
+        cfg = StftConfig(fft_size=fft_size, window_length=window_length, hop=hop)
+        x = rng.standard_normal((2, n))
+        frames = num_frames(n, cfg)
+        padded = np.zeros((2, (frames - 1) * hop + window_length))
+        padded[:, :n] = x
+        segments = np.stack([padded[:, t * hop : t * hop + window_length]
+                             for t in range(frames)], axis=1)
+        expected = np.fft.rfft(segments * cfg.window(), n=fft_size, axis=-1)
+        np.testing.assert_array_equal(analyze(x, cfg), expected)
+
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInput):
             analyze(np.zeros((1, 0)))

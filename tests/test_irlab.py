@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve, hilbert
 
+from cabinsep.dsp import write_wav
 from cabinsep.errors import InvalidConfig, InvalidInput
 from cabinsep.irlab import (
     CABIN_SEATS,
     ExcitationSpec,
     ImpulseResponse,
     RoomSpec,
+    _wrap_periodic,
     boundary_position,
     cabin_room,
     extract_ir,
@@ -241,43 +245,53 @@ class TestExtraction:
             extract_ir(np.zeros(100), spec)
 
 
+@pytest.mark.parametrize("period", [3, 4, 7, 15, 50, 16383, 16384])
+def test_wrap_periodic_equals_loop(rng, period):
+    signal = rng.standard_normal(3 * period + period // 2)
+    expected = np.zeros(period)
+    for start in range(0, signal.shape[0], period):
+        chunk = signal[start : start + period]
+        expected[: chunk.shape[0]] += chunk
+    np.testing.assert_array_equal(_wrap_periodic(signal, period), expected)
+
+
 class TestMixStrategies:
     @pytest.fixture
     def sets(self):
-        sim = [ImpulseResponse(np.ones(4), origin="simulated") for _ in range(4)]
-        rec = [ImpulseResponse(np.ones(4), origin="recorded") for _ in range(4)]
+        sim = [ImpulseResponse(np.ones(4)) for _ in range(4)]
+        rec = [ImpulseResponse(np.ones(4)) for _ in range(4)]
         return sim, rec
 
     def test_mixed_assigns_recorded_to_speaker_zone(self, sets):
         sim, rec = sets
         rng = np.random.default_rng(0)
         chosen = mix_ir_sets(sim, rec, "mixed", speaker_zone=2, rng=rng)
-        assert [ir.origin for ir in chosen] == [
-            "simulated", "simulated", "recorded", "simulated"]
+        assert [c is r for c, r in zip(chosen, rec)] == [False, False, True, False]
+        assert [c is s for c, s in zip(chosen, sim)] == [True, True, False, True]
 
     def test_added_fraction(self, sets):
         sim, rec = sets
         rng = np.random.default_rng(123)
         hits = sum(
-            mix_ir_sets(sim, rec, "added", 0, rng)[0].origin == "recorded"
+            mix_ir_sets(sim, rec, "added", 0, rng)[0] is rec[0]
             for _ in range(10000))
         assert 0.23 <= hits / 10000 <= 0.27
 
     def test_only_recorded(self, sets):
         sim, rec = sets
         chosen = mix_ir_sets(sim, rec, "only", 1, np.random.default_rng(0))
-        assert all(ir.origin == "recorded" for ir in chosen)
+        assert all(c is r for c, r in zip(chosen, rec))
 
     def test_simulated_strategy(self, sets):
         sim, rec = sets
         chosen = mix_ir_sets(sim, None, "simulated", 1, np.random.default_rng(0))
-        assert all(ir.origin == "simulated" for ir in chosen)
+        assert all(c is s for c, s in zip(chosen, sim))
 
     def test_deterministic_given_seed(self, sets):
         sim, rec = sets
-        a = [mix_ir_sets(sim, rec, "added", 0, np.random.default_rng(9))[0].origin
+        a = [mix_ir_sets(sim, rec, "added", 0, np.random.default_rng(9))[0] is rec[0]
              for _ in range(50)]
-        b = [mix_ir_sets(sim, rec, "added", 0, np.random.default_rng(9))[0].origin
+        b = [mix_ir_sets(sim, rec, "added", 0, np.random.default_rng(9))[0] is rec[0]
              for _ in range(50)]
         # one draw per fresh generator: deterministic
         assert a == b
@@ -295,13 +309,40 @@ class TestMixStrategies:
 
 class TestIrFiles:
     def test_round_trip_with_metadata(self, tmp_path):
-        ir = ImpulseResponse(np.linspace(-0.5, 0.5, 64), origin="simulated",
-                             zone=3, source_position=(1.0, 2.0, 0.5),
-                             mic_position=(0.5, 0.5, 1.0))
+        ir = ImpulseResponse(np.linspace(-0.5, 0.5, 64), sample_rate=8000)
         path = tmp_path / "ir.wav"
         write_ir(path, ir)
         back = read_ir(path)
         np.testing.assert_allclose(back.taps, ir.taps, atol=1e-7)
-        assert back.origin == "simulated"
-        assert back.zone == 3
-        assert back.source_position == (1.0, 2.0, 0.5)
+        assert back.sample_rate == 8000
+        assert [p.name for p in tmp_path.iterdir()] == ["ir.wav"]
+
+    def test_rate_comes_from_the_wav_header(self, tmp_path):
+        path = tmp_path / "ir.wav"
+        write_ir(path, ImpulseResponse(np.ones(8)))
+        # a stray sidecar with another rate, as older versions wrote one
+        (tmp_path / "ir.wav.json").write_text(json.dumps({"sample_rate": 8000}))
+        assert read_ir(path).sample_rate == FS
+
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_multichannel_wav_rejected(self, tmp_path, channels):
+        path = tmp_path / "ir.wav"
+        write_wav(path, np.ones((channels, 8)), FS)
+        with pytest.raises(InvalidInput, match="one channel"):
+            read_ir(path)
+
+
+def test_lengths_above_two_to_the_24_rejected():
+    limit = 2**24
+    ExcitationSpec(kind="ess", duration=limit / FS)
+    ExcitationSpec(kind="tsp", length=limit)
+    cabin_room(CABIN_SEATS[0], ir_length=limit)
+    with pytest.raises(InvalidConfig):
+        ExcitationSpec(kind="ess", duration=(limit + 1) / FS)
+    with pytest.raises(InvalidConfig):
+        ExcitationSpec(kind="tsp", length=limit + 2)
+    with pytest.raises(InvalidConfig):
+        cabin_room(CABIN_SEATS[0], ir_length=limit + 1)
+    spec = ExcitationSpec(kind="mls", order=4)
+    with pytest.raises(InvalidInput):
+        extract_ir(gen_excitation(spec), spec, ir_length=limit + 1)

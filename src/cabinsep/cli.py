@@ -225,13 +225,15 @@ def _eval_pair(est_dir: Path, label_dir: Path, true_zone: int | None) -> dict:
     zones = []
     zone = 1
     while (est_dir / f"zone{zone}.wav").exists():
-        est, _ = read_wav(est_dir / f"zone{zone}.wav")
+        est, rate = read_wav(est_dir / f"zone{zone}.wav")
         label_path = label_dir / f"zone{zone}_label.wav"
         if not label_path.exists():
             label_path = label_dir / f"zone{zone}.wav"
         zones.append(est[0])
         if label_path.exists():
-            label, _ = read_wav(label_path)
+            label, label_rate = read_wav(label_path)
+            if label_rate != rate:
+                raise InvalidInput(f"{label_path}: {label_rate} Hz label for a {rate} Hz estimate")
             n = min(est.shape[1], label.shape[1])
             rows.append({"zone": zone, "si_snr_db": si_snr(est[0, :n], label[0, :n])})
         zone += 1

@@ -178,7 +178,10 @@ def convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def read_wav(path) -> tuple[np.ndarray, int]:
-    """Read a WAV file into a float64 (channels, samples) array in [-1, 1]."""
+    """Read a WAV file into a float64 (channels, samples) array in [-1, 1].
+
+    Raises InvalidInput on an unreadable file or a non-finite sample.
+    """
     try:
         rate, data = wavfile.read(path)
     except (FileNotFoundError, ValueError) as exc:
@@ -194,6 +197,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         wave = data.astype(np.float64)
     else:
         raise InvalidInput(f"unsupported WAV sample format {data.dtype} in {path}")
+    if not np.isfinite(wave).all():
+        raise InvalidInput(f"{path}: WAV samples must be finite")
     return wave, int(rate)
 
 

@@ -1,33 +1,28 @@
 """Weight container: layer enumeration, file format, random initialization.
 
-File format (little-endian):
-    line 1: "CABINSEP-WEIGHTS v1"
-    line 2: "meta fingerprint <config fingerprint, or - for none>"
-    lines:  "tensor <name> float32 <d0>x<d1>x..."  (payload order)
-    line:   "DATA"
-    then the concatenated row-major float32 payload.
-
-`load` skips any other "meta <key> <value>" line, such as the "meta seed"
-line that older containers carry.
+File format: an uncompressed numpy `.npz` archive (`np.savez`). Member
+`fingerprint` is a 0-d string array holding the config fingerprint ("" for
+none); every other member is one float32 tensor, named by its layer path.
+`load` reads it with `allow_pickle=False`.
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
 
 import numpy as np
 
 from ..errors import InvalidInput, WeightShapeError
 from .config import ModelConfig
 
-_MAGIC = "CABINSEP-WEIGHTS v1"
 _CONV_KERNEL = 3  # time x freq kernel size of every 2-D convolution
 
 
 def required_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical layer-path -> shape map for a configuration.
 
-    Iteration order is the payload order of the container file.
+    Iteration order is the member order of the container file.
     """
     z = cfg.zones
     c = cfg.embed_channels
@@ -143,61 +138,28 @@ class ModelWeights:
             )
 
     def save(self, path) -> None:
-        header = [_MAGIC]
-        header.append(f"meta fingerprint {self.fingerprint or '-'}")
-        for name, tensor in self.tensors.items():
-            dims = "x".join(str(d) for d in tensor.shape) if tensor.ndim else "1"
-            header.append(f"tensor {name} float32 {dims}")
-        header.append("DATA\n")
+        # an open file, because np.savez appends ".npz" to a path that lacks it
         with open(path, "wb") as fh:
-            fh.write("\n".join(header).encode("utf-8"))
-            for tensor in self.tensors.values():
-                fh.write(tensor.astype("<f4", copy=False).tobytes())
+            np.savez(fh, fingerprint=np.array(self.fingerprint), **self.tensors)
 
     @classmethod
     def load(cls, path) -> "ModelWeights":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        marker = b"DATA\n"
-        split = blob.find(marker)
-        if split < 0:
-            raise InvalidInput(f"{path}: not a weight container (missing DATA marker)")
-        header_lines = blob[:split].decode("utf-8").splitlines()
-        if not header_lines or header_lines[0] != _MAGIC:
-            raise InvalidInput(f"{path}: bad magic line")
-        payload = blob[split + len(marker):]
-
-        fingerprint = ""
-        entries: list[tuple[str, tuple[int, ...]]] = []
-        for line in header_lines[1:]:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "meta":
-                if parts[1] == "fingerprint":
-                    fingerprint = "" if parts[2] == "-" else parts[2]
-            elif parts[0] == "tensor":
-                name, dtype, dims = parts[1], parts[2], parts[3]
-                if dtype != "float32":
-                    raise InvalidInput(f"{path}: unsupported dtype {dtype}")
-                entries.append((name, tuple(int(d) for d in dims.split("x"))))
-            else:
-                raise InvalidInput(f"{path}: unrecognized header line {line!r}")
-
-        tensors = {}
-        offset = 0
-        for name, shape in entries:
-            count = int(np.prod(shape))
-            nbytes = 4 * count
-            if offset + nbytes > len(payload):
-                raise InvalidInput(f"{path}: truncated payload at tensor {name}")
-            tensors[name] = np.frombuffer(
-                payload[offset : offset + nbytes], dtype="<f4"
-            ).reshape(shape).copy()
-            offset += nbytes
-        if offset != len(payload):
-            raise InvalidInput(f"{path}: {len(payload) - offset} trailing payload bytes")
-        return cls(tensors, fingerprint=fingerprint)
+        try:
+            archive = np.load(path, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):  # a bare .npy
+                raise ValueError("a single array, not an archive")
+            with archive:
+                # a member not stored as .npy reads back as bytes
+                members = {name: np.asarray(archive[name]) for name in archive.files}
+        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
+            raise InvalidInput(f"{path}: not a weight container ({exc})") from None
+        fingerprint = members.pop("fingerprint", None)
+        if fingerprint is None or fingerprint.ndim or fingerprint.dtype.kind != "U":
+            raise InvalidInput(f"{path}: no fingerprint string")
+        for name, tensor in members.items():
+            if tensor.dtype != np.float32:
+                raise InvalidInput(f"{path}: {name} is {tensor.dtype}, not float32")
+        return cls(members, fingerprint=fingerprint.item())
 
 
 def init_random(cfg: ModelConfig, seed: int) -> ModelWeights:

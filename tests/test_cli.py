@@ -1,4 +1,6 @@
+import io
 import json
+import zipfile
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -399,13 +401,76 @@ BAD_INPUTS = {
     "ism_room_unknown_key": (2, "ir ism --room {room_unknown_key} --mic 0 --out {out}"),
     "ism_room_reflection_not_numbers": (3, "ir ism --room {room_reflection_not_numbers} "
                                            "--mic 0 --out {out}"),
+    "eval_nan_estimate": (2, "eval --est-dir {est_nan} --label-dir {est} --true-zone 1 "
+                             "--report {out}"),
+    "eval_label_rate_mismatch": (2, "eval --est-dir {est} --label-dir {labels_8k} "
+                                    "--report {out}"),
 }
 
 
+def _saved(save, *args, **kwargs) -> bytes:
+    buf = io.BytesIO()
+    save(buf, *args, **kwargs)
+    return buf.getvalue()
+
+
+def _v1_container(w: ModelWeights) -> bytes:
+    """The text-header container that earlier versions wrote and read."""
+    header = ["CABINSEP-WEIGHTS v1", f"meta fingerprint {w.fingerprint}"]
+    header += [f"tensor {name} float32 {'x'.join(map(str, t.shape))}"
+               for name, t in w.tensors.items()]
+    return "\n".join(header + ["DATA\n"]).encode() + b"".join(
+        t.tobytes() for t in w.tensors.values())
+
+
+def _text_member_archive(w: ModelWeights) -> bytes:
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        archive.writestr("fingerprint.npy", _saved(np.save, np.array(w.fingerprint)))
+        archive.writestr("notes.txt", "not an array")
+    return buf.getvalue()
+
+
+# malformed weight containers, each built from a valid container's bytes and tensors
+BAD_CONTAINERS = {
+    "bare_meta": lambda blob, w: b"CABINSEP-WEIGHTS v1\nmeta\nDATA\n",
+    "dims_not_numbers": lambda blob, w: (b"CABINSEP-WEIGHTS v1\nmeta fingerprint -\n"
+                                         b"tensor decoder.w float32 ax8x3x3\nDATA\n"),
+    "empty": lambda blob, w: b"",
+    "truncated": lambda blob, w: blob[:-64],
+    "float64_member": lambda blob, w: _saved(
+        np.savez, fingerprint=np.array(w.fingerprint),
+        **{**w.tensors, "decoder.b": w["decoder.b"].astype(np.float64)}),
+    "object_member": lambda blob, w: _saved(
+        np.savez, fingerprint=np.array(w.fingerprint), **w.tensors,
+        rogue=np.array([{}], dtype=object)),
+    "no_fingerprint": lambda blob, w: _saved(np.savez, **w.tensors),
+    "single_npy": lambda blob, w: _saved(np.save, w["decoder.w"]),
+    "text_member": lambda blob, w: _text_member_archive(w),
+    "v1": lambda blob, w: _v1_container(w),
+}
+BAD_INPUTS.update({
+    f"separate_weights_{name}": (2, f"separate --input {{mix}} --weights {{weights_{name}}} "
+                                    "--out-dir {out}")
+    for name in BAD_CONTAINERS})
+
+
+@pytest.fixture(scope="module")
+def bad_container_files(tmp_path_factory, weights_file):
+    directory = tmp_path_factory.mktemp("bad_weights")
+    blob, weights = weights_file.read_bytes(), ModelWeights.load(weights_file)
+    files = {}
+    for name, build in BAD_CONTAINERS.items():
+        files[f"weights_{name}"] = directory / f"{name}.bin"
+        files[f"weights_{name}"].write_bytes(build(blob, weights))
+    return files
+
+
 @pytest.fixture
-def bad_input_files(tmp_path, rng, weights_file):
+def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
     files = {"mix": tmp_path / "mix.wav", "out": tmp_path / "out",
-             "unmarked": tmp_path / "unmarked.bin", "ipd_config": tmp_path / "ipd.cfg"}
+             "unmarked": tmp_path / "unmarked.bin", "ipd_config": tmp_path / "ipd.cfg",
+             **bad_container_files}
     write_mixture(files["mix"], rng)
     # no stored fingerprint, so the container loads under any config of its shapes
     ModelWeights(ModelWeights.load(weights_file).tensors).save(files["unmarked"])
@@ -419,6 +484,19 @@ def bad_input_files(tmp_path, rng, weights_file):
     for name, text in rooms.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)
+    # zone 2 is the quieter estimate, and one NaN sample must not make it the loudest
+    estimates = rng.standard_normal((2, FS // 2)) * np.array([[0.5], [0.05]])
+    for name, nan in (("est", False), ("est_nan", True)):
+        files[name] = tmp_path / name
+        files[name].mkdir()
+        for z, wave in enumerate(estimates, start=1):
+            if nan and z == 2:
+                wave = wave.copy()
+                wave[100] = np.nan
+            write_wav(files[name] / f"zone{z}.wav", wave, FS)
+    files["labels_8k"] = tmp_path / "labels_8k"
+    files["labels_8k"].mkdir()
+    write_wav(files["labels_8k"] / "zone1_label.wav", estimates[0, ::2], FS // 2)
     files["weights"] = weights_file
     return files
 

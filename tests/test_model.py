@@ -190,23 +190,6 @@ class TestWeights:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_container_with_seed_line_loads(self, tmp_path, small_weights):
-        # older containers carry a "meta seed" line after the fingerprint
-        current = tmp_path / "w.bin"
-        small_weights.save(current)
-        magic, fingerprint, rest = current.read_bytes().split(b"\n", 2)
-        assert fingerprint.startswith(b"meta fingerprint ")
-        older = tmp_path / "older.bin"
-        older.write_bytes(b"\n".join([magic, fingerprint, b"meta seed 7", rest]))
-        loaded = ModelWeights.load(older)
-        assert loaded.fingerprint == small_weights.fingerprint
-        assert list(loaded.tensors) == list(small_weights.tensors)
-        for name in small_weights.tensors:
-            np.testing.assert_array_equal(loaded[name], small_weights[name])
-        resaved = tmp_path / "resaved.bin"
-        loaded.save(resaved)
-        assert resaved.read_bytes() == current.read_bytes()
-
     def test_validate_rejects_missing_and_extra(self, small_cfg, small_weights):
         broken = ModelWeights(dict(small_weights.tensors))
         del broken.tensors["decoder.w"]

@@ -22,6 +22,13 @@ pass it unchanged; without it the TAC runs on every frame.
 The network computes in float32, straight off the weight container's arrays.
 The features become float32 once, in the encoder's conv windows; the STFT,
 the features and the MVDR stay float64/complex128.
+
+Per frame, numpy's fixed cost per call outweighs the arithmetic of most
+layers, so the frame path keeps its passes few: layer norm takes both of its
+means as matrix-vector products rather than short trailing-axis reductions,
+each conv's patch view is built once, and attention's softmax is normalised
+after the context sum, on the (bins, heads, head_dim) context rather than on
+the (bins, heads, frames) weights.
 """
 
 from __future__ import annotations
@@ -61,9 +68,15 @@ def _swish(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    centred = x - x.mean(axis=-1, keepdims=True)
-    var = (centred * centred).mean(axis=-1, keepdims=True)  # as np.var computes it
-    return centred / np.sqrt(var + _LN_EPS) * gain + bias
+    # both means as matrix-vector products: numpy's reduction over a short
+    # trailing axis costs more than the arithmetic
+    mean = np.full(x.shape[-1], 1.0 / x.shape[-1], np.float32)
+    centred = x - (x @ mean)[..., None]
+    var = (centred * centred) @ mean  # as np.var computes it
+    centred /= np.sqrt(var + _LN_EPS)[..., None]
+    centred *= gain
+    centred += bias
+    return centred
 
 
 class _CausalConv2d:
@@ -71,7 +84,6 @@ class _CausalConv2d:
 
     def __init__(self, w: np.ndarray, b: np.ndarray, n_bins: int):
         out_ch, in_ch, kt, kf = w.shape
-        self.kf = kf
         self.pad = kf // 2
         self.n_bins = n_bins
         # (out, in, kt, kf) -> (out, kt*kf*in) matching the patch layout below
@@ -79,13 +91,13 @@ class _CausalConv2d:
         self.b = b[:, None]
         # the last kt frames, zero-padded in frequency; zeros before the stream
         self.window = np.zeros((kt, in_ch, n_bins + 2 * self.pad), np.float32)
+        # (kt, in, F, kf) -> (kt, kf, in, F); a view, so it follows `window`
+        self.patches = sliding_window_view(self.window, kf, axis=-1).transpose(0, 3, 1, 2)
 
     def step(self, frame: np.ndarray) -> np.ndarray:
         self.window[:-1] = self.window[1:]
         self.window[-1, :, self.pad : self.pad + self.n_bins] = frame
-        # (kt, in, F, kf) -> (kt, kf, in, F)
-        patches = sliding_window_view(self.window, self.kf, axis=-1).transpose(0, 3, 1, 2)
-        return self.w_mat @ patches.reshape(-1, self.n_bins) + self.b
+        return self.w_mat @ self.patches.reshape(-1, self.n_bins) + self.b
 
 
 class _LstmCell:
@@ -220,14 +232,16 @@ class _ConformerLayer:
         self.v_cache.append(v)
         keys = self.k_cache.view()      # (F, heads, dh, S)
         values = self.v_cache.view()
-        # in place: fresh (F, heads, S) temporaries cost more here than the arithmetic
+        # the scaling and the softmax division act on the (F, heads, dh) side,
+        # which is smaller than the (F, heads, S) scores; in place, because
+        # fresh temporaries cost more here than the arithmetic
+        q *= self.scale
         scores = np.einsum("fhd,fhds->fhs", q, keys)
-        scores *= self.scale
         scores -= scores.max(axis=-1, keepdims=True)
         att = np.exp(scores, out=scores)
-        att /= att.sum(axis=-1, keepdims=True)
-        ctx = np.einsum("fhs,fhds->fhd", att, values).reshape(n_bins, -1)
-        return ctx @ self.wo.T + self.bo
+        ctx = np.einsum("fhs,fhds->fhd", att, values)
+        ctx /= att.sum(axis=-1)[..., None]
+        return ctx.reshape(n_bins, -1) @ self.wo.T + self.bo
 
     def _conv_module(self, x: np.ndarray) -> np.ndarray:
         u = _layer_norm(x, *self.ln["ln_conv"])
@@ -239,7 +253,10 @@ class _ConformerLayer:
         taps = self.conv_window
         taps[:-1] = taps[1:]
         taps[-1] = glu
-        conv = sum(taps[k] * dw_w[:, k] for k in range(dw_w.shape[1])) + dw_b
+        conv = taps[0] * dw_w[:, 0]
+        for k in range(1, dw_w.shape[1]):
+            conv += taps[k] * dw_w[:, k]
+        conv += dw_b
         w2, b2 = self.pw2
         return _swish(conv) @ w2.T + b2
 

@@ -103,19 +103,21 @@ def update_covariances(state: BeamformerState, snapshot: np.ndarray,
         speech_mask.sum(axis=0, keepdims=True) - speech_mask + noise_mask, 0.0, 1.0
     )
     # real-weighted rank-1 updates keep both covariances exactly Hermitian
-    lam = state.forgetting
-    state.speech_cov = lam * state.speech_cov + speech_mask[:, :, None, None] * outer[None]
-    state.noise_cov = lam * state.noise_cov + interference[:, :, None, None] * outer[None]
+    for cov, mask in ((state.speech_cov, speech_mask), (state.noise_cov, interference)):
+        cov *= state.forgetting
+        cov += mask[:, :, None, None] * outer
     state.frame_count += 1
     return state
 
 
 def _loaded(noise_cov: np.ndarray, loading: float) -> np.ndarray:
     """Diagonal loading scaled by the per-bin mean eigenvalue (trace / Z)."""
-    z = noise_cov.shape[-1]
+    bins, z = noise_cov.shape[:2]
     trace = np.trace(noise_cov, axis1=-2, axis2=-1).real
-    eye = np.eye(z)
-    return noise_cov + (loading * np.maximum(trace, _TRACE_EPS) / z)[:, None, None] * eye
+    loaded = noise_cov.copy()
+    diagonal = loaded.reshape(bins, z * z)[:, :: z + 1]  # a view into the copy
+    diagonal += (loading * np.maximum(trace, _TRACE_EPS) / z)[:, None]
+    return loaded
 
 
 def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
@@ -141,10 +143,11 @@ def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
         ) from exc
     ratio = np.linalg.solve(loaded, state.speech_cov[zone])  # (F, Z, Z)
     trace = np.trace(ratio, axis1=-2, axis2=-1)    # (F,)
-    weights = np.zeros((state.bins, state.zones), dtype=np.complex128)
-    ok = np.abs(trace) >= _TRACE_EPS
-    weights[ok] = ratio[ok, :, zone] / trace[ok, None]
-    weights[~ok, zone] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = ratio[:, :, zone] / trace[:, None]
+    ok = np.abs(trace) >= _TRACE_EPS  # a NaN trace fails too
+    if not ok.all():
+        weights[~ok] = np.eye(state.zones)[zone]
     return weights
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cabinsep.dsp import StftConfig
 from cabinsep.model import ModelConfig, init_random
@@ -38,3 +39,21 @@ def run_frames(step, *tensors):
     """Call a per-frame `step` on each time slice of (C, T, F) tensors; stack on T."""
     frames = tensors[0].shape[1]
     return np.stack([step(*(x[:, t] for x in tensors)) for t in range(frames)], axis=1)
+
+
+# defects a cabin microphone can show, each applied to one 0.05-rms noise
+# channel; four "dead" channels make a silent input
+CHANNEL_KINDS = {
+    "live": lambda x: x,
+    "dead": np.zeros_like,
+    "clipped": lambda x: np.clip(40.0 * x, -1.0, 1.0),
+    "dc_offset": lambda x: x + 0.5,
+    "near_zero": lambda x: 1e-12 * x,
+}
+four_channel_kinds = st.lists(st.sampled_from(sorted(CHANNEL_KINDS)), min_size=4, max_size=4)
+
+
+def bad_channel_wave(kinds, seed, samples):
+    """A (len(kinds), samples) mixture whose channel i has defect kinds[i]."""
+    x = 0.05 * np.random.default_rng(seed).standard_normal((len(kinds), samples))
+    return np.stack([CHANNEL_KINDS[kind](channel) for kind, channel in zip(kinds, x)])

@@ -5,6 +5,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cabinsep.cli import main
 from cabinsep.dsp import read_wav, write_wav
@@ -18,6 +19,7 @@ from cabinsep.irlab import (
 )
 from cabinsep.model import ModelWeights, init_random, variant_config
 from cabinsep.mvdr import MvdrConfig
+from conftest import bad_channel_wave, four_channel_kinds
 
 FS = 16000
 ROOM = {"dimensions": [3.0, 2.0, 1.5], "source": [1.0, 1.0, 0.8], "mics": [[2.0, 1.0, 1.0]]}
@@ -167,6 +169,19 @@ class TestSeparate:
         assert main(["separate", "--input", str(mix), "--weights", str(weights_file),
                      "--loading", loading, "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+    @settings(max_examples=10, deadline=None)
+    @given(kinds=four_channel_kinds, seed=st.integers(0, 2**16))
+    @example(kinds=["dead"] * 4, seed=0)
+    def test_bad_channels_exit_0_with_finite_zones(self, tmp_path_factory, weights_file,
+                                                   kinds, seed):
+        tmp = tmp_path_factory.mktemp("bad_channels")
+        write_wav(tmp / "mix.wav", bad_channel_wave(kinds, seed, FS // 5), FS)
+        assert main(["separate", "--input", str(tmp / "mix.wav"), "--weights",
+                     str(weights_file), "--out-dir", str(tmp / "out")]) == 0
+        for z in range(1, 5):
+            zone, _ = read_wav(tmp / "out" / f"zone{z}.wav")
+            assert zone.shape[-1] == FS // 5 and np.isfinite(zone).all()
 
 
 class TestSimulateAndEval:

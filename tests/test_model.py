@@ -512,6 +512,43 @@ class TestConformerConv:
         np.testing.assert_array_equal(window, sub_band(emb, small_weights, small_cfg))
 
 
+def layer_norm_reference(x, gain, bias):
+    """Layer norm in float64 through np.mean and np.var."""
+    x = x.astype(np.float64)
+    return ((x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+            * gain + bias)
+
+
+class TestLayerNorm:
+    # 16 is the preset width; 1/24 is not exact in float32
+    @pytest.mark.parametrize("width", [16, 24])
+    def test_matches_float64_var_reference(self, rng, width):
+        x = rng.standard_normal((257, width)).astype(np.float32)
+        gain = rng.uniform(0.5, 1.5, width).astype(np.float32)
+        bias = rng.standard_normal(width).astype(np.float32)
+        out = _layer_norm(x, gain, bias)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, layer_norm_reference(x, gain, bias), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("width", [16, 24])
+    def test_rows_offset_by_1e3(self, rng, width):
+        # the float32 means carry ~1e-4 of a unit row spread at this offset
+        x = (rng.standard_normal((257, width)) + 1e3).astype(np.float32)
+        gain = rng.uniform(0.5, 1.5, width).astype(np.float32)
+        bias = rng.standard_normal(width).astype(np.float32)
+        np.testing.assert_allclose(_layer_norm(x, gain, bias), layer_norm_reference(x, gain, bias),
+                                   rtol=0, atol=1e-3)
+
+    def test_constant_row_gives_exactly_bias(self, rng):
+        # constants with few significant bits, so that every partial sum of
+        # the mean is exact in any summation order
+        rows = np.array([0.0, 3.0, -7.25, 1000.5, 2.0**-20], np.float32)
+        x = np.repeat(rows[:, None], 16, axis=1)
+        gain = rng.uniform(0.5, 1.5, 16).astype(np.float32)
+        bias = rng.standard_normal(16).astype(np.float32)
+        np.testing.assert_array_equal(_layer_norm(x, gain, bias), np.tile(bias, (5, 1)))
+
+
 class TestFloat32:
     def test_network_computes_in_float32_on_the_container_arrays(self, rng, small_cfg,
                                                                   small_weights):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,6 +118,26 @@ class TestUpdate:
         np.testing.assert_array_equal(compute_weights(state, 1), compute_weights(clean, 1))
 
 
+    @pytest.mark.parametrize("forgetting", [1.0, 0.9])
+    def test_updates_the_same_arrays_as_lam_cov_plus_weighted_outer(self, rng, forgetting):
+        zones, bins = 4, 6
+        state = BeamformerState(zones=zones, bins=bins, forgetting=forgetting)
+        speech_cov, noise_cov = state.speech_cov, state.noise_cov
+        want_speech = np.zeros_like(speech_cov)
+        want_noise = np.zeros_like(noise_cov)
+        for _ in range(5):
+            y = random_snapshot(rng, zones=zones, bins=bins)
+            ms, mn = rng.uniform(0, 1, (zones, bins)), rng.uniform(0, 1, (zones, bins))
+            outer = np.einsum("af,bf->fab", y, np.conj(y))
+            interference = np.clip(ms.sum(axis=0) - ms + mn, 0.0, 1.0)
+            want_speech = forgetting * want_speech + ms[:, :, None, None] * outer
+            want_noise = forgetting * want_noise + interference[:, :, None, None] * outer
+            assert update_covariances(state, y, ms, mn) is state
+            assert state.speech_cov is speech_cov and state.noise_cov is noise_cov
+            np.testing.assert_array_equal(state.speech_cov, want_speech)
+            np.testing.assert_array_equal(state.noise_cov, want_noise)
+
+
 class TestWeights:
     def test_single_zone_passthrough(self, rng):
         state = BeamformerState(zones=1, bins=5)
@@ -177,6 +199,28 @@ class TestWeights:
         expected = np.zeros((2, 3))
         expected[:, 1] = 1.0
         np.testing.assert_array_equal(w, expected)
+
+    def test_degenerate_and_nan_trace_bins_pass_through_among_normal_bins(self, rng):
+        zones, bins, zone = 4, 6, 2
+        state = BeamformerState(zones=zones, bins=bins)
+        for _ in range(10):
+            update_covariances(state, random_snapshot(rng, bins=bins),
+                               rng.uniform(0, 1, (zones, bins)),
+                               rng.uniform(0, 1, (zones, bins)))
+        state.speech_cov[zone, 1] = 0.0            # zero trace
+        state.speech_cov[zone, 4, 0, 1] = np.nan   # NaN trace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the degenerate bins divide silently
+            w = compute_weights(state, zone)
+        for f in (1, 4):
+            np.testing.assert_array_equal(w[f], np.eye(zones)[zone])
+        noise = state.noise_cov[zone]
+        trace = np.trace(noise, axis1=-2, axis2=-1).real
+        loaded = noise + (state.loading * trace / zones)[:, None, None] * np.eye(zones)
+        normal = [0, 2, 3, 5]
+        ratio = np.linalg.solve(loaded[normal], state.speech_cov[zone, normal])
+        expected = ratio[:, :, zone] / np.trace(ratio, axis1=-2, axis2=-1)[:, None]
+        np.testing.assert_allclose(w[normal], expected, rtol=1e-12, atol=0)
 
     def test_requires_processed_frame(self):
         state = BeamformerState(zones=2, bins=2)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cabinsep.dsp import analyze
 from cabinsep.errors import InvalidInput
 from cabinsep.mvdr import MvdrConfig
 from cabinsep.pipeline import separate_waveform
+from conftest import bad_channel_wave, four_channel_kinds
 
 
 class TestSeparateWaveform:
@@ -87,6 +89,17 @@ BAD_CHANNELS = {
 @pytest.mark.parametrize("case", sorted(BAD_CHANNELS))
 def test_bad_channels_give_finite_output(case, rng, small_cfg, small_weights, small_stft):
     wave = BAD_CHANNELS[case](rng.standard_normal((4, 1600)) * 0.05)
+    result = separate_waveform(wave, small_weights, small_cfg, small_stft)
+    assert result.zones.shape == wave.shape
+    assert np.isfinite(result.zones).all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(kinds=four_channel_kinds, seed=st.integers(0, 2**16))
+@example(kinds=["dead"] * 4, seed=0)
+def test_any_mix_of_bad_channels_gives_finite_output(kinds, seed, small_cfg, small_weights,
+                                                      small_stft):
+    wave = bad_channel_wave(kinds, seed, 1600)
     result = separate_waveform(wave, small_weights, small_cfg, small_stft)
     assert result.zones.shape == wave.shape
     assert np.isfinite(result.zones).all()

@@ -58,7 +58,6 @@ class SceneManifest:
     speakers: list[SpeakerEntry] = field(default_factory=list)
     background: NoiseEntry | None = None
     transients: list[NoiseEntry] = field(default_factory=list)
-    seed: int | None = None
 
     def validate(self) -> None:
         if not (1 <= len(self.speakers) <= self.zones):
@@ -111,7 +110,6 @@ class SceneManifest:
             speakers=speakers,
             background=background,
             transients=transients,
-            seed=doc.get("seed"),
         )
 
 
@@ -153,16 +151,19 @@ def snr_scale(signal: np.ndarray, noise: np.ndarray, target_snr_db: float) -> np
 
     Powers are mean squares over each full waveform.
     """
-    signal = np.asarray(signal, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
-    p_signal = float(np.mean(signal**2))
-    p_noise = float(np.mean(noise**2))
+    return noise * _snr_factor(signal, noise, target_snr_db)
+
+
+def _snr_factor(signal: np.ndarray, noise: np.ndarray, target_snr_db: float) -> float:
+    """The gain that puts `noise` `target_snr_db` below `signal` in mean-square power."""
+    p_signal = float(np.mean(np.asarray(signal, dtype=np.float64) ** 2))
+    p_noise = float(np.mean(np.asarray(noise, dtype=np.float64) ** 2))
     if p_signal <= 0.0:
         raise InvalidInput("signal is silent; SNR undefined")
     if p_noise <= 0.0:
         raise InvalidInput("noise is silent; cannot scale")
-    factor = np.sqrt(p_signal / (p_noise * 10.0 ** (target_snr_db / 10.0)))
-    return noise * factor
+    return np.sqrt(p_signal / (p_noise * 10.0 ** (target_snr_db / 10.0)))
 
 
 def _fit_noise(noise: np.ndarray, zones: int, length: int) -> np.ndarray:
@@ -225,12 +226,7 @@ def mix_scene_signals(
             raise InvalidInput("background noise requires a target SNR")
         fitted = _fit_noise(background, zones, length)
         # one common factor for all channels, chosen on the reference mic
-        p_ref = float(np.mean(fitted[0] ** 2))
-        p_sig = float(np.mean(reference**2))
-        if p_ref <= 0.0:
-            raise InvalidInput("background noise is silent at the reference microphone")
-        factor = np.sqrt(p_sig / (p_ref * 10.0 ** (background_snr_db / 10.0)))
-        noise_total += factor * fitted
+        noise_total += _snr_factor(reference, fitted[0], background_snr_db) * fitted
     for event in transients or []:
         waveform, onset, snr_db = event
         waveform = np.asarray(waveform, dtype=np.float64)

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: separate, simulate, ir (gen/extract/ism), eval, bench,
-init-weights. Exit codes: 0 ok, 2 input error, 3 config/weights error,
-4 numerical failure. Commands validate their inputs before writing any
-output file. `separate` exits 3 when the weight container was written for
-another architecture: other tensor shapes, or a stored fingerprint that
-differs from the configuration's (the attention lookback is not part of it).
+init-weights. Exit codes: 0 ok, 2 input error, 3 config/weights error.
+Commands validate their inputs before writing any output file. `separate`
+takes its model from `--variant` (and `--chunk-seconds`), and exits 3 when
+the weight container was written for another architecture: other tensor
+shapes, or a stored fingerprint that differs from the configuration's (the
+attention lookback is not part of it).
 """
 
 from __future__ import annotations
@@ -13,20 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .augment import SceneManifest, mix_scene
 from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, read_wav, write_wav
-from .errors import (
-    InvalidConfig,
-    InvalidInput,
-    InvalidManifest,
-    NumericalError,
-    WeightShapeError,
-)
+from .errors import InvalidConfig, InvalidInput, InvalidManifest, WeightShapeError
 from .irlab import (
     ExcitationSpec,
     RoomSpec,
@@ -47,7 +42,6 @@ from .metrics import (
     zone_positioning,
 )
 from .model import (
-    ModelConfig,
     ModelWeights,
     count_macs,
     count_params,
@@ -60,22 +54,11 @@ from .pipeline import separate_waveform
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
-EXIT_NUMERICAL = 4
 
 
 def _given(args, *names) -> dict:
     """The named flags the user gave, for a constructor that owns their defaults."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
-def _load_model_config(args) -> ModelConfig:
-    if args.config:
-        cfg = ModelConfig.from_text(Path(args.config).read_text())
-    else:
-        cfg = variant_config(args.variant)
-    if args.chunk_seconds is not None:
-        cfg = replace(cfg, chunk_lookback_seconds=args.chunk_seconds)
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +69,7 @@ def cmd_separate(args) -> int:
     wave, rate = read_wav(args.input)
     if rate != DEFAULT_SAMPLE_RATE:
         raise InvalidInput(f"{args.input}: expected 16 kHz audio, got {rate} Hz")
-    cfg = _load_model_config(args)
+    cfg = variant_config(args.variant, **_given(args, "chunk_lookback_seconds"))
     if not args.weights and wave.shape[0] > 1:
         raise InvalidConfig("multichannel separation requires --weights")
     weights = ModelWeights.load(args.weights) if args.weights else None
@@ -342,11 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--weights")
     sep.add_argument("--out-dir", required=True)
     sep.add_argument("--variant", choices=("S", "M", "L"), default="S")
-    sep.add_argument("--config", help="model config as key=value text (overrides --variant)")
     sep.add_argument("--lambda", dest="forgetting", type=float,
                      help="covariance forgetting factor")
     sep.add_argument("--loading", type=float)
-    sep.add_argument("--chunk-seconds", type=float,
+    sep.add_argument("--chunk-seconds", dest="chunk_lookback_seconds", type=float,
                      help="limit conformer attention lookback")
     sep.set_defaults(func=cmd_separate)
 
@@ -432,9 +414,6 @@ def main(argv=None) -> int:
     except (InvalidInput, InvalidManifest, FileNotFoundError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

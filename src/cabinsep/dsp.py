@@ -105,8 +105,8 @@ def synthesize(
 
     The output divides by the summed squared analysis window (floored at
     1e-8), which makes synthesize(analyze(w)) exact wherever the window
-    coverage is complete. DC and Nyquist bins are forced real before the
-    inverse transform.
+    coverage is complete. The imaginary parts of the DC and Nyquist bins
+    are ignored, as `np.fft.irfft` ignores them.
 
     Args:
         spec: (channels, frames, bins) complex spectrogram.
@@ -122,10 +122,6 @@ def synthesize(
     n_chan, frames, bins = spec.shape
     if bins != cfg.bins:
         raise InvalidConfig(f"spectrogram has {bins} bins but config implies {cfg.bins}")
-
-    spec = spec.copy()
-    spec[..., 0] = spec[..., 0].real
-    spec[..., -1] = spec[..., -1].real
 
     window = cfg.window()
     segments = np.fft.irfft(spec, n=cfg.fft_size, axis=-1)[..., : cfg.window_length]

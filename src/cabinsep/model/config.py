@@ -1,10 +1,10 @@
-"""Mask-network configuration, S/M/L presets, and key/value text round trip."""
+"""Mask-network configuration, S/M/L presets, and the config fingerprint."""
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import Field, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from ..errors import InvalidConfig
 
@@ -90,69 +90,17 @@ class ModelConfig:
     def fingerprint(self) -> str:
         """Stable short hash over the architecture-defining fields.
 
-        `chunk_lookback_seconds` is cleared first: it bounds attention at run
-        time and leaves the weights' meaning unchanged.
+        Hashes one `name = value` line per field (a tuple as `a,b`).
+        `chunk_lookback_seconds` is written as None: it bounds attention at
+        run time and leaves the weights' meaning unchanged.
         """
-        text = replace(self, chunk_lookback_seconds=None).to_text()
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    def to_text(self) -> str:
-        """Serialize as 'key = value' lines."""
         lines = []
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = None if f.name == "chunk_lookback_seconds" else getattr(self, f.name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModelConfig":
-        """Parse the key/value format written by `to_text`."""
-        raw = parse_kv_text(text)
-        kwargs = {}
-        type_map = {f.name: f for f in fields(cls)}
-        for key, value in raw.items():
-            if key not in type_map:
-                raise InvalidConfig(f"unknown model config key {key!r}")
-            kwargs[key] = _coerce(type_map[key], value)
-        return cls(**kwargs)
-
-
-def _coerce(field: Field, value: str):
-    """Parse one value as its field's type; anything else is InvalidConfig."""
-    if value == "None" and "None" in field.type:
-        return None
-    if field.type.startswith("str"):
-        return value
-    try:
-        if field.type == "bool":
-            return {"True": True, "False": False}[value]
-        if field.type.startswith("tuple"):
-            first, second = (int(p) for p in value.split(","))
-            return (first, second)
-        if field.type.startswith("float"):
-            number = float(value)
-            if not math.isfinite(number):
-                raise ValueError
-            return number
-        return int(value)
-    except (KeyError, ValueError):
-        raise InvalidConfig(f"{field.name} = {value!r} is not {field.type}") from None
-
-
-def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse 'key = value' lines, ignoring blanks and '#' comments."""
-    result = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise InvalidConfig(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        result[key.strip()] = value.strip()
-    return result
+            lines.append(f"{f.name} = {value}\n")
+        return hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
 
 
 def variant_config(variant: str, **overrides) -> ModelConfig:

@@ -41,9 +41,6 @@ class MacReport:
     def gmacs_per_second(self) -> float:
         return self.total / self.seconds / 1e9
 
-    def tac_total(self) -> float:
-        return sum(v for k, v in self.items.items() if ".tac" in k)
-
 
 def count_macs(cfg: ModelConfig, seconds: float = 1.0) -> MacReport:
     """Itemized MAC count of one forward pass over `seconds` of audio."""

@@ -35,6 +35,11 @@ def random_spectrogram(rng, zones=4, frames=10, bins=SMALL_BINS, scale=1.0):
                     + 1j * rng.standard_normal((zones, frames, bins)))
 
 
+def tac_macs(report):
+    """The MACs of a `MacReport`'s TAC items."""
+    return sum(v for k, v in report.items.items() if ".tac" in k)
+
+
 def run_frames(step, *tensors):
     """Call a per-frame `step` on each time slice of (C, T, F) tensors; stack on T."""
     frames = tensors[0].shape[1]

@@ -28,6 +28,8 @@ from cabinsep.mvdr import BeamformerState, compute_weights, separate_stream
 from cabinsep.pipeline import separate_waveform
 from scipy.signal import fftconvolve
 
+from conftest import tac_macs
+
 FS = 16000
 
 
@@ -157,18 +159,18 @@ def test_c06_mac_accounting():
 
     cfg_l = variant_config("L")
     seconds = 1.024  # 64 frames: even, so the halving is exact
-    tac_skip = count_macs(cfg_l, seconds=seconds).tac_total()
-    tac_full = count_macs(replace(cfg_l, time_skip=False), seconds=seconds).tac_total()
+    tac_skip = tac_macs(count_macs(cfg_l, seconds=seconds))
+    tac_full = tac_macs(count_macs(replace(cfg_l, time_skip=False), seconds=seconds))
     assert tac_full == 2 * tac_skip
 
     odd = count_macs(cfg_l, seconds=1.0)  # 63 frames
     odd_full = count_macs(replace(cfg_l, time_skip=False), seconds=1.0)
-    per_frame = odd_full.tac_total() / odd_full.frames
-    assert abs(odd_full.tac_total() - 2 * odd.tac_total()) <= per_frame + 1e-9
+    per_frame = tac_macs(odd_full) / odd_full.frames
+    assert abs(tac_macs(odd_full) - 2 * tac_macs(odd)) <= per_frame + 1e-9
 
     reduction = odd_full.total - odd.total
     assert reduction > 0
-    assert reduction == odd_full.tac_total() - odd.tac_total()
+    assert reduction == tac_macs(odd_full) - tac_macs(odd)
     report(f"PASS [C6] MACs: S = {gmacs:.3f} GMACs/s in [0.2, 0.8]; time-skip "
            f"halves TAC exactly (even frames) and cuts L by {reduction/1e6:.2f} MMACs")
 

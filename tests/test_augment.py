@@ -124,6 +124,15 @@ class TestMixSceneSignals:
         assert np.all(render.noise_label[:, :100] == 0)
         assert np.any(render.noise_label[:, 100:150] != 0)
 
+    @pytest.mark.parametrize("noise", ["background", "transients"])
+    def test_silent_speech_rejected_for_either_noise(self, rng, noise):
+        speakers = [(0, np.zeros(400), [unit_impulse(k) for k in range(4)], 1.0)]
+        kwargs = ({"background": rng.standard_normal(700), "background_snr_db": 5.0}
+                  if noise == "background"
+                  else {"transients": [(rng.standard_normal(50), 100, 0.0)]})
+        with pytest.raises(InvalidInput, match="signal is silent"):
+            mix_scene_signals(speakers, 4, **kwargs)
+
     def test_zone_collision_rejected(self, rng):
         speakers = self._speakers(rng, [1]) + self._speakers(rng, [1])
         with pytest.raises(InvalidManifest):
@@ -166,6 +175,8 @@ class TestManifest:
             "background": {"file": "noise.wav", "snr_db": 5.0},
         }
         assert SceneManifest.from_json(json.dumps(doc)) == manifest
+        # keys the renderer does not read, such as a "seed", are ignored
+        assert SceneManifest.from_json(json.dumps({**doc, "seed": 123})) == manifest
 
     def test_render_from_files(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng)

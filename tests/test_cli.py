@@ -125,15 +125,32 @@ class TestSeparate:
                      "--chunk-seconds", "1.0", "--out-dir", str(out)]) == 0
         assert (out / "zone1.wav").exists()
 
-    def test_malformed_config_exit_3_without_outputs(self, tmp_path, rng, weights_file):
-        config = tmp_path / "bad.cfg"
-        config.write_text(variant_config("S").to_text().replace("zones = 4", "zones = four"))
+    def test_config_flag_is_a_usage_error_without_outputs(self, tmp_path, rng):
+        mix = tmp_path / "mono.wav"
+        write_mixture(mix, rng, channels=1)
+        (tmp_path / "s.cfg").write_text("variant = S\n")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["separate", "--input", str(mix), "--config", str(tmp_path / "s.cfg"),
+                  "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_container_in_the_npz_format_loads(self, tmp_path, rng, weights_file):
+        # written as earlier versions' `save` wrote it, with S's fingerprint spelled out
+        container = tmp_path / "earlier.bin"
+        with open(container, "wb") as fh:
+            np.savez(fh, fingerprint=np.array("2d7d2eeb300f2520"),
+                     **ModelWeights.load(weights_file).tensors)
         mix = tmp_path / "mix.wav"
         write_mixture(mix, rng)
-        out = tmp_path / "o"
-        assert main(["separate", "--input", str(mix), "--weights", str(weights_file),
-                     "--config", str(config), "--out-dir", str(out)]) == 3
-        assert not out.exists()
+        outs = [tmp_path / "earlier", tmp_path / "current"]
+        for weights, out in zip((container, weights_file), outs):
+            assert main(["separate", "--input", str(mix), "--weights", str(weights),
+                         "--variant", "S", "--out-dir", str(out)]) == 0
+        for z in range(1, 5):
+            assert (outs[0] / f"zone{z}.wav").read_bytes() == \
+                (outs[1] / f"zone{z}.wav").read_bytes()
 
     def test_missing_weights_flag_exit_3(self, tmp_path, rng):
         mix = tmp_path / "mix.wav"
@@ -254,6 +271,19 @@ class TestSimulateAndEval:
         (scene_dir / "three_irs.json").write_text(json.dumps(manifest))
         out = scene_dir / "rendered"
         assert main(["simulate", "--manifest", str(scene_dir / "three_irs.json"),
+                     "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["background", "transients"])
+    def test_simulate_silent_speech_exit_2_without_outputs(self, scene_dir, noise):
+        write_wav(scene_dir / "speech.wav", np.zeros(4000), FS)
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        if noise == "transients":
+            del manifest["background"]
+            manifest["transients"] = [{"file": "noise.wav", "snr_db": 0.0}]
+        (scene_dir / "silent.json").write_text(json.dumps(manifest))
+        out = scene_dir / "rendered"
+        assert main(["simulate", "--manifest", str(scene_dir / "silent.json"),
                      "--out-dir", str(out)]) == 2
         assert not out.exists()
 
@@ -391,8 +421,6 @@ BAD_INPUTS = {
                               "--chunk-seconds nan --out-dir {out}"),
     "separate_chunk_inf": (3, "separate --input {mix} --weights {weights} "
                               "--chunk-seconds inf --out-dir {out}"),
-    "separate_ipd_pair_outside_zones": (3, "separate --input {mix} --weights {unmarked} "
-                                           "--config {ipd_config} --out-dir {out}"),
     "gen_duration_nan": (3, "ir gen --kind ess --duration nan --out {out}"),
     "gen_duration_inf": (3, "ir gen --kind ess --duration inf --out {out}"),
     "bench_seconds_negative": (2, "bench --variant S --seconds -1 --runs 1 --seed 0 "
@@ -483,14 +511,8 @@ def bad_container_files(tmp_path_factory, weights_file):
 
 @pytest.fixture
 def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
-    files = {"mix": tmp_path / "mix.wav", "out": tmp_path / "out",
-             "unmarked": tmp_path / "unmarked.bin", "ipd_config": tmp_path / "ipd.cfg",
-             **bad_container_files}
+    files = {"mix": tmp_path / "mix.wav", "out": tmp_path / "out", **bad_container_files}
     write_mixture(files["mix"], rng)
-    # no stored fingerprint, so the container loads under any config of its shapes
-    ModelWeights(ModelWeights.load(weights_file).tensors).save(files["unmarked"])
-    files["ipd_config"].write_text(
-        variant_config("S").to_text().replace("ipd_pair = 0,1", "ipd_pair = 0,9"))
     rooms = {"room_invalid_json": "{",
              "room_missing_dimensions": json.dumps(
                  {k: v for k, v in ROOM.items() if k != "dimensions"}),

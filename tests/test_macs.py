@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 from cabinsep.model import count_macs, count_params, required_shapes, variant_config
+from conftest import tac_macs
 
 
 class TestMacCounter:
@@ -18,16 +19,16 @@ class TestMacCounter:
     def test_time_skip_halves_tac_exactly_on_even_frames(self):
         cfg = variant_config("L")
         seconds = 1.024  # 64 frames at 62.5 frames/s
-        with_skip = count_macs(cfg, seconds=seconds).tac_total()
-        without = count_macs(replace(cfg, time_skip=False), seconds=seconds).tac_total()
+        with_skip = tac_macs(count_macs(cfg, seconds=seconds))
+        without = tac_macs(count_macs(replace(cfg, time_skip=False), seconds=seconds))
         assert without == 2 * with_skip
 
     def test_time_skip_odd_frame_remainder(self):
         cfg = variant_config("L")
         report = count_macs(cfg, seconds=1.0)  # 63 frames
         assert report.frames == 63
-        with_skip = report.tac_total()
-        without = count_macs(replace(cfg, time_skip=False), seconds=1.0).tac_total()
+        with_skip = tac_macs(report)
+        without = tac_macs(count_macs(replace(cfg, time_skip=False), seconds=1.0))
         per_frame = without / 63
         assert abs(without - 2 * with_skip) <= per_frame + 1e-9
 
@@ -38,7 +39,7 @@ class TestMacCounter:
         assert without.total - with_skip.total > 0
         # the whole reduction is attributable to the TAC
         assert without.total - with_skip.total == (
-            without.tac_total() - with_skip.tac_total())
+            tac_macs(without) - tac_macs(with_skip))
 
     def test_lookback_caps_attention_cost(self):
         cfg = variant_config("S")

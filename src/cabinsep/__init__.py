@@ -5,7 +5,6 @@ plus an impulse-response laboratory, a cabin scene synthesizer, evaluation
 metrics, and complexity accounting.
 """
 
-from . import augment, dsp, features, irlab, metrics, model, mvdr, pipeline
 from .errors import (
     CabinSepError,
     InvalidConfig,
@@ -17,15 +16,9 @@ from .errors import (
 
 __version__ = "0.1.0"
 
+# Submodules load on `from cabinsep import <name>`, not here: the IR lab and
+# scene synthesis import scipy.signal, which the separation path never runs.
 __all__ = [
-    "augment",
-    "dsp",
-    "features",
-    "irlab",
-    "metrics",
-    "model",
-    "mvdr",
-    "pipeline",
     "CabinSepError",
     "InvalidConfig",
     "InvalidInput",

@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import lfilter
 
-from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, analyze, convolve, read_wav
+from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, analyze, read_wav
 from .errors import InvalidInput, InvalidManifest
 from .irlab import (
     CABIN_MICS,
     ImpulseResponse,
     cabin_room,
+    convolve,
     read_ir,
     seat_position,
     simulate_ism_all,

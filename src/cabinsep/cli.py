@@ -7,6 +7,10 @@ takes its model from `--variant` (and `--chunk-seconds`), and exits 3 when
 the weight container was written for another architecture: other tensor
 shapes, or a stored fingerprint that differs from the configuration's (the
 attention lookback is not part of it).
+
+The `simulate` and `ir` handlers import the IR lab and scene synthesis
+themselves: both import scipy.signal, which `separate`, `eval`, `bench` and
+`init-weights` never run, so those commands start without it.
 """
 
 from __future__ import annotations
@@ -19,21 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import SceneManifest, mix_scene
 from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, read_wav, write_wav
 from .errors import InvalidConfig, InvalidInput, InvalidManifest, WeightShapeError
-from .irlab import (
-    ExcitationSpec,
-    RoomSpec,
-    cabin_room,
-    extract_ir,
-    gen_excitation,
-    inverse_filter_ess,
-    mix_ir_sets,
-    read_ir,
-    simulate_ism,
-    write_ir,
-)
 from .metrics import (
     PositioningEntry,
     PositioningResult,
@@ -103,18 +94,22 @@ def cmd_separate(args) -> int:
 
 def _load_ir_set(directory, zones: int):
     """Per-microphone IR set from a directory of mic0.wav .. mic{Z-1}.wav."""
+    from . import irlab
+
     directory = Path(directory)
     irs = []
     for m in range(zones):
         path = directory / f"mic{m}.wav"
         if not path.exists():
             raise InvalidInput(f"IR set {directory} is missing {path.name}")
-        irs.append(read_ir(path))
+        irs.append(irlab.read_ir(path))
     return irs
 
 
 def cmd_simulate(args) -> int:
-    manifest = SceneManifest.from_json(Path(args.manifest).read_text())
+    from . import augment, irlab
+
+    manifest = augment.SceneManifest.from_json(Path(args.manifest).read_text())
     irs_by_zone = None
     if args.strategy:
         if args.seed is None:
@@ -125,12 +120,12 @@ def cmd_simulate(args) -> int:
                     if args.recorded_ir_dir else None)
         rng = np.random.default_rng(args.seed)
         irs_by_zone = {
-            entry.zone: mix_ir_sets(simulated, recorded, args.strategy,
-                                    entry.zone, rng)
+            entry.zone: irlab.mix_ir_sets(simulated, recorded, args.strategy,
+                                          entry.zone, rng)
             for entry in manifest.speakers
         }
-    render = mix_scene(manifest, base_dir=Path(args.manifest).parent,
-                       irs_by_zone=irs_by_zone)
+    render = augment.mix_scene(manifest, base_dir=Path(args.manifest).parent,
+                               irs_by_zone=irs_by_zone)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -153,34 +148,42 @@ def cmd_simulate(args) -> int:
 # ir
 # ---------------------------------------------------------------------------
 
-def _excitation_spec(args) -> ExcitationSpec:
-    return ExcitationSpec(**_given(args, "kind", "f_start", "f_end", "duration",
-                                   "order", "length", "stretch"))
+def _excitation_spec(args):
+    from . import irlab
+
+    return irlab.ExcitationSpec(**_given(args, "kind", "f_start", "f_end", "duration",
+                                         "order", "length", "stretch"))
 
 
 def cmd_ir_gen(args) -> int:
+    from . import irlab
+
     spec = _excitation_spec(args)
-    signal = gen_excitation(spec)
+    signal = irlab.gen_excitation(spec)
     write_wav(args.out, signal, spec.sample_rate)
     if args.kind == "ess" and args.inverse_out:
-        write_wav(args.inverse_out, inverse_filter_ess(spec), spec.sample_rate)
+        write_wav(args.inverse_out, irlab.inverse_filter_ess(spec), spec.sample_rate)
     print(f"wrote {args.kind} excitation ({signal.shape[0]} samples) to {args.out}")
     return EXIT_OK
 
 
 def cmd_ir_extract(args) -> int:
+    from . import irlab
+
     spec = _excitation_spec(args)
     recording, _ = read_wav(args.recording)
-    ir = extract_ir(recording[0], spec, **_given(args, "ir_length"))
-    write_ir(args.out, ir)
+    ir = irlab.extract_ir(recording[0], spec, **_given(args, "ir_length"))
+    irlab.write_ir(args.out, ir)
     print(f"extracted {ir.taps.size}-tap IR to {args.out}")
     return EXIT_OK
 
 
 def cmd_ir_ism(args) -> int:
+    from . import irlab
+
     if args.room:
         try:
-            room = RoomSpec(**json.loads(Path(args.room).read_text()))
+            room = irlab.RoomSpec(**json.loads(Path(args.room).read_text()))
         except (json.JSONDecodeError, TypeError) as exc:
             raise InvalidInput(f"{args.room}: not a RoomSpec JSON object ({exc})") from None
     elif args.preset == "cabin":
@@ -190,11 +193,12 @@ def cmd_ir_ism(args) -> int:
             source = tuple(float(v) for v in args.source.split(","))
         except ValueError:
             raise InvalidInput(f"--source {args.source!r} is not x,y,z in meters") from None
-        room = cabin_room(source, **_given(args, "reflection", "max_order", "ir_length"))
+        room = irlab.cabin_room(source,
+                                **_given(args, "reflection", "max_order", "ir_length"))
     else:
         raise InvalidInput("provide --room FILE or --preset cabin")
-    ir = simulate_ism(room, args.mic)
-    write_ir(args.out, ir)
+    ir = irlab.simulate_ism(room, args.mic)
+    irlab.write_ir(args.out, ir)
     print(f"simulated IR (mic {args.mic}, {room.ir_length} taps) to {args.out}")
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Time-frequency analysis/synthesis, convolution, and WAV I/O.
+"""Time-frequency analysis/synthesis and WAV I/O.
 
 Shape conventions used across the package:
     waveforms     -- float arrays, (num_samples,) or (channels, num_samples)
@@ -9,12 +9,12 @@ Channel i of a multichannel file corresponds to cabin zone i+1.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
-from scipy.signal import fftconvolve, get_window
 
 from .errors import InvalidConfig, InvalidInput
 
@@ -50,8 +50,15 @@ class StftConfig:
         return self.fft_size // 2 + 1
 
     def window(self) -> np.ndarray:
-        # periodic window, the usual STFT choice
-        return get_window("hamming", self.window_length, fftbins=True)
+        """Periodic Hamming window, the usual STFT choice.
+
+        Bit-identical to scipy's `get_window("hamming", n, fftbins=True)`,
+        without importing `scipy.signal` on the separation path.
+        """
+        n = self.window_length
+        if n == 1:
+            return np.ones(1)
+        return 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
 def as_multichannel(wave: np.ndarray) -> np.ndarray:
@@ -145,30 +152,6 @@ def synthesize(
     return out
 
 
-def convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a waveform with an FIR response.
-
-    Uses the FFT method; agrees with the direct O(N*M) sum to better than
-    1e-6 relative.
-
-    Args:
-        x: (samples,) or (channels, samples) waveform.
-        taps: (taps,) FIR coefficients.
-
-    Returns:
-        Array of shape (..., len(x) + len(taps) - 1).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    taps = np.asarray(taps, dtype=np.float64)
-    if x.size == 0 or taps.size == 0:
-        raise InvalidInput("convolve requires non-empty operands")
-    if taps.ndim != 1:
-        raise InvalidInput("impulse response must be 1-D")
-    if x.ndim == 1:
-        return fftconvolve(x, taps, mode="full")
-    return fftconvolve(x, taps[None, :], mode="full", axes=-1)
-
-
 # ---------------------------------------------------------------------------
 # WAV files: read PCM 16/32-bit and float, write IEEE float 32-bit
 # ---------------------------------------------------------------------------
@@ -180,7 +163,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     """
     try:
         rate, data = wavfile.read(path)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, struct.error) as exc:
+        # struct.error: a file cut inside its RIFF or fmt header
         raise InvalidInput(f"cannot read WAV file {path}: {exc}") from exc
     if data.ndim == 1:
         data = data[:, None]

@@ -2,8 +2,9 @@
 
 Shoebox image-source simulation, excitation signals (exponential sweep,
 maximum-length sequence, time-stretched pulse), impulse-response extraction
-by deconvolution, and the strategies for assigning recorded vs simulated
-IRs to microphone channels when synthesizing scenes.
+by deconvolution, FIR convolution with an IR, and the strategies for
+assigning recorded vs simulated IRs to microphone channels when
+synthesizing scenes.
 """
 
 from __future__ import annotations
@@ -54,6 +55,30 @@ class ImpulseResponse:
             raise InvalidInput("impulse response must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.taps)):
             raise InvalidInput("impulse response contains non-finite taps")
+
+
+def convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Full linear convolution of a waveform with an FIR response.
+
+    Uses the FFT method; agrees with the direct O(N*M) sum to better than
+    1e-6 relative.
+
+    Args:
+        x: (samples,) or (channels, samples) waveform.
+        taps: (taps,) FIR coefficients.
+
+    Returns:
+        Array of shape (..., len(x) + len(taps) - 1).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    taps = np.asarray(taps, dtype=np.float64)
+    if x.size == 0 or taps.size == 0:
+        raise InvalidInput("convolve requires non-empty operands")
+    if taps.ndim != 1:
+        raise InvalidInput("impulse response must be 1-D")
+    if x.ndim == 1:
+        return fftconvolve(x, taps, mode="full")
+    return fftconvolve(x, taps[None, :], mode="full", axes=-1)
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ from cabinsep.augment import (
     snr_scale,
     synthetic_utterance,
 )
-from cabinsep.dsp import convolve, write_wav
+from cabinsep.dsp import write_wav
 from cabinsep.errors import InvalidInput, InvalidManifest
-from cabinsep.irlab import ImpulseResponse, write_ir
+from cabinsep.irlab import ImpulseResponse, convolve, write_ir
 
 FS = 16000
 

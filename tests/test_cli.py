@@ -1,12 +1,17 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import zipfile
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cabinsep
 from cabinsep.cli import main
 from cabinsep.dsp import read_wav, write_wav
 from cabinsep.irlab import (
@@ -37,6 +42,15 @@ def write_mixture(path, rng, channels=4, seconds=0.6):
     wave = rng.standard_normal((channels, int(seconds * FS))) * 0.05
     write_wav(path, wave, FS)
     return wave
+
+
+def write_cut_wav(path, size):
+    """A 4-channel WAV cut to its first `size` bytes, inside the RIFF or fmt header."""
+    write_wav(path, np.zeros((4, 1600)), FS)
+    path.write_bytes(path.read_bytes()[:size])
+
+
+CUT_SIZES = [4, 20, 30]
 
 
 class TestInitWeights:
@@ -177,6 +191,14 @@ class TestSeparate:
         assert not list(tmp_path.glob("o/zone*.wav"))
         assert not (out / "separate_report.json").exists()
 
+    @pytest.mark.parametrize("size", CUT_SIZES)
+    def test_wav_cut_inside_header_exit_2_without_outputs(self, tmp_path, weights_file, size):
+        write_cut_wav(tmp_path / "cut.wav", size)
+        out = tmp_path / "o"
+        assert main(["separate", "--input", str(tmp_path / "cut.wav"), "--weights",
+                     str(weights_file), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("loading", ["nan", "inf"])
     def test_non_finite_loading_exit_2_without_outputs(self, tmp_path, rng, weights_file,
                                                         loading):
@@ -199,6 +221,35 @@ class TestSeparate:
         for z in range(1, 5):
             zone, _ = read_wav(tmp / "out" / f"zone{z}.wav")
             assert zone.shape[-1] == FS // 5 and np.isfinite(zone).all()
+
+
+# Runs the commands of the separation path in a fresh interpreter and prints
+# whether scipy.signal was ever imported; the IR lab and scene synthesis are
+# its only users.
+_FRESH_SEPARATION_RUN = """
+import sys
+import cabinsep, cabinsep.pipeline, cabinsep.cli
+weights, mix, out = sys.argv[1:]
+assert cabinsep.cli.main(["init-weights", "--variant", "S", "--seed", "7", "--out", weights]) == 0
+assert cabinsep.cli.main(["separate", "--input", mix, "--weights", weights, "--out-dir", out]) == 0
+assert cabinsep.cli.main(["eval", "--est-dir", out, "--label-dir", out,
+                          "--report", out + "/eval.json"]) == 0
+print("scipy.signal" in sys.modules)
+"""
+
+
+def test_separation_path_never_imports_scipy_signal(tmp_path, rng):
+    write_mixture(tmp_path / "mix.wav", rng)
+    src = str(Path(cabinsep.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    result = subprocess.run(
+        [sys.executable, "-c", _FRESH_SEPARATION_RUN, str(tmp_path / "s.bin"),
+         str(tmp_path / "mix.wav"), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "zone4.wav").exists()
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 class TestSimulateAndEval:
@@ -312,7 +363,24 @@ class TestSimulateAndEval:
         assert zone3["si_snr_db"] == 60.0
 
 
+    @pytest.mark.parametrize("size", CUT_SIZES)
+    def test_eval_wav_cut_inside_header_exit_2_without_report(self, tmp_path, size):
+        write_cut_wav(tmp_path / "zone1.wav", size)
+        report = tmp_path / "eval.json"
+        assert main(["eval", "--est-dir", str(tmp_path), "--label-dir", str(tmp_path),
+                     "--report", str(report)]) == 2
+        assert not report.exists()
+
+
 class TestIrCommands:
+    @pytest.mark.parametrize("size", CUT_SIZES)
+    def test_extract_wav_cut_inside_header_exit_2_without_output(self, tmp_path, size):
+        write_cut_wav(tmp_path / "rec.wav", size)
+        out = tmp_path / "ir.wav"
+        assert main(["ir", "extract", "--kind", "mls", "--order", "8",
+                     "--recording", str(tmp_path / "rec.wav"), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_gen_and_extract_round_trip(self, tmp_path, rng):
         sweep_path = tmp_path / "sweep.wav"
         assert main(["ir", "gen", "--kind", "ess", "--duration", "1.0",

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
+from scipy.signal import get_window
 
 from cabinsep.dsp import (
     StftConfig,
     analyze,
-    convolve,
     num_frames,
     read_wav,
     synthesize,
@@ -15,14 +15,6 @@ from cabinsep.dsp import (
 from cabinsep.errors import InvalidConfig, InvalidInput
 
 FS = 16000
-
-
-def direct_convolve(x, h):
-    """Independent O(N*M) oracle for linear convolution."""
-    out = np.zeros(len(x) + len(h) - 1)
-    for m, tap in enumerate(h):
-        out[m : m + len(x)] += tap * x
-    return out
 
 
 class TestConfig:
@@ -41,6 +33,11 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
             StftConfig(**kwargs)
+
+    def test_window_equals_scipy_periodic_hamming(self):
+        for n in range(1, 2049):
+            cfg = StftConfig(fft_size=2048, window_length=n, hop=n)
+            np.testing.assert_array_equal(cfg.window(), get_window("hamming", n, fftbins=True))
 
 
 class TestAnalyze:
@@ -151,42 +148,6 @@ class TestSynthesize:
             cleaned[..., 0] = cleaned[..., 0].real
             cleaned[..., -1] = cleaned[..., -1].real
             np.testing.assert_array_equal(synthesize(spec, cfg), synthesize(cleaned, cfg))
-
-
-class TestConvolve:
-    def test_unit_impulse_identity(self, rng):
-        s = rng.standard_normal(300)
-        np.testing.assert_allclose(convolve(s, np.array([1.0]))[:300], s, atol=1e-12)
-
-    def test_shifted_impulse_delays(self, rng):
-        s = rng.standard_normal(200)
-        h = np.zeros(8)
-        h[5] = 1.0
-        out = convolve(s, h)
-        np.testing.assert_allclose(out[5 : 5 + 200], s, atol=1e-9)
-        assert np.max(np.abs(out[:5])) < 1e-12
-
-    def test_matches_direct_sum_on_100_random_cases(self, rng):
-        for _ in range(100):
-            x = rng.standard_normal(1024)
-            h = rng.standard_normal(128)
-            got = convolve(x, h)
-            want = direct_convolve(x, h)
-            scale = np.max(np.abs(want))
-            assert np.max(np.abs(got - want)) / scale < 1e-6
-
-    def test_empty_operands_rejected(self):
-        with pytest.raises(InvalidInput):
-            convolve(np.array([]), np.array([1.0]))
-        with pytest.raises(InvalidInput):
-            convolve(np.array([1.0]), np.array([]))
-
-    def test_multichannel_convolution(self, rng):
-        x = rng.standard_normal((3, 256))
-        h = rng.standard_normal(16)
-        out = convolve(x, h)
-        assert out.shape == (3, 271)
-        np.testing.assert_allclose(out[1], convolve(x[1], h), atol=1e-9)
 
 
 class TestWavIO:

@@ -14,6 +14,7 @@ from cabinsep.irlab import (
     _wrap_periodic,
     boundary_position,
     cabin_room,
+    convolve,
     extract_ir,
     gen_ess,
     gen_excitation,
@@ -42,6 +43,50 @@ def ncc(a, b):
 def test_ir():
     r = np.random.default_rng(0)
     return r.standard_normal(128) * np.exp(-np.arange(128) / 30.0)
+
+
+def direct_convolve(x, h):
+    """Independent O(N*M) oracle for linear convolution."""
+    out = np.zeros(len(x) + len(h) - 1)
+    for m, tap in enumerate(h):
+        out[m : m + len(x)] += tap * x
+    return out
+
+
+class TestConvolve:
+    def test_unit_impulse_identity(self, rng):
+        s = rng.standard_normal(300)
+        np.testing.assert_allclose(convolve(s, np.array([1.0]))[:300], s, atol=1e-12)
+
+    def test_shifted_impulse_delays(self, rng):
+        s = rng.standard_normal(200)
+        h = np.zeros(8)
+        h[5] = 1.0
+        out = convolve(s, h)
+        np.testing.assert_allclose(out[5 : 5 + 200], s, atol=1e-9)
+        assert np.max(np.abs(out[:5])) < 1e-12
+
+    def test_matches_direct_sum_on_100_random_cases(self, rng):
+        for _ in range(100):
+            x = rng.standard_normal(1024)
+            h = rng.standard_normal(128)
+            got = convolve(x, h)
+            want = direct_convolve(x, h)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) / scale < 1e-6
+
+    def test_empty_operands_rejected(self):
+        with pytest.raises(InvalidInput):
+            convolve(np.array([]), np.array([1.0]))
+        with pytest.raises(InvalidInput):
+            convolve(np.array([1.0]), np.array([]))
+
+    def test_multichannel_convolution(self, rng):
+        x = rng.standard_normal((3, 256))
+        h = rng.standard_normal(16)
+        out = convolve(x, h)
+        assert out.shape == (3, 271)
+        np.testing.assert_allclose(out[1], convolve(x[1], h), atol=1e-9)
 
 
 class TestIsm:

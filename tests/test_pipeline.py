@@ -1,12 +1,26 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.signal import get_window
 
-from cabinsep.dsp import analyze
+from cabinsep.dsp import StftConfig, analyze
 from cabinsep.errors import InvalidInput
+from cabinsep.model import init_random, variant_config
 from cabinsep.mvdr import MvdrConfig
 from cabinsep.pipeline import separate_waveform
 from conftest import bad_channel_wave, four_channel_kinds
+
+
+@pytest.mark.parametrize("variant", ["S", "M", "L"])
+def test_zones_equal_a_run_with_scipys_window(variant, monkeypatch):
+    # reference: the same run framed with scipy.signal's periodic Hamming window
+    cfg = variant_config(variant)
+    weights = init_random(cfg, 7)
+    wave = np.random.default_rng(0).standard_normal((4, 4000)) * 0.05
+    zones = separate_waveform(wave, weights, cfg).zones
+    monkeypatch.setattr(StftConfig, "window",
+                        lambda self: get_window("hamming", self.window_length, fftbins=True))
+    np.testing.assert_array_equal(separate_waveform(wave, weights, cfg).zones, zones)
 
 
 class TestSeparateWaveform:
@@ -28,7 +42,6 @@ class TestSeparateWaveform:
                               small_cfg, small_stft)
 
     def test_bins_mismatch_rejected(self, rng, small_cfg, small_weights):
-        from cabinsep.dsp import StftConfig
         with pytest.raises(InvalidInput):
             separate_waveform(rng.standard_normal((4, 1000)), small_weights,
                               small_cfg, StftConfig())

@@ -40,6 +40,8 @@ _SINC_HALF_WIDTH = 8  # 16-tap Hann-windowed sinc for fractional delays
 
 # longest IR or excitation in samples: the length an order-24 MLS allows
 _MAX_SAMPLES = 2**24
+# highest image order: 8 * 41**3 = 551 368 lattice candidates at this bound
+_MAX_ORDER = 20
 
 
 @dataclass
@@ -105,8 +107,10 @@ class RoomSpec:
         betas = self.reflection_pairs()
         if not np.all((betas >= 0.0) & (betas < 1.0)):  # NaN fails too
             raise InvalidConfig("reflection coefficients must lie in [0, 1)")
-        if self.max_order < 0:
-            raise InvalidConfig("max_order must be >= 0")
+        if not (0 <= self.max_order <= _MAX_ORDER):
+            raise InvalidConfig(f"max_order must be in [0, {_MAX_ORDER}], got {self.max_order}")
+        if self.sample_rate < 1:
+            raise InvalidConfig(f"sample_rate must be >= 1, got {self.sample_rate}")
         if not (1 <= self.ir_length <= _MAX_SAMPLES):
             raise InvalidConfig(f"ir_length must be in [1, {_MAX_SAMPLES}], got {self.ir_length}")
         positions = (("source", self.source), *((f"mic {i}", m) for i, m in enumerate(self.mics)))
@@ -159,19 +163,6 @@ def boundary_position(zone_a: int, zone_b: int) -> tuple[float, float, float]:
     return tuple(mid)
 
 
-def _add_arrival(taps: np.ndarray, delay_samples: float, amplitude: float) -> None:
-    n = taps.shape[0]
-    center = int(math.floor(delay_samples))
-    lo = max(center - _SINC_HALF_WIDTH + 1, 0)
-    hi = min(center + _SINC_HALF_WIDTH, n - 1)
-    if hi < lo:
-        return
-    offsets = np.arange(lo, hi + 1) - delay_samples
-    window = 0.5 * (1.0 + np.cos(np.pi * offsets / _SINC_HALF_WIDTH))
-    window[np.abs(offsets) > _SINC_HALF_WIDTH] = 0.0
-    taps[lo : hi + 1] += amplitude * np.sinc(offsets) * window
-
-
 def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
     """Image-source impulse response from the room's source to one microphone.
 
@@ -180,6 +171,12 @@ def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
     arrival lands at the fractional delay d / SPEED_OF_SOUND * sample_rate
     through a 16-tap Hann-windowed sinc. Taps of a sinc that would fall
     outside [0, ir_length) are dropped.
+
+    The lattice is enumerated at once, in the order of six nested loops
+    over p0, p1, p2 in {0, 1} and r0, r1, r2 in [-max_order, max_order],
+    and each tap sums its arrivals in that order. Floating-point addition
+    does not associate, so another order would move the last bits of the
+    taps, and with them every scene and IR file rendered from them.
     """
     if not (0 <= mic < len(room.mics)):
         raise InvalidInput(f"mic index {mic} out of range")
@@ -189,29 +186,33 @@ def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
     betas = room.reflection_pairs()
     order = room.max_order
     fs = room.sample_rate
-    taps = np.zeros(room.ir_length)
 
-    grid = range(-order, order + 1)
-    for p0 in (0, 1):
-        for p1 in (0, 1):
-            for p2 in (0, 1):
-                p = np.array([p0, p1, p2])
-                for r0 in grid:
-                    for r1 in grid:
-                        for r2 in grid:
-                            r = np.array([r0, r1, r2])
-                            near_hits = np.abs(r + p)
-                            far_hits = np.abs(r)
-                            if near_hits.sum() + far_hits.sum() > order:
-                                continue
-                            image = (1 - 2 * p) * source + 2 * r * dims
-                            dist = float(np.linalg.norm(image - mic_pos))
-                            if dist <= 0.0:
-                                continue
-                            gain = float(
-                                np.prod(betas[0] ** near_hits) * np.prod(betas[1] ** far_hits)
-                            ) / (4.0 * np.pi * dist)
-                            _add_arrival(taps, dist / SPEED_OF_SOUND * fs, gain)
+    # int8 holds every candidate: |r + p| <= _MAX_ORDER + 1 and |2 r| <= 2 * _MAX_ORDER
+    side = 2 * order + 1
+    lattice = np.indices((2, 2, 2, side, side, side), dtype=np.int8).reshape(6, -1).T
+    p, r = lattice[:, :3], lattice[:, 3:] - np.int8(order)
+    near_hits, far_hits = np.abs(r + p), np.abs(r)
+    keep = near_hits.sum(axis=1) + far_hits.sum(axis=1) <= order
+    p, r, near_hits, far_hits = p[keep], r[keep], near_hits[keep], far_hits[keep]
+
+    images = (1 - 2 * p) * source + 2 * r * dims
+    diff = images - mic_pos
+    # a stacked 3-vector matmul is the BLAS dot that np.linalg.norm takes;
+    # a row-wise sum of squares can differ from it in the last bit
+    dist = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
+    heard = dist > 0.0
+    near_hits, far_hits, dist = near_hits[heard], far_hits[heard], dist[heard]
+    gain = (np.prod(betas[0] ** near_hits, axis=1) * np.prod(betas[1] ** far_hits, axis=1)
+            / (4.0 * np.pi * dist))
+    delay = dist / SPEED_OF_SOUND * fs
+
+    idx = np.floor(delay).astype(np.int64)[:, None] + np.arange(
+        1 - _SINC_HALF_WIDTH, _SINC_HALF_WIDTH + 1)
+    offsets = idx - delay[:, None]
+    window = 0.5 * (1.0 + np.cos(np.pi * offsets / _SINC_HALF_WIDTH))
+    values = gain[:, None] * np.sinc(offsets) * window
+    inside = (idx >= 0) & (idx < room.ir_length)
+    taps = np.bincount(idx[inside], weights=values[inside], minlength=room.ir_length)
     return ImpulseResponse(taps=taps, sample_rate=fs)
 
 

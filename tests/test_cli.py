@@ -512,6 +512,12 @@ BAD_INPUTS = {
     "ism_room_unknown_key": (2, "ir ism --room {room_unknown_key} --mic 0 --out {out}"),
     "ism_room_reflection_not_numbers": (3, "ir ism --room {room_reflection_not_numbers} "
                                            "--mic 0 --out {out}"),
+    "ism_max_order_huge": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --mic 0 "
+                              "--max-order 1000000 --out {out}"),
+    "ism_room_sample_rate_zero": (3, "ir ism --room {room_sample_rate_zero} --mic 0 "
+                                     "--out {out}"),
+    "ism_room_sample_rate_negative": (3, "ir ism --room {room_sample_rate_negative} --mic 0 "
+                                         "--out {out}"),
     "eval_nan_estimate": (2, "eval --est-dir {est_nan} --label-dir {est} --true-zone 1 "
                              "--report {out}"),
     "eval_label_rate_mismatch": (2, "eval --est-dir {est} --label-dir {labels_8k} "
@@ -585,7 +591,9 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
              "room_missing_dimensions": json.dumps(
                  {k: v for k, v in ROOM.items() if k != "dimensions"}),
              "room_unknown_key": json.dumps({**ROOM, "absorption": 0.2}),
-             "room_reflection_not_numbers": json.dumps({**ROOM, "reflection": ["a"] * 6})}
+             "room_reflection_not_numbers": json.dumps({**ROOM, "reflection": ["a"] * 6}),
+             "room_sample_rate_zero": json.dumps({**ROOM, "sample_rate": 0}),
+             "room_sample_rate_negative": json.dumps({**ROOM, "sample_rate": -16000})}
     for name, text in rooms.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from scipy.signal import fftconvolve, hilbert
 from cabinsep.dsp import write_wav
 from cabinsep.errors import InvalidConfig, InvalidInput
 from cabinsep.irlab import (
+    CABIN_DIMENSIONS,
+    CABIN_MICS,
     CABIN_SEATS,
     ExcitationSpec,
     ImpulseResponse,
@@ -156,10 +159,108 @@ class TestIsm:
         peaks = [np.max(np.abs(ir.taps)) for ir in ir_all]
         assert int(np.argmax(peaks)) == 2
 
+    def test_max_order_bounded(self):
+        cabin_room(CABIN_SEATS[0], max_order=20)
+        for order in (-1, 21, 10**6):
+            with pytest.raises(InvalidConfig, match="max_order"):
+                cabin_room(CABIN_SEATS[0], max_order=order)
+
+    def test_sample_rate_positive(self):
+        room = dict(dimensions=CABIN_DIMENSIONS, source=CABIN_SEATS[0], mics=CABIN_MICS)
+        assert simulate_ism(RoomSpec(**room, sample_rate=1), 0).sample_rate == 1
+        for rate in (0, -16000):
+            with pytest.raises(InvalidConfig, match="sample_rate"):
+                RoomSpec(**room, sample_rate=rate)
+
     def test_boundary_position_is_midpoint(self):
         mid = boundary_position(0, 1)
         np.testing.assert_allclose(
             mid, 0.5 * (np.array(CABIN_SEATS[0]) + np.array(CABIN_SEATS[1])))
+
+
+def loop_ism(room: RoomSpec, mic: int) -> np.ndarray:
+    """The image-source lattice as six nested loops with one sinc per image.
+
+    This is how `simulate_ism` was written before it enumerated the lattice
+    as arrays; its taps are the reference the array code must equal bit for bit.
+    """
+    dims = np.asarray(room.dimensions)
+    source = np.asarray(room.source)
+    mic_pos = np.asarray(room.mics[mic])
+    betas = room.reflection_pairs()
+    order = room.max_order
+    fs = room.sample_rate
+    taps = np.zeros(room.ir_length)
+
+    def add_arrival(delay_samples, amplitude):
+        n = taps.shape[0]
+        center = int(math.floor(delay_samples))
+        lo = max(center - 8 + 1, 0)
+        hi = min(center + 8, n - 1)
+        if hi < lo:
+            return
+        offsets = np.arange(lo, hi + 1) - delay_samples
+        window = 0.5 * (1.0 + np.cos(np.pi * offsets / 8))
+        window[np.abs(offsets) > 8] = 0.0
+        taps[lo : hi + 1] += amplitude * np.sinc(offsets) * window
+
+    grid = range(-order, order + 1)
+    for p0 in (0, 1):
+        for p1 in (0, 1):
+            for p2 in (0, 1):
+                p = np.array([p0, p1, p2])
+                for r0 in grid:
+                    for r1 in grid:
+                        for r2 in grid:
+                            r = np.array([r0, r1, r2])
+                            near_hits = np.abs(r + p)
+                            far_hits = np.abs(r)
+                            if near_hits.sum() + far_hits.sum() > order:
+                                continue
+                            image = (1 - 2 * p) * source + 2 * r * dims
+                            dist = float(np.linalg.norm(image - mic_pos))
+                            if dist <= 0.0:
+                                continue
+                            gain = float(
+                                np.prod(betas[0] ** near_hits) * np.prod(betas[1] ** far_hits)
+                            ) / (4.0 * np.pi * dist)
+                            add_arrival(dist / C * fs, gain)
+    return taps
+
+
+SHOEBOX = dict(dimensions=(4.0, 3.0, 2.5), source=(1.3, 0.7, 1.1),
+               mics=((2.9, 2.2, 1.6), (0.4, 2.7, 0.3)), ir_length=4096)
+
+
+class TestIsmMatchesLoop:
+    @pytest.mark.parametrize("position", [*CABIN_SEATS, boundary_position(0, 2)])
+    def test_cabin_preset(self, position):
+        room = cabin_room(position)
+        for m in range(len(room.mics)):
+            assert np.array_equal(simulate_ism(room, m).taps, loop_ism(room, m))
+
+    @pytest.mark.parametrize("reflection", [0.6, (0.1, 0.9, 0.35, 0.0, 0.7, 0.5)])
+    @pytest.mark.parametrize("max_order", range(6))
+    def test_orders_and_reflections(self, max_order, reflection):
+        room = RoomSpec(**SHOEBOX, reflection=reflection, max_order=max_order)
+        for m in range(len(room.mics)):
+            assert np.array_equal(simulate_ism(room, m).taps, loop_ism(room, m))
+
+    @pytest.mark.parametrize("ir_length", [1, 9, 20, 40])
+    def test_short_ir_clips_and_drops_sincs(self, ir_length):
+        # the direct path lands near tap 13 at mic 0: at 9 and 20 taps its sinc
+        # is clipped, and later arrivals fall wholly past the end
+        room = cabin_room(CABIN_SEATS[0], ir_length=ir_length)
+        direct = np.linalg.norm(np.subtract(CABIN_SEATS[0], CABIN_MICS[0])) / C * FS
+        assert 8 < direct < 20
+        for m in range(len(room.mics)):
+            assert np.array_equal(simulate_ism(room, m).taps, loop_ism(room, m))
+
+    def test_source_on_a_microphone_skips_its_direct_path(self):
+        room = RoomSpec(dimensions=CABIN_DIMENSIONS,
+                        source=CABIN_MICS[1], mics=CABIN_MICS, max_order=2)
+        for m in range(len(room.mics)):
+            assert np.array_equal(simulate_ism(room, m).taps, loop_ism(room, m))
 
 
 class TestEss:

@@ -42,6 +42,8 @@ _SINC_HALF_WIDTH = 8  # 16-tap Hann-windowed sinc for fractional delays
 _MAX_SAMPLES = 2**24
 # highest image order: 8 * 41**3 = 551 368 lattice candidates at this bound
 _MAX_ORDER = 20
+# largest room side in metres; a car cabin is under 3 m
+_MAX_DIMENSION = 100.0
 
 
 @dataclass
@@ -117,6 +119,9 @@ class RoomSpec:
         for name, pos in (("dimensions", self.dimensions), *positions):
             if len(pos) != 3:
                 raise InvalidInput(f"{name} {pos} must have exactly three coordinates")
+        if not all(0.0 < d <= _MAX_DIMENSION for d in self.dimensions):  # NaN fails too
+            raise InvalidConfig(
+                f"dimensions {self.dimensions} must lie in (0, {_MAX_DIMENSION:g}] m")
         for name, pos in positions:
             if not all(0.0 < p < d for p, d in zip(pos, self.dimensions)):
                 raise InvalidInput(f"{name} position {pos} is not strictly inside the room")

@@ -11,11 +11,14 @@ and the beamformer weight for zone i is
     w = loaded_noise^-1 @ speech @ e_i / trace(loaded_noise^-1 @ speech)
 
 with diagonal loading `loading * trace/Z * I` applied to the noise
-covariance. A Cholesky factorization checks that the loaded covariance is
-positive definite, and a linear solve, with no explicit inverse, forms
-`loaded_noise^-1 @ speech`. A degenerate trace (or a non-positive-definite
-covariance) falls back to passthrough of the reference microphone, which
-for zone i is microphone i.
+covariance (the trace-normalized MVDR of Souden, Benesty and Affes, IEEE
+TASLP 2010). `_solve` factors every loaded noise covariance as L L^H in
+numpy array ops over all zones and bins at once, and forward- and
+back-substitutes the speech covariance through L, with no explicit inverse
+and no LAPACK call. A pivot <= 0 or NaN marks the zone's covariance as not
+positive definite, and the zone falls back to passthrough of its reference
+microphone, which for zone i is microphone i; so does each bin with a
+degenerate trace.
 """
 
 from __future__ import annotations
@@ -110,14 +113,73 @@ def update_covariances(state: BeamformerState, snapshot: np.ndarray,
     return state
 
 
-def _loaded(noise_cov: np.ndarray, loading: float) -> np.ndarray:
-    """Diagonal loading scaled by the per-bin mean eigenvalue (trace / Z)."""
-    bins, z = noise_cov.shape[:2]
-    trace = np.trace(noise_cov, axis1=-2, axis2=-1).real
-    loaded = noise_cov.copy()
-    diagonal = loaded.reshape(bins, z * z)[:, :: z + 1]  # a view into the copy
-    diagonal += (loading * np.maximum(trace, _TRACE_EPS) / z)[:, None]
-    return loaded
+def _solve(state: BeamformerState, zones: slice) -> tuple[np.ndarray, np.ndarray]:
+    """MVDR weights for the given zones, all bins at once, in numpy array ops.
+
+    Each loaded noise covariance is factored as L L^H by the Cholesky
+    recursion, one array op per matrix entry over the whole (zones, bins)
+    plane; the loading is added to the pivots. The Z columns of the speech
+    covariance are then forward- and back-substituted, which gives
+    loaded_noise^-1 @ speech. Every op is elementwise, so a zone's rows do
+    not depend on which other zones are solved with it.
+
+    Args:
+        zones: the n zones to solve, a slice, so that the covariances are read
+            through views rather than copied.
+
+    Returns:
+        weights: (n, bins, Z) complex; bins with a degenerate trace get the
+            one-hot passthrough toward the zone's reference microphone. Rows
+            of a zone that is not positive definite are meaningless.
+        positive_definite: (n,) bool; False where a pivot of any bin was
+            <= 0 or NaN.
+    """
+    z = state.zones
+    ids = np.arange(z)[zones]
+    # entry-major views: noise[i, j] is an (n, bins) plane, speech[i] (Z, n, bins)
+    noise = state.noise_cov[zones].transpose(2, 3, 0, 1)
+    speech = state.speech_cov[zones].transpose(2, 3, 0, 1)
+    trace = sum(noise[i, i].real for i in range(z))
+    load = state.loading * np.maximum(trace, _TRACE_EPS) / z
+    failed = np.zeros(trace.shape, dtype=bool)
+    lower = [[None] * z for _ in range(z)]
+    lower_conj = [[None] * z for _ in range(z)]
+    scale = [None] * z  # 1 / L[j, j]
+    for j in range(z):
+        pivot = noise[j, j].real + load
+        for k in range(j):
+            pivot -= (lower[j][k] * lower_conj[j][k]).real
+        ok = pivot > 0.0  # NaN fails too
+        failed |= ~ok
+        # a failed pivot is replaced by 1, so it reaches neither sqrt nor 1/x
+        scale[j] = (1.0 / np.sqrt(np.where(ok, pivot, 1.0))).astype(np.complex128)
+        for i in range(j + 1, z):
+            entry = noise[i, j]
+            for k in range(j):
+                entry = entry - lower[i][k] * lower_conj[j][k]
+            lower[i][j] = entry * scale[j]
+            lower_conj[i][j] = np.conj(lower[i][j])
+    # L Y = speech, then L^H X = Y, row by row; each row holds all Z columns
+    rows = [None] * z
+    for i in range(z):
+        row = np.ascontiguousarray(speech[i])
+        for k in range(i):
+            row = row - lower[i][k] * rows[k]
+        rows[i] = row * scale[i]
+    for i in reversed(range(z)):
+        row = rows[i]
+        for k in range(i + 1, z):
+            row = row - lower_conj[k][i] * rows[k]
+        rows[i] = row * scale[i]
+    ratio_trace = sum(rows[i][i] for i in range(z))
+    # zone m's weights are column ids[m] of its ratio: (n, bins, Z)
+    column = np.stack([row[ids, np.arange(len(ids))] for row in rows], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = column / ratio_trace[..., None]
+    ok = np.abs(ratio_trace) >= _TRACE_EPS  # a NaN trace fails too
+    if not ok.all():
+        weights[~ok] = np.eye(z)[ids[np.nonzero(~ok)[0]]]
+    return weights, ~failed.any(axis=1)
 
 
 def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
@@ -128,27 +190,17 @@ def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
         one-hot passthrough toward the zone's reference microphone.
 
     Raises:
-        NumericalError: the loaded noise covariance was not invertible.
+        NumericalError: the loaded noise covariance was not positive definite.
     """
     if state.frame_count < 1:
         raise InvalidInput("compute_weights requires at least one processed frame")
     if not (0 <= zone < state.zones):
         raise InvalidInput(f"zone {zone} out of range")
-    loaded = _loaded(state.noise_cov[zone], state.loading)
-    try:
-        np.linalg.cholesky(loaded)  # raises LinAlgError if any matrix is not PD
-    except np.linalg.LinAlgError as exc:
+    weights, positive_definite = _solve(state, slice(zone, zone + 1))
+    if not positive_definite[0]:
         raise NumericalError(
-            f"noise covariance for zone {zone} not invertible despite loading"
-        ) from exc
-    ratio = np.linalg.solve(loaded, state.speech_cov[zone])  # (F, Z, Z)
-    trace = np.trace(ratio, axis1=-2, axis2=-1)    # (F,)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = ratio[:, :, zone] / trace[:, None]
-    ok = np.abs(trace) >= _TRACE_EPS  # a NaN trace fails too
-    if not ok.all():
-        weights[~ok] = np.eye(state.zones)[zone]
-    return weights
+            f"noise covariance for zone {zone} not invertible despite loading")
+    return weights[0]
 
 
 def apply_weights(weights: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
@@ -198,16 +250,15 @@ def separate_stream(spec: np.ndarray, masks: MaskPair,
     for t in range(frames):
         snapshot = spec[:, t, :]
         update_covariances(state, snapshot, masks.speech[:, t, :], masks.noise[:, t, :])
+        weights, positive_definite = _solve(state, slice(None))
         for zone in range(z):
-            try:
-                weights = compute_weights(state, zone)
-            except NumericalError:
-                if zone not in fallback_zones:
-                    logger.warning(
-                        "zone %d: covariance inversion failed at frame %d, "
-                        "passing reference microphone through", zone, t)
-                    fallback_zones.add(zone)
-                out[zone, t, :] = snapshot[zone]
-            else:
-                out[zone, t, :] = apply_weights(weights, snapshot)
+            if positive_definite[zone]:
+                out[zone, t, :] = apply_weights(weights[zone], snapshot)
+                continue
+            if zone not in fallback_zones:
+                logger.warning(
+                    "zone %d: covariance inversion failed at frame %d, "
+                    "passing reference microphone through", zone, t)
+                fallback_zones.add(zone)
+            out[zone, t, :] = snapshot[zone]
     return out

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -518,6 +519,8 @@ BAD_INPUTS = {
                                      "--out {out}"),
     "ism_room_sample_rate_negative": (3, "ir ism --room {room_sample_rate_negative} --mic 0 "
                                          "--out {out}"),
+    "ism_room_dimension_infinite": (3, "ir ism --room {room_dimension_infinite} --mic 0 "
+                                       "--out {out}"),
     "eval_nan_estimate": (2, "eval --est-dir {est_nan} --label-dir {est} --true-zone 1 "
                              "--report {out}"),
     "eval_label_rate_mismatch": (2, "eval --est-dir {est} --label-dir {labels_8k} "
@@ -593,7 +596,9 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
              "room_unknown_key": json.dumps({**ROOM, "absorption": 0.2}),
              "room_reflection_not_numbers": json.dumps({**ROOM, "reflection": ["a"] * 6}),
              "room_sample_rate_zero": json.dumps({**ROOM, "sample_rate": 0}),
-             "room_sample_rate_negative": json.dumps({**ROOM, "sample_rate": -16000})}
+             "room_sample_rate_negative": json.dumps({**ROOM, "sample_rate": -16000}),
+             "room_dimension_infinite": json.dumps(
+                 {**ROOM, "dimensions": [math.inf, 2.0, 1.5]})}
     for name, text in rooms.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)

@@ -172,6 +172,13 @@ class TestIsm:
             with pytest.raises(InvalidConfig, match="sample_rate"):
                 RoomSpec(**room, sample_rate=rate)
 
+    def test_dimensions_finite_positive_and_bounded(self):
+        room = dict(source=(0.5, 0.5, 0.5), mics=((0.6, 0.6, 0.6),))
+        RoomSpec(dimensions=(100.0, 100.0, 100.0), **room)
+        for bad in (math.inf, math.nan, 100.5, 1e308, 0.0, -3.0):
+            with pytest.raises(InvalidConfig, match="dimensions"):
+                RoomSpec(dimensions=(bad, 2.0, 1.5), **room)
+
     def test_boundary_position_is_midpoint(self):
         mid = boundary_position(0, 1)
         np.testing.assert_allclose(

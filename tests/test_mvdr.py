@@ -1,10 +1,11 @@
+import logging
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cabinsep.errors import InvalidInput
+from cabinsep.errors import InvalidInput, NumericalError
 from cabinsep.model.network import MaskPair
 from cabinsep.mvdr import (
     BeamformerState,
@@ -245,8 +246,42 @@ class TestWeights:
             error = np.linalg.norm(compute_weights(state, zone) - expected, axis=1)
             assert np.all(error <= 1e-10 * np.linalg.norm(expected, axis=1))
 
+    @pytest.mark.parametrize("zones", [2, 3, 4, 8])
+    def test_matches_lapack_solve(self, rng, zones):
+        bins = 16
+        state = BeamformerState(zones=zones, bins=bins, forgetting=0.95)
+        for _ in range(3 * zones):
+            update_covariances(state, random_snapshot(rng, zones=zones, bins=bins),
+                               rng.uniform(0, 1, (zones, bins)),
+                               rng.uniform(0, 1, (zones, bins)))
+        for zone in range(zones):
+            noise = state.noise_cov[zone]
+            trace = np.trace(noise, axis1=-2, axis2=-1).real
+            loaded = noise + (state.loading * trace / zones)[:, None, None] * np.eye(zones)
+            ratio = np.linalg.solve(loaded, state.speech_cov[zone])
+            expected = ratio[:, :, zone] / np.trace(ratio, axis1=-2, axis2=-1)[:, None]
+            error = np.linalg.norm(compute_weights(state, zone) - expected, axis=1)
+            assert np.all(error <= 1e-12 * np.linalg.norm(expected, axis=1))
+
+    def test_non_positive_definite_zone_fails_alone_and_quietly(self, rng):
+        zones, bins = 4, 6
+        state = BeamformerState(zones=zones, bins=bins)
+        for _ in range(10):
+            update_covariances(state, random_snapshot(rng, bins=bins),
+                               rng.uniform(0, 1, (zones, bins)),
+                               rng.uniform(0, 1, (zones, bins)))
+        healthy = {zone: compute_weights(state, zone) for zone in (0, 3)}
+        state.noise_cov[1, 2] = -np.eye(zones)      # negative pivot in one bin
+        state.noise_cov[2, 4, 1, 1] = np.nan        # NaN pivot in one bin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # bad pivots reach neither sqrt nor 1/x
+            for zone in (1, 2):
+                with pytest.raises(NumericalError):
+                    compute_weights(state, zone)
+            for zone, weights in healthy.items():
+                np.testing.assert_array_equal(compute_weights(state, zone), weights)
+
     def test_non_invertible_covariance_raises_numerical_error(self):
-        from cabinsep.errors import NumericalError
         state = BeamformerState(zones=3, bins=2, loading=1e-4)
         state.noise_cov[:] = -np.eye(3)  # negative definite despite loading
         state.speech_cov[:] = np.eye(3)
@@ -302,19 +337,52 @@ class TestStream:
         with pytest.raises(InvalidInput):
             separate_stream(spec, masks)
 
-    def test_stream_survives_inversion_failure_with_passthrough(self, rng,
-                                                                monkeypatch):
-        from cabinsep import mvdr as mvdr_module
-        from cabinsep.errors import NumericalError
+    def test_stream_survives_inversion_failure_with_passthrough(self, rng, caplog):
+        # with no loading, a bin where zone 0 hears no interference leaves its
+        # noise covariance exactly zero there: a zero pivot in every frame
+        zones, frames, bins, bad_bin = 4, 12, 9, 3
+        spec = random_spectrogram(rng, zones=zones, frames=frames, bins=bins)
+        speech = rng.uniform(0, 1, (zones, frames, bins))
+        noise = rng.uniform(0, 1, (zones, frames, bins))
+        speech[1:, :, bad_bin] = 0.0
+        noise[0, :, bad_bin] = 0.0
+        with caplog.at_level(logging.WARNING, logger="cabinsep.mvdr"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")  # the failed pivots stay quiet
+            out = separate_stream(spec, MaskPair(speech, noise), MvdrConfig(loading=0.0))
+        np.testing.assert_array_equal(out[0], spec[0])
+        state = BeamformerState(zones=zones, bins=bins, loading=0.0)
+        failed, solved = set(), set()
+        for t in range(frames):
+            update_covariances(state, spec[:, t], speech[:, t], noise[:, t])
+            for zone in range(zones):
+                try:
+                    w = compute_weights(state, zone)
+                except NumericalError:
+                    failed.add(zone)
+                    np.testing.assert_array_equal(out[zone, t], spec[zone, t])
+                else:
+                    solved.add(zone)
+                    np.testing.assert_array_equal(out[zone, t], apply_weights(w, spec[:, t]))
+        assert 0 in failed and solved == {1, 2, 3}
+        assert sorted(record.args[0] for record in caplog.records) == sorted(failed)
 
-        def always_fail(state, zone):
-            raise NumericalError("forced")
-
-        monkeypatch.setattr(mvdr_module, "compute_weights", always_fail)
-        spec = random_spectrogram(rng, zones=3, frames=4, bins=5)
-        masks = MaskPair(rng.uniform(0, 1, (3, 4, 5)), rng.uniform(0, 1, (3, 4, 5)))
-        out = mvdr_module.separate_stream(spec, masks)
-        np.testing.assert_array_equal(out, spec)  # reference channels pass through
+    @settings(max_examples=40, deadline=None)
+    @given(zones=st.integers(2, 8), bins=st.integers(1, 20), frames=st.integers(1, 6),
+           forgetting=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_stream_applies_the_per_zone_weights_bit_for_bit(self, zones, bins, frames,
+                                                            forgetting, seed):
+        # separate_stream solves all zones together; compute_weights solves one
+        r = np.random.default_rng(seed)
+        spec = random_spectrogram(r, zones=zones, frames=frames, bins=bins)
+        masks = MaskPair(r.uniform(0, 1, spec.shape), r.uniform(0, 1, spec.shape))
+        out = separate_stream(spec, masks, MvdrConfig(forgetting=forgetting))
+        state = BeamformerState(zones=zones, bins=bins, forgetting=forgetting)
+        for t in range(frames):
+            update_covariances(state, spec[:, t], masks.speech[:, t], masks.noise[:, t])
+            for zone in range(zones):
+                want = apply_weights(compute_weights(state, zone), spec[:, t])
+                assert np.array_equal(out[zone, t], want)
 
     @settings(max_examples=60, deadline=None)
     @given(forgetting=st.floats(0.0, 1.0, exclude_min=True), zones=st.integers(2, 4),

@@ -275,7 +275,7 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
-    cfg = variant_config(args.variant)
+    cfg = variant_config(args.variant, **_given(args, "chunk_lookback_seconds"))
     macs = count_macs(cfg, seconds=args.seconds)  # rejects a bad length before the wave is built
     weights = init_random(cfg, args.seed)
     rng = np.random.default_rng(args.seed)
@@ -288,6 +288,7 @@ def cmd_bench(args) -> int:
     rtf = rtf_benchmark(run, args.seconds, runs=args.runs)
     report = {
         "variant": args.variant,
+        "chunk_lookback_seconds": cfg.chunk_lookback_seconds,
         "params": count_params(cfg),
         "gmacs_per_second": macs.gmacs_per_second,
         "mac_items": macs.items,
@@ -395,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seconds", type=float, default=4.0)
     bench.add_argument("--runs", type=int, default=5)
     bench.add_argument("--seed", type=int, required=True)
+    bench.add_argument("--chunk-seconds", dest="chunk_lookback_seconds", type=float,
+                       help="limit conformer attention lookback")
     bench.add_argument("--report")
     bench.set_defaults(func=cmd_bench)
 

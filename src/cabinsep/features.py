@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidInput
+# Owned here rather than by `ModelConfig`, which refers to them, so that this
+# module imports nothing from `cabinsep.model`.
+LPS_FLOOR = 1e-10
+IPD_PAIR = (0, 1)  # front-row microphones
 
 
 def stack_real_imag(spec: np.ndarray) -> np.ndarray:
@@ -22,17 +25,15 @@ def stack_real_imag(spec: np.ndarray) -> np.ndarray:
     return np.concatenate([spec.real, spec.imag], axis=0)
 
 
-def compute_lps(spec: np.ndarray, floor: float) -> np.ndarray:
-    """Log power spectrum log(max(|Y|^2, floor)), one channel per microphone."""
-    if floor <= 0:
-        raise InvalidConfig(f"LPS floor must be positive, got {floor}")
+def compute_lps(spec: np.ndarray) -> np.ndarray:
+    """Log power spectrum log(max(|Y|^2, LPS_FLOOR)), one channel per microphone."""
     spec = np.asarray(spec)
     power = spec.real**2 + spec.imag**2
-    return np.log(np.maximum(power, floor))
+    return np.log(np.maximum(power, LPS_FLOOR))
 
 
-def compute_ipd(spec: np.ndarray, mic_a: int, mic_b: int) -> np.ndarray:
-    """Inter-microphone phase difference encoded as (cos, sin).
+def compute_ipd(spec: np.ndarray) -> np.ndarray:
+    """Phase difference of the IPD_PAIR microphones (a, b) encoded as (cos, sin).
 
     Channel 0 is cos(angle(Y_a) - angle(Y_b)), channel 1 the sine. Bins
     where a channel is exactly zero use angle(0) = 0, so identical zero
@@ -40,18 +41,11 @@ def compute_ipd(spec: np.ndarray, mic_a: int, mic_b: int) -> np.ndarray:
 
     Args:
         spec: (Z, ..., F) complex spectrogram, Z >= 2.
-        mic_a, mic_b: distinct channel indices.
 
     Returns:
         (2, ..., F) real array with values in [-1, 1].
     """
     spec = np.asarray(spec)
-    n_chan = spec.shape[0]
-    if mic_a == mic_b:
-        raise InvalidInput("IPD microphone indices must differ")
-    if not (0 <= mic_a < n_chan and 0 <= mic_b < n_chan):
-        raise InvalidInput(
-            f"IPD microphone indices ({mic_a}, {mic_b}) out of range for {n_chan} channels"
-        )
+    mic_a, mic_b = IPD_PAIR
     theta = np.angle(spec[mic_a]) - np.angle(spec[mic_b])
     return np.stack([np.cos(theta), np.sin(theta)], axis=0)

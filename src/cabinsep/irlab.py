@@ -284,10 +284,8 @@ class ExcitationSpec:
         return self.length
 
 
-def gen_ess(spec: ExcitationSpec) -> np.ndarray:
+def _gen_ess(spec: ExcitationSpec) -> np.ndarray:
     """Unit-amplitude exponential sine sweep sin(2 pi f1 L (e^{t/L} - 1))."""
-    if spec.kind != "ess":
-        raise InvalidConfig("spec.kind must be 'ess'")
     n = spec.num_samples()
     t = np.arange(n) / spec.sample_rate
     rate = math.log(spec.f_end / spec.f_start)
@@ -300,7 +298,9 @@ def inverse_filter_ess(spec: ExcitationSpec) -> np.ndarray:
 
     Scaled so that conv(sweep, inverse) has unit peak.
     """
-    sweep = gen_ess(spec)
+    if spec.kind != "ess":
+        raise InvalidConfig("spec.kind must be 'ess'")
+    sweep = _gen_ess(spec)
     n = sweep.shape[0]
     t = np.arange(n) / spec.sample_rate
     rate = math.log(spec.f_end / spec.f_start)
@@ -310,15 +310,13 @@ def inverse_filter_ess(spec: ExcitationSpec) -> np.ndarray:
     return inverse / np.max(np.abs(pulse))
 
 
-def gen_mls(order: int) -> np.ndarray:
+def _gen_mls(spec: ExcitationSpec) -> np.ndarray:
     """Maximum-length +/-1 sequence of length 2^order - 1.
 
     Taps come from scipy's per-order primitive polynomials; bits map
     1 -> -1, 0 -> +1.
     """
-    if not (2 <= order <= 24):
-        raise InvalidConfig("MLS order must be in [2, 24]")
-    bits, _ = max_len_seq(order)
+    bits, _ = max_len_seq(spec.order)
     return 1.0 - 2.0 * bits.astype(np.float64)
 
 
@@ -333,19 +331,15 @@ def _tsp_spectrum(length: int, stretch: int) -> np.ndarray:
     return spectrum
 
 
-def gen_tsp(length: int, stretch: int | None = None) -> np.ndarray:
+def _gen_tsp(spec: ExcitationSpec) -> np.ndarray:
     """Real time-stretched pulse: flat magnitude, quadratic phase."""
-    spec = ExcitationSpec(kind="tsp", length=length, stretch=stretch)
     spectrum = _tsp_spectrum(spec.length, spec.tsp_stretch)
-    return np.fft.irfft(spectrum, n=length)
+    return np.fft.irfft(spectrum, n=spec.length)
 
 
 def gen_excitation(spec: ExcitationSpec) -> np.ndarray:
-    if spec.kind == "ess":
-        return gen_ess(spec)
-    if spec.kind == "mls":
-        return gen_mls(spec.order)
-    return gen_tsp(spec.length, spec.stretch)
+    """The excitation signal `spec` describes."""
+    return {"ess": _gen_ess, "mls": _gen_mls, "tsp": _gen_tsp}[spec.kind](spec)
 
 
 def extract_ir(recording: np.ndarray, spec: ExcitationSpec,
@@ -374,7 +368,7 @@ def extract_ir(recording: np.ndarray, spec: ExcitationSpec,
         pulse = fftconvolve(recording, inverse)
         taps = pulse[n_exc - 1 : n_exc - 1 + ir_length]
     elif spec.kind == "mls":
-        seq = gen_mls(spec.order)
+        seq = _gen_mls(spec)
         wrapped = _wrap_periodic(recording, n_exc)
         xcorr = np.fft.irfft(np.fft.rfft(wrapped) * np.conj(np.fft.rfft(seq)), n=n_exc)
         total = xcorr.sum()

@@ -348,8 +348,8 @@ class StreamingMaskNet:
         if not np.isfinite(snapshot).all():
             raise InvalidInput("frame contains non-finite values")
         spec_feat = features.stack_real_imag(snapshot)
-        lps = features.compute_lps(snapshot, self.cfg.lps_floor)
-        ipd = features.compute_ipd(snapshot, *self.cfg.ipd_pair)
+        lps = features.compute_lps(snapshot)
+        ipd = features.compute_ipd(snapshot)
 
         x = self.encoder.step(spec_feat, lps, ipd)
         selected = not self.cfg.time_skip or self.frame_index % 2 == 0

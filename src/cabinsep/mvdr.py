@@ -204,16 +204,17 @@ def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
 
 
 def apply_weights(weights: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
-    """Beamform one frame: X[f] = w[f]^H y[f].
+    """Beamform one frame: X[f] = w[f]^H y[f], for one zone or several.
 
     Args:
-        weights: (bins, Z) complex.
+        weights: (..., bins, Z) complex, e.g. (bins, Z) for one zone or
+            (zones, bins, Z) for all of them.
         snapshot: (Z, bins) complex.
 
     Returns:
-        (bins,) complex beamformed frame.
+        (..., bins) complex beamformed frame(s).
     """
-    return np.einsum("fz,zf->f", np.conj(weights), snapshot)
+    return np.einsum("...fz,zf->...f", np.conj(weights), snapshot)
 
 
 def separate_stream(spec: np.ndarray, masks: MaskPair,
@@ -251,14 +252,12 @@ def separate_stream(spec: np.ndarray, masks: MaskPair,
         snapshot = spec[:, t, :]
         update_covariances(state, snapshot, masks.speech[:, t, :], masks.noise[:, t, :])
         weights, positive_definite = _solve(state, slice(None))
-        for zone in range(z):
-            if positive_definite[zone]:
-                out[zone, t, :] = apply_weights(weights[zone], snapshot)
-                continue
+        for zone in np.flatnonzero(~positive_definite):
             if zone not in fallback_zones:
                 logger.warning(
                     "zone %d: covariance inversion failed at frame %d, "
                     "passing reference microphone through", zone, t)
                 fallback_zones.add(zone)
-            out[zone, t, :] = snapshot[zone]
+            weights[zone] = np.eye(z)[zone]
+        out[:, t, :] = apply_weights(weights, snapshot)
     return out

@@ -17,7 +17,7 @@ SMALL_BINS = 33
 
 @pytest.fixture(scope="session")
 def small_cfg():
-    return ModelConfig(zones=4, bins=SMALL_BINS, n_full_sub=1, conformer_layers=2)
+    return ModelConfig(bins=SMALL_BINS, n_full_sub=1, conformer_layers=2)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,6 @@ from cabinsep.irlab import (
     ExcitationSpec,
     RoomSpec,
     boundary_position,
-    gen_ess,
     gen_excitation,
     extract_ir,
     mix_ir_sets,
@@ -218,7 +217,7 @@ def test_c08_ir_round_trips():
         assert correlations[spec.kind] > 0.99
 
     ess = ExcitationSpec(kind="ess")
-    recording = fftconvolve(gen_ess(ess), h_true)
+    recording = fftconvolve(gen_excitation(ess), h_true)
     noise = rng.standard_normal(len(recording))
     noise *= np.sqrt(np.mean(recording**2) / np.mean(noise**2) / 10 ** (20 / 10))
     noisy_ncc = ncc(extract_ir(recording + noise, ess, ir_length=128).taps, h_true)

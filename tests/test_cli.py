@@ -122,8 +122,8 @@ class TestSeparate:
                      "--variant", "L", "--out-dir", str(tmp_path / "o")]) == 3
 
     def test_other_architecture_same_shapes_exit_3_without_outputs(self, tmp_path, rng):
-        cfg = replace(variant_config("S"), lps_floor=1e-8)
-        weights = tmp_path / "floor.bin"
+        cfg = replace(variant_config("S"), time_skip=False)
+        weights = tmp_path / "no_skip.bin"
         init_random(cfg, seed=7).save(weights)
         mix = tmp_path / "mix.wav"
         write_mixture(mix, rng)
@@ -482,6 +482,23 @@ class TestBench:
         assert main(["bench", "--variant", "S", "--seconds", "0.1", "--runs", "1",
                      "--seed", "1", "--report", str(report_path)]) == 0
         assert json.loads(report_path.read_text())["blas_threads"] == 1
+
+    def test_chunk_seconds_lowers_macs(self, tmp_path, monkeypatch):
+        # the MACs come from the configuration alone, so the timed runs are skipped
+        ran = []
+        monkeypatch.setattr("cabinsep.cli.separate_waveform",
+                            lambda wave, weights, cfg: ran.append(cfg))
+        reports = []
+        for extra in ([], ["--chunk-seconds", "1.0"]):
+            report_path = tmp_path / f"bench{len(reports)}.json"
+            assert main(["bench", "--variant", "S", "--seconds", "4", "--runs", "1",
+                         "--seed", "1", "--report", str(report_path), *extra]) == 0
+            reports.append(json.loads(report_path.read_text()))
+        unbounded, bounded = reports
+        assert (unbounded["chunk_lookback_seconds"], bounded["chunk_lookback_seconds"]) \
+            == (None, 1.0)
+        assert bounded["gmacs_per_second"] < unbounded["gmacs_per_second"]
+        assert [cfg.lookback_frames for cfg in ran] == [None, None, 62, 62]
 
 # expected exit code and argv; {out} is the file or directory that must not
 # be written, the other names are files written by `bad_input_files`

@@ -19,10 +19,7 @@ from cabinsep.irlab import (
     cabin_room,
     convolve,
     extract_ir,
-    gen_ess,
     gen_excitation,
-    gen_mls,
-    gen_tsp,
     inverse_filter_ess,
     mix_ir_sets,
     read_ir,
@@ -272,12 +269,12 @@ class TestIsmMatchesLoop:
 
 class TestEss:
     def test_unit_envelope(self):
-        sweep = gen_ess(ExcitationSpec(kind="ess"))
+        sweep = gen_excitation(ExcitationSpec(kind="ess"))
         assert np.max(np.abs(sweep)) <= 1.0 + 1e-12
 
     def test_self_deconvolution_pulse_quality(self):
         spec = ExcitationSpec(kind="ess")
-        sweep = gen_ess(spec)
+        sweep = gen_excitation(spec)
         pulse = fftconvolve(sweep, inverse_filter_ess(spec))
         freqs = np.fft.rfftfreq(len(pulse), 1.0 / FS)
         band = (freqs >= 2 * spec.f_start) & (freqs <= 0.9 * spec.f_end)
@@ -292,7 +289,7 @@ class TestEss:
         # phase-derivative oracle: the sweep frequency is exactly exponential,
         # so a log-linear fit away from the edges recovers f(0)
         spec = ExcitationSpec(kind="ess")
-        sweep = gen_ess(spec)
+        sweep = gen_excitation(spec)
         phase = np.unwrap(np.angle(hilbert(sweep)))
         inst = np.diff(phase) * FS / (2 * np.pi)
         lo, hi = int(0.5 * FS), int(1.5 * FS)
@@ -311,11 +308,11 @@ class TestEss:
 
 class TestMls:
     def test_length(self):
-        assert len(gen_mls(4)) == 15
+        assert len(gen_excitation(ExcitationSpec(kind="mls", order=4))) == 15
 
     def test_circular_autocorrelation(self):
         for order in (4, 8, 11):
-            seq = gen_mls(order)
+            seq = gen_excitation(ExcitationSpec(kind="mls", order=order))
             n = len(seq)
             spectrum = np.fft.rfft(seq)
             autocorr = np.fft.irfft(spectrum * np.conj(spectrum), n)
@@ -324,34 +321,34 @@ class TestMls:
 
     def test_balance(self):
         for order in (4, 9, 14):
-            seq = gen_mls(order)
+            seq = gen_excitation(ExcitationSpec(kind="mls", order=order))
             assert abs(int(np.sum(seq == 1.0)) - int(np.sum(seq == -1.0))) == 1
 
     def test_values_are_pm1(self):
-        seq = gen_mls(6)
+        seq = gen_excitation(ExcitationSpec(kind="mls", order=6))
         assert set(np.unique(seq)) == {-1.0, 1.0}
 
     def test_bad_order_rejected(self):
         with pytest.raises(InvalidConfig):
-            gen_mls(1)
+            ExcitationSpec(kind="mls", order=1)
 
 
 class TestTsp:
     def test_flat_magnitude(self):
-        signal = gen_tsp(4096)
+        signal = gen_excitation(ExcitationSpec(kind="tsp", length=4096))
         mags = np.abs(np.fft.rfft(signal))
         np.testing.assert_allclose(mags, 1.0, atol=1e-6)
 
     def test_circular_inverse_gives_unit_impulse(self):
         n = 4096
-        signal = gen_tsp(n)
+        signal = gen_excitation(ExcitationSpec(kind="tsp", length=n))
         spec = np.fft.rfft(signal)
         pulse = np.fft.irfft(spec * np.conj(spec), n)
         np.testing.assert_allclose(pulse[0], 1.0, atol=1e-6)
         assert np.max(np.abs(pulse[1:])) < 1e-6
 
     def test_real_valued(self):
-        signal = gen_tsp(2048, stretch=300)
+        signal = gen_excitation(ExcitationSpec(kind="tsp", length=2048, stretch=300))
         assert signal.dtype == np.float64
         assert np.max(np.abs(signal)) > 0
 
@@ -373,7 +370,7 @@ class TestExtraction:
 
     def test_ess_round_trip_with_noise(self, test_ir):
         spec = ExcitationSpec(kind="ess")
-        recording = fftconvolve(gen_ess(spec), test_ir)
+        recording = fftconvolve(gen_excitation(spec), test_ir)
         r = np.random.default_rng(5)
         noise = r.standard_normal(len(recording))
         noise *= np.sqrt(np.mean(recording**2) / np.mean(noise**2) / 10**(20 / 10))
@@ -382,7 +379,7 @@ class TestExtraction:
 
     def test_excitation_itself_gives_delta(self):
         spec = ExcitationSpec(kind="tsp", length=4096)
-        extracted = extract_ir(gen_tsp(4096), spec, ir_length=64)
+        extracted = extract_ir(gen_excitation(spec), spec, ir_length=64)
         assert extracted.taps[0] > 100 * np.max(np.abs(extracted.taps[1:]) + 1e-12)
 
     def test_delay_alignment(self, test_ir):

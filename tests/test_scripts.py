@@ -27,15 +27,3 @@ def test_positioning_experiment(monkeypatch, capsys):
     assert [line.split(":")[0] for line in lines] == [
         "standard-posture accuracy", "NSPA (boundary subset)", "overall accuracy"]
 
-
-def test_rtf_benchmark(monkeypatch, capsys):
-    lines = run_script("rtf_benchmark.py", ["--seconds", "0.2", "--runs", "1"],
-                       monkeypatch, capsys)
-    assert lines[0].split() == ["variant", "params", "GMACs/s", "RTF", "med", "spread"]
-    rows = [line.split() for line in lines[1:]]
-    assert [row[0] for row in rows] == ["S", "M", "L"]
-    for row in rows:
-        assert len(row) == 5
-        int(row[1])
-        assert all(float(v) >= 0 for v in row[2:])
-

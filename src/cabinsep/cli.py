@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, read_wav, write_wav
+from .dsp import DEFAULT_SAMPLE_RATE, read_wav, write_wav
 from .errors import InvalidConfig, InvalidInput, InvalidManifest, WeightShapeError
 from .metrics import (
     PositioningEntry,
@@ -65,7 +65,7 @@ def cmd_separate(args) -> int:
         raise InvalidConfig("multichannel separation requires --weights")
     weights = ModelWeights.load(args.weights) if args.weights else None
     mvdr_cfg = MvdrConfig(**_given(args, "forgetting", "loading"))
-    result = separate_waveform(wave, weights, cfg, StftConfig(), mvdr_cfg)
+    result = separate_waveform(wave, weights, cfg, mvdr_cfg)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,7 +207,8 @@ def cmd_ir_ism(args) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
-def _eval_pair(est_dir: Path, label_dir: Path, true_zone: int | None) -> dict:
+def _eval_pair(est_dir: Path, label_dir: Path,
+               true_zone: int | None) -> tuple[dict, PositioningEntry | None]:
     rows = []
     zones = []
     zone = 1
@@ -229,6 +230,7 @@ def _eval_pair(est_dir: Path, label_dir: Path, true_zone: int | None) -> dict:
     report = {"estimates": str(est_dir), "rows": rows}
     if rows:
         report["si_snr_mean_db"] = float(np.mean([r["si_snr_db"] for r in rows]))
+    entry = None
     if true_zone is not None:
         length = min(z.shape[0] for z in zones)
         entry = zone_positioning(np.stack([z[:length] for z in zones]), true_zone - 1)
@@ -237,7 +239,7 @@ def _eval_pair(est_dir: Path, label_dir: Path, true_zone: int | None) -> dict:
             "predicted_zone": None if entry.predicted_zone is None
             else entry.predicted_zone + 1,
         }
-    return report
+    return report, entry
 
 
 def cmd_eval(args) -> int:
@@ -249,16 +251,10 @@ def cmd_eval(args) -> int:
     if len(true_zones) not in (0, len(est_dirs)):
         raise InvalidInput("--true-zone must be given once per --est-dir (or not at all)")
 
-    reports = [_eval_pair(e, l, t) for e, l, t in zip(est_dirs, label_dirs, true_zones)]
+    pairs = [_eval_pair(e, l, t) for e, l, t in zip(est_dirs, label_dirs, true_zones)]
 
-    aggregate = {"utterances": reports}
-    positioning = PositioningResult()
-    for report in reports:
-        if "positioning" in report:
-            pos = report["positioning"]
-            predicted = pos["predicted_zone"]
-            positioning.add(PositioningEntry(
-                pos["true_zone"] - 1, None if predicted is None else predicted - 1))
+    aggregate = {"utterances": [report for report, _ in pairs]}
+    positioning = PositioningResult([entry for _, entry in pairs if entry is not None])
     if positioning.entries:
         aggregate["positioning_accuracy"] = positioning.accuracy
     text = json.dumps(aggregate, indent=2)

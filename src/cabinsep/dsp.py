@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,23 +27,26 @@ _OLA_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class StftConfig:
-    """STFT framing parameters. Defaults: 32 ms hamming window, 16 ms hop @ 16 kHz."""
+    """STFT framing: an `fft_size`-point periodic Hamming window at 50 % overlap.
+
+    The default, 512 points at 16 kHz, is the 32 ms window and 16 ms hop
+    the mask network reads (257 bins).
+    """
 
     fft_size: int = 512
-    window_length: int = 512
-    hop: int = 256
-    sample_rate: int = DEFAULT_SAMPLE_RATE
+    sample_rate: ClassVar[int] = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         if self.fft_size <= 0 or self.fft_size % 2 != 0:
             raise InvalidConfig(f"fft_size must be a positive even integer, got {self.fft_size}")
-        if not (1 <= self.hop <= self.window_length <= self.fft_size):
-            raise InvalidConfig(
-                f"need 1 <= hop <= window_length <= fft_size, got "
-                f"hop={self.hop}, window_length={self.window_length}, fft_size={self.fft_size}"
-            )
-        if self.sample_rate <= 0:
-            raise InvalidConfig("sample_rate must be positive")
+
+    @property
+    def window_length(self) -> int:
+        return self.fft_size
+
+    @property
+    def hop(self) -> int:
+        return self.fft_size // 2
 
     @property
     def bins(self) -> int:
@@ -56,8 +60,6 @@ class StftConfig:
         without importing `scipy.signal` on the separation path.
         """
         n = self.window_length
-        if n == 1:
-            return np.ones(1)
         return 0.54 + (1 - 0.54) * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
@@ -102,7 +104,7 @@ def analyze(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     window = cfg.window()
     # (channels, frames, window_length) strided view over hops
     segments = sliding_window_view(padded, cfg.window_length, axis=-1)[:, ::cfg.hop] * window
-    return np.fft.rfft(segments, n=cfg.fft_size, axis=-1)
+    return np.fft.rfft(segments, axis=-1)
 
 
 def synthesize(
@@ -131,18 +133,21 @@ def synthesize(
         raise InvalidConfig(f"spectrogram has {bins} bins but config implies {cfg.bins}")
 
     window = cfg.window()
-    segments = np.fft.irfft(spec, n=cfg.fft_size, axis=-1)[..., : cfg.window_length]
-    segments = segments * window
+    segments = np.fft.irfft(spec, n=cfg.fft_size, axis=-1) * window
 
-    out_len = (frames - 1) * cfg.hop + cfg.window_length
-    out = np.zeros((n_chan, out_len))
-    norm = np.zeros(out_len)
+    # hop = window_length / 2: output block k is the first half of frame k
+    # plus the second half of frame k - 1
+    hop = cfg.hop
+    blocks = np.zeros((n_chan, frames + 1, hop))
+    blocks[:, :frames] += segments[..., :hop]
+    blocks[:, 1:] += segments[..., hop:]
     sq_window = window * window
-    for t in range(frames):
-        start = t * cfg.hop
-        out[:, start : start + cfg.window_length] += segments[:, t, :]
-        norm[start : start + cfg.window_length] += sq_window
-    out /= np.maximum(norm, _OLA_FLOOR)
+    norm = np.zeros((frames + 1, hop))
+    norm[:frames] += sq_window[:hop]
+    norm[1:] += sq_window[hop:]
+    blocks /= np.maximum(norm, _OLA_FLOOR)
+    out = blocks.reshape(n_chan, -1)
+    out_len = out.shape[1]
 
     if length is not None:
         if length <= out_len:

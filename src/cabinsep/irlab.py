@@ -61,30 +61,6 @@ class ImpulseResponse:
             raise InvalidInput("impulse response contains non-finite taps")
 
 
-def convolve(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Full linear convolution of a waveform with an FIR response.
-
-    Uses the FFT method; agrees with the direct O(N*M) sum to better than
-    1e-6 relative.
-
-    Args:
-        x: (samples,) or (channels, samples) waveform.
-        taps: (taps,) FIR coefficients.
-
-    Returns:
-        Array of shape (..., len(x) + len(taps) - 1).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    taps = np.asarray(taps, dtype=np.float64)
-    if x.size == 0 or taps.size == 0:
-        raise InvalidInput("convolve requires non-empty operands")
-    if taps.ndim != 1:
-        raise InvalidInput("impulse response must be 1-D")
-    if x.ndim == 1:
-        return fftconvolve(x, taps, mode="full")
-    return fftconvolve(x, taps[None, :], mode="full", axes=-1)
-
-
 @dataclass(frozen=True)
 class RoomSpec:
     """Shoebox room for the image-source method.
@@ -156,6 +132,8 @@ def cabin_room(source, reflection: float = RoomSpec.reflection,
 def seat_position(zone: int, rng: np.random.Generator | None = None,
                   jitter: float = 0.0) -> tuple[float, float, float]:
     """Nominal seat (standard-posture) source position for a zone, with optional jitter."""
+    if not 0 <= zone < len(CABIN_SEATS):
+        raise InvalidInput(f"zone {zone} outside [0, {len(CABIN_SEATS)})")
     base = np.asarray(CABIN_SEATS[zone])
     if rng is not None and jitter > 0.0:
         base = base + rng.uniform(-jitter, jitter, size=3)

@@ -27,14 +27,14 @@ def separate_waveform(
     wave: np.ndarray,
     weights: ModelWeights | None,
     model_cfg: ModelConfig,
-    stft_cfg: StftConfig = StftConfig(),
     mvdr_cfg: MvdrConfig = MvdrConfig(),
 ) -> SeparationResult:
     """Separate a Z-channel mixture into per-zone waveforms.
 
-    A one-channel input passes through unchanged before the configuration
-    is read, whatever `model_cfg` and `weights` are (weights may be None).
-    Non-finite samples are rejected.
+    The STFT is the one the network reads: 2 (bins - 1) points at 50 %
+    overlap. A one-channel input passes through unchanged, whatever
+    `model_cfg` and `weights` are (weights may be None). Non-finite samples
+    are rejected.
     """
     wave = as_multichannel(wave)
     n_chan, n_samples = wave.shape
@@ -42,15 +42,12 @@ def separate_waveform(
         raise InvalidInput("empty input waveform")
     if not np.isfinite(wave).all():
         raise InvalidInput("input waveform holds non-finite samples")
+    stft_cfg = StftConfig(fft_size=2 * (model_cfg.bins - 1))
     if n_chan == 1:
         return SeparationResult(zones=wave.copy(), spectrogram=analyze(wave, stft_cfg))
     if n_chan != model_cfg.zones:
         raise InvalidInput(
             f"input has {n_chan} channels but the configuration expects {model_cfg.zones}"
-        )
-    if stft_cfg.bins != model_cfg.bins:
-        raise InvalidInput(
-            f"STFT bins ({stft_cfg.bins}) disagree with the model ({model_cfg.bins})"
         )
     if weights is None:
         raise InvalidInput("multichannel separation requires model weights")

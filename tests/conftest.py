@@ -27,7 +27,7 @@ def small_weights(small_cfg):
 
 @pytest.fixture(scope="session")
 def small_stft():
-    return StftConfig(fft_size=64, window_length=64, hop=32)
+    return StftConfig(fft_size=64)
 
 
 def random_spectrogram(rng, zones=4, frames=10, bins=SMALL_BINS, scale=1.0):

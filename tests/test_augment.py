@@ -17,7 +17,7 @@ from cabinsep.augment import (
 )
 from cabinsep.dsp import write_wav
 from cabinsep.errors import InvalidInput, InvalidManifest
-from cabinsep.irlab import ImpulseResponse, convolve, write_ir
+from cabinsep.irlab import ImpulseResponse, write_ir
 
 FS = 16000
 
@@ -51,7 +51,7 @@ class TestRenderReverberant:
         irs = [ImpulseResponse(rng.standard_normal(32)) for _ in range(3)]
         image = render_reverberant(s, irs)
         for ch, ir in zip(image, irs):
-            np.testing.assert_allclose(ch, convolve(s, ir.taps), atol=1e-9)
+            np.testing.assert_allclose(ch, np.convolve(s, ir.taps), atol=1e-9)
 
     def test_requires_irs(self, rng):
         with pytest.raises(InvalidInput):
@@ -138,6 +138,11 @@ class TestMixSceneSignals:
         with pytest.raises(InvalidManifest):
             mix_scene_signals(speakers, 4)
 
+    @pytest.mark.parametrize("zone", [-1, 4])
+    def test_zone_out_of_range_rejected(self, rng, zone):
+        with pytest.raises(InvalidManifest, match="outside"):
+            mix_scene_signals(self._speakers(rng, [zone]), 4)
+
     def test_wrong_ir_count_rejected(self, rng):
         speakers = [(0, rng.standard_normal(100), [unit_impulse()], 1.0)]
         with pytest.raises(InvalidInput):
@@ -221,8 +226,16 @@ class TestManifest:
     def test_zone_collision_rejected(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng)
         manifest.speakers.append(manifest.speakers[0])
-        with pytest.raises(InvalidManifest):
-            manifest.validate()
+        with pytest.raises(InvalidManifest, match="two speakers"):
+            mix_scene(manifest, base_dir=tmp_path)
+
+    @pytest.mark.parametrize("zone", [-1, 4])
+    def test_zone_out_of_range_rejected(self, tmp_path, rng, zone):
+        manifest = self._manifest(tmp_path, rng)
+        entry = manifest.speakers[0]
+        manifest.speakers[0] = SpeakerEntry(zone=zone, speech=entry.speech, irs=entry.irs)
+        with pytest.raises(InvalidManifest, match="outside"):
+            mix_scene(manifest, base_dir=tmp_path)
 
     def test_snr_out_of_range_rejected(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng, snr=30.0)
@@ -252,6 +265,14 @@ class TestSceneSampling:
         b = sample_cabin_scene(np.random.default_rng(11), [0, 2],
                                duration_seconds=0.5)
         np.testing.assert_array_equal(a.mixture, b.mixture)
+
+    @pytest.mark.parametrize("zone", [-1, 4])
+    def test_out_of_range_zone_rejected(self, zone):
+        with pytest.raises(InvalidInput, match="outside"):
+            sample_cabin_scene(np.random.default_rng(0), [zone], duration_seconds=0.1)
+        with pytest.raises(InvalidManifest, match="outside"):
+            sample_cabin_scene(np.random.default_rng(0), [zone], duration_seconds=0.1,
+                               source_positions={zone: (1.2, 0.5, 0.9)})
 
     def test_sampled_scene_additivity_and_snr(self, rng):
         render = sample_cabin_scene(rng, [1, 3], duration_seconds=0.5,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.signal import fftconvolve, hilbert
 
+from cabinsep.augment import render_reverberant
 from cabinsep.dsp import write_wav
 from cabinsep.errors import InvalidConfig, InvalidInput
 from cabinsep.irlab import (
@@ -17,7 +18,6 @@ from cabinsep.irlab import (
     _wrap_periodic,
     boundary_position,
     cabin_room,
-    convolve,
     extract_ir,
     gen_excitation,
     inverse_filter_ess,
@@ -53,6 +53,11 @@ def direct_convolve(x, h):
     return out
 
 
+def convolve(x, taps):
+    """Convolve a waveform with one IR the way scenes are rendered."""
+    return render_reverberant(x, [ImpulseResponse(taps)])[0]
+
+
 class TestConvolve:
     def test_unit_impulse_identity(self, rng):
         s = rng.standard_normal(300)
@@ -82,11 +87,12 @@ class TestConvolve:
             convolve(np.array([1.0]), np.array([]))
 
     def test_multichannel_convolution(self, rng):
-        x = rng.standard_normal((3, 256))
-        h = rng.standard_normal(16)
-        out = convolve(x, h)
+        x = rng.standard_normal(256)
+        irs = [ImpulseResponse(rng.standard_normal(n)) for n in (16, 8, 4)]
+        out = render_reverberant(x, irs)
         assert out.shape == (3, 271)
-        np.testing.assert_allclose(out[1], convolve(x[1], h), atol=1e-9)
+        np.testing.assert_allclose(out[1, :263], direct_convolve(x, irs[1].taps), atol=1e-9)
+        assert not out[1, 263:].any()
 
 
 class TestIsm:
@@ -175,6 +181,11 @@ class TestIsm:
         for bad in (math.inf, math.nan, 100.5, 1e308, 0.0, -3.0):
             with pytest.raises(InvalidConfig, match="dimensions"):
                 RoomSpec(dimensions=(bad, 2.0, 1.5), **room)
+
+    @pytest.mark.parametrize("zone", [-1, 4])
+    def test_seat_position_zone_out_of_range_rejected(self, zone):
+        with pytest.raises(InvalidInput, match="outside"):
+            seat_position(zone)
 
     def test_boundary_position_is_midpoint(self):
         mid = boundary_position(0, 1)

@@ -33,6 +33,7 @@ from .metrics import (
     zone_positioning,
 )
 from .model import (
+    VARIANT_PRESETS,
     ModelWeights,
     count_macs,
     count_params,
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sep.add_argument("--input", required=True)
     sep.add_argument("--weights")
     sep.add_argument("--out-dir", required=True)
-    sep.add_argument("--variant", choices=("S", "M", "L"), default="S")
+    sep.add_argument("--variant", choices=tuple(VARIANT_PRESETS), default="S")
     sep.add_argument("--lambda", dest="forgetting", type=float,
                      help="covariance forgetting factor")
     sep.add_argument("--loading", type=float)
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     bench = sub.add_parser("bench", help="RTF and MAC report for a variant")
-    bench.add_argument("--variant", choices=("S", "M", "L"), required=True)
+    bench.add_argument("--variant", choices=tuple(VARIANT_PRESETS), required=True)
     bench.add_argument("--seconds", type=float, default=4.0)
     bench.add_argument("--runs", type=int, default=5)
     bench.add_argument("--seed", type=int, required=True)
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     init = sub.add_parser("init-weights", help="write a random weight container")
-    init.add_argument("--variant", choices=("S", "M", "L"), required=True)
+    init.add_argument("--variant", choices=tuple(VARIANT_PRESETS), required=True)
     init.add_argument("--seed", type=int, required=True)
     init.add_argument("--out", required=True)
     init.set_defaults(func=cmd_init_weights)

@@ -142,7 +142,7 @@ def seat_position(zone: int, rng: np.random.Generator | None = None,
 
 def boundary_position(zone_a: int, zone_b: int) -> tuple[float, float, float]:
     """Source position midway between two seats (non-standard posture)."""
-    mid = 0.5 * (np.asarray(CABIN_SEATS[zone_a]) + np.asarray(CABIN_SEATS[zone_b]))
+    mid = 0.5 * (np.asarray(seat_position(zone_a)) + np.asarray(seat_position(zone_b)))
     return tuple(mid)
 
 

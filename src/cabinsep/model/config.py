@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from ..errors import InvalidConfig
@@ -22,21 +22,23 @@ VARIANT_PRESETS = {
 class ModelConfig:
     """Hyperparameters of the mask-estimation network.
 
-    The S/M/L variants differ only in `n_full_sub`, `tac_compression` and
-    `conformer_layers`; every other width is a class constant. `bins` and
-    `hop_seconds` tie the network to the STFT front-end (the defaults match
-    the 512/256 @ 16 kHz framing).
+    A caller sets `bins`, `time_skip`, `chunk_lookback_seconds` and
+    `variant`. The S/M/L variants differ only in `n_full_sub`,
+    `tac_compression` and `conformer_layers`, which follow from `variant`
+    through `VARIANT_PRESETS`; every other width is a class constant. `bins`
+    and `hop_seconds` tie the network to the STFT front-end (the defaults
+    match the 512/256 @ 16 kHz framing).
     """
 
     zones: ClassVar[int] = 4
     bins: int = 257
-    n_full_sub: int = 1
+    n_full_sub: int = field(init=False)
     embed_channels: ClassVar[int] = 24    # C: channels of the refined embedding
     encoder_channels: ClassVar[int] = 8   # hidden width of each of the three encoders
     fullband_hidden: ClassVar[int] = 96   # recurrent width of the full-band stage
     subband_hidden: ClassVar[int] = 16    # H: per-bin width of the sub-band stage
-    tac_compression: int = 4              # d: channel compression in the TAC
-    conformer_layers: int = 4
+    tac_compression: int = field(init=False)  # d: channel compression in the TAC
+    conformer_layers: int = field(init=False)
     attn_heads: ClassVar[int] = 4
     ff_dim: ClassVar[int] = 8             # conformer feed-forward width (H/2)
     time_skip: bool = True                # stride-2 frame subsampling before the TAC
@@ -44,33 +46,21 @@ class ModelConfig:
     hop_seconds: ClassVar[float] = 0.016
     lps_floor: ClassVar[float] = LPS_FLOOR
     ipd_pair: ClassVar[tuple[int, int]] = IPD_PAIR  # front-row microphones
-    variant: str | None = None
+    variant: str = "S"
 
     def __post_init__(self):
+        preset = VARIANT_PRESETS.get(self.variant)
+        if preset is None:
+            raise InvalidConfig(
+                f"unknown variant {self.variant!r}, expected one of {'/'.join(VARIANT_PRESETS)}")
+        for name, value in zip(("n_full_sub", "tac_compression", "conformer_layers"), preset):
+            object.__setattr__(self, name, value)
         if self.bins < 2:
             raise InvalidConfig("bins must be >= 2")
-        if self.n_full_sub < 1:
-            raise InvalidConfig("n_full_sub must be >= 1")
-        if self.tac_compression < 1:
-            raise InvalidConfig("tac_compression must be >= 1")
-        if self.embed_channels % self.tac_compression != 0:
-            raise InvalidConfig(
-                f"embed_channels ({self.embed_channels}) must be divisible by "
-                f"tac_compression ({self.tac_compression})"
-            )
         if self.chunk_lookback_seconds is not None and not (
                 0 < self.chunk_lookback_seconds < math.inf and self.lookback_frames >= 1):
             raise InvalidConfig(
                 "chunk_lookback_seconds must be finite and span at least one hop when set")
-        if self.variant is not None:
-            preset = VARIANT_PRESETS.get(self.variant)
-            if preset is None:
-                raise InvalidConfig(f"unknown variant {self.variant!r}")
-            if (self.n_full_sub, self.tac_compression, self.conformer_layers) != preset:
-                raise InvalidConfig(
-                    f"variant {self.variant} requires (n_full_sub, tac_compression, "
-                    f"conformer_layers) = {preset}"
-                )
 
     @property
     def lookback_frames(self) -> int | None:
@@ -98,16 +88,4 @@ class ModelConfig:
 
 def variant_config(variant: str, **overrides) -> ModelConfig:
     """Build the S/M/L preset configuration."""
-    preset = VARIANT_PRESETS.get(variant)
-    if preset is None:
-        raise InvalidConfig(f"unknown variant {variant!r}, expected one of S/M/L")
-    n_full_sub, tac_compression, conformer_layers = preset
-    cfg = ModelConfig(
-        n_full_sub=n_full_sub,
-        tac_compression=tac_compression,
-        conformer_layers=conformer_layers,
-        variant=variant,
-    )
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    return ModelConfig(variant=variant, **overrides)

@@ -36,21 +36,18 @@ logger = logging.getLogger(__name__)
 _TRACE_EPS = 1e-10
 
 
-def _check_forgetting_loading(forgetting: float, loading: float) -> None:
-    # written so that NaN fails both checks
-    if not (0.0 < forgetting <= 1.0):
-        raise InvalidInput(f"forgetting factor must be in (0, 1], got {forgetting}")
-    if not (0.0 <= loading < np.inf):
-        raise InvalidInput(f"diagonal loading must be finite and >= 0, got {loading}")
-
-
 @dataclass
 class MvdrConfig:
     forgetting: float = 1.0       # lam = 1.0 accumulates; < 1 forgets geometrically
     loading: float = 1e-4         # diagonal loading relative to mean eigenvalue
 
     def __post_init__(self):
-        _check_forgetting_loading(self.forgetting, self.loading)
+        # written so that NaN fails both checks
+        if not (0.0 < self.forgetting <= 1.0):
+            raise InvalidInput(f"forgetting factor must be in (0, 1], got {self.forgetting}")
+        if not (0.0 <= self.loading < np.inf):
+            raise InvalidInput(
+                f"diagonal loading must be finite and >= 0, got {self.loading}")
 
 
 @dataclass
@@ -66,7 +63,7 @@ class BeamformerState:
     frame_count: int = 0
 
     def __post_init__(self):
-        _check_forgetting_loading(self.forgetting, self.loading)
+        MvdrConfig(self.forgetting, self.loading)  # raises on a value MvdrConfig rejects
         shape = (self.zones, self.bins, self.zones, self.zones)
         self.speech_cov = np.zeros(shape, dtype=np.complex128)
         self.noise_cov = np.zeros(shape, dtype=np.complex128)

@@ -17,7 +17,7 @@ SMALL_BINS = 33
 
 @pytest.fixture(scope="session")
 def small_cfg():
-    return ModelConfig(bins=SMALL_BINS, n_full_sub=1, conformer_layers=2)
+    return ModelConfig(bins=SMALL_BINS)  # S at 33 bins
 
 
 @pytest.fixture(scope="session")

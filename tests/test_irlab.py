@@ -187,6 +187,11 @@ class TestIsm:
         with pytest.raises(InvalidInput, match="outside"):
             seat_position(zone)
 
+    @pytest.mark.parametrize("zone_a, zone_b", [(-1, 0), (4, 0), (0, -1), (0, 4)])
+    def test_boundary_position_zone_out_of_range_rejected(self, zone_a, zone_b):
+        with pytest.raises(InvalidInput, match="outside"):
+            boundary_position(zone_a, zone_b)
+
     def test_boundary_position_is_midpoint(self):
         mid = boundary_position(0, 1)
         np.testing.assert_allclose(

@@ -172,7 +172,10 @@ def cmd_ir_extract(args) -> int:
     from . import irlab
 
     spec = _excitation_spec(args)
-    recording, _ = read_wav(args.recording)
+    recording, rate = read_wav(args.recording)
+    if rate != spec.sample_rate:
+        raise InvalidInput(f"{args.recording}: {rate} Hz recording of a "
+                           f"{spec.sample_rate} Hz excitation")
     ir = irlab.extract_ir(recording[0], spec, **_given(args, "ir_length"))
     irlab.write_ir(args.out, ir)
     print(f"extracted {ir.taps.size}-tap IR to {args.out}")

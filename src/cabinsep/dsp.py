@@ -18,8 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 
 from .errors import InvalidConfig, InvalidInput
-
-DEFAULT_SAMPLE_RATE = 16000
+from .features import DEFAULT_SAMPLE_RATE, FFT_SIZE
 
 # Floor for the squared-window overlap-add normalization in `synthesize`.
 _OLA_FLOOR = 1e-8
@@ -27,31 +26,18 @@ _OLA_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class StftConfig:
-    """STFT framing: an `fft_size`-point periodic Hamming window at 50 % overlap.
+    """The one STFT framing: a periodic Hamming window at 50 % overlap.
 
-    The default, 512 points at 16 kHz, is the 32 ms window and 16 ms hop
-    the mask network reads (257 bins).
+    512 points at 16 kHz, the 32 ms window and 16 ms hop the mask network
+    reads (257 bins). Every value is a class constant, so `StftConfig()`
+    takes no argument.
     """
 
-    fft_size: int = 512
+    fft_size: ClassVar[int] = FFT_SIZE
+    window_length: ClassVar[int] = FFT_SIZE
+    hop: ClassVar[int] = FFT_SIZE // 2
+    bins: ClassVar[int] = FFT_SIZE // 2 + 1  # one-sided bin count
     sample_rate: ClassVar[int] = DEFAULT_SAMPLE_RATE
-
-    def __post_init__(self):
-        if self.fft_size <= 0 or self.fft_size % 2 != 0:
-            raise InvalidConfig(f"fft_size must be a positive even integer, got {self.fft_size}")
-
-    @property
-    def window_length(self) -> int:
-        return self.fft_size
-
-    @property
-    def hop(self) -> int:
-        return self.fft_size // 2
-
-    @property
-    def bins(self) -> int:
-        """One-sided bin count F = fft_size/2 + 1."""
-        return self.fft_size // 2 + 1
 
     def window(self) -> np.ndarray:
         """Periodic Hamming window, the usual STFT choice.
@@ -89,7 +75,7 @@ def analyze(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
         cfg: framing parameters.
 
     Returns:
-        (channels, frames, bins) complex spectrogram, bins = fft_size/2 + 1.
+        (channels, frames, bins) complex spectrogram.
     """
     wave = as_multichannel(wave)
     n_chan, n_samples = wave.shape
@@ -119,7 +105,7 @@ def synthesize(
 
     Args:
         spec: (channels, frames, bins) complex spectrogram.
-        cfg: framing parameters (bins must equal fft_size/2 + 1).
+        cfg: framing parameters (the spectrogram must have `cfg.bins` bins).
         length: optional output length to trim/pad to.
 
     Returns:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.signal import fftconvolve, max_len_seq
@@ -215,11 +216,11 @@ class ExcitationSpec:
     kind 'ess': exponential sine sweep over [f_start, f_end] Hz lasting
     `duration` seconds; 'mls': maximum-length sequence of order `order`
     (length 2^order - 1); 'tsp': time-stretched pulse of `length` samples
-    with integer `stretch`.
+    with integer `stretch`. Every excitation is played at 16 kHz.
     """
 
     kind: str
-    sample_rate: int = DEFAULT_SAMPLE_RATE
+    sample_rate: ClassVar[int] = DEFAULT_SAMPLE_RATE
     f_start: float = 20.0
     f_end: float = 8000.0
     duration: float = 3.0

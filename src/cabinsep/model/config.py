@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from ..errors import InvalidConfig
-from ..features import IPD_PAIR, LPS_FLOOR
+from ..features import DEFAULT_SAMPLE_RATE, FFT_SIZE, IPD_PAIR, LPS_FLOOR
 
 # variant -> (full-sub modules N, TAC compression d, conformer layers per module)
 VARIANT_PRESETS = {
@@ -22,16 +22,16 @@ VARIANT_PRESETS = {
 class ModelConfig:
     """Hyperparameters of the mask-estimation network.
 
-    A caller sets `bins`, `time_skip`, `chunk_lookback_seconds` and
-    `variant`. The S/M/L variants differ only in `n_full_sub`,
-    `tac_compression` and `conformer_layers`, which follow from `variant`
-    through `VARIANT_PRESETS`; every other width is a class constant. `bins`
-    and `hop_seconds` tie the network to the STFT front-end (the defaults
-    match the 512/256 @ 16 kHz framing).
+    A caller sets `time_skip`, `chunk_lookback_seconds` and `variant`. The
+    S/M/L variants differ only in `n_full_sub`, `tac_compression` and
+    `conformer_layers`, which follow from `variant` through
+    `VARIANT_PRESETS`; every other width is a class constant. `bins` and
+    `hop_seconds` are those of the one STFT framing (`FFT_SIZE` points at
+    `DEFAULT_SAMPLE_RATE`, 50 % overlap).
     """
 
     zones: ClassVar[int] = 4
-    bins: int = 257
+    bins: ClassVar[int] = FFT_SIZE // 2 + 1
     n_full_sub: int = field(init=False)
     embed_channels: ClassVar[int] = 24    # C: channels of the refined embedding
     encoder_channels: ClassVar[int] = 8   # hidden width of each of the three encoders
@@ -43,7 +43,7 @@ class ModelConfig:
     ff_dim: ClassVar[int] = 8             # conformer feed-forward width (H/2)
     time_skip: bool = True                # stride-2 frame subsampling before the TAC
     chunk_lookback_seconds: float | None = None
-    hop_seconds: ClassVar[float] = 0.016
+    hop_seconds: ClassVar[float] = FFT_SIZE // 2 / DEFAULT_SAMPLE_RATE
     lps_floor: ClassVar[float] = LPS_FLOOR
     ipd_pair: ClassVar[tuple[int, int]] = IPD_PAIR  # front-row microphones
     variant: str = "S"
@@ -55,8 +55,6 @@ class ModelConfig:
                 f"unknown variant {self.variant!r}, expected one of {'/'.join(VARIANT_PRESETS)}")
         for name, value in zip(("n_full_sub", "tac_compression", "conformer_layers"), preset):
             object.__setattr__(self, name, value)
-        if self.bins < 2:
-            raise InvalidConfig("bins must be >= 2")
         if self.chunk_lookback_seconds is not None and not (
                 0 < self.chunk_lookback_seconds < math.inf and self.lookback_frames >= 1):
             raise InvalidConfig(

@@ -2,8 +2,8 @@
 
 File format: an uncompressed numpy `.npz` archive (`np.savez`). Member
 `fingerprint` is a 0-d string array holding the config fingerprint ("" for
-none); every other member is one float32 tensor, named by its layer path.
-`load` reads it with `allow_pickle=False`.
+none); every other member is one finite float32 tensor, named by its layer
+path. `load` reads it with `allow_pickle=False`.
 """
 
 from __future__ import annotations
@@ -159,6 +159,8 @@ class ModelWeights:
         for name, tensor in members.items():
             if tensor.dtype != np.float32:
                 raise InvalidInput(f"{path}: {name} is {tensor.dtype}, not float32")
+            if not np.isfinite(tensor).all():
+                raise InvalidInput(f"{path}: {name} holds non-finite values")
         return cls(members, fingerprint=fingerprint.item())
 
 

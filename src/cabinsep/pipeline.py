@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import StftConfig, analyze, as_multichannel, synthesize
+from .dsp import analyze, as_multichannel, synthesize
 from .errors import InvalidInput
 from .model import ModelConfig, ModelWeights, forward
 from .mvdr import MvdrConfig, separate_stream
@@ -31,10 +31,8 @@ def separate_waveform(
 ) -> SeparationResult:
     """Separate a Z-channel mixture into per-zone waveforms.
 
-    The STFT is the one the network reads: 2 (bins - 1) points at 50 %
-    overlap. A one-channel input passes through unchanged, whatever
-    `model_cfg` and `weights` are (weights may be None). Non-finite samples
-    are rejected.
+    A one-channel input passes through unchanged, whatever `model_cfg` and
+    `weights` are (weights may be None). Non-finite samples are rejected.
     """
     wave = as_multichannel(wave)
     n_chan, n_samples = wave.shape
@@ -42,9 +40,8 @@ def separate_waveform(
         raise InvalidInput("empty input waveform")
     if not np.isfinite(wave).all():
         raise InvalidInput("input waveform holds non-finite samples")
-    stft_cfg = StftConfig(fft_size=2 * (model_cfg.bins - 1))
     if n_chan == 1:
-        return SeparationResult(zones=wave.copy(), spectrogram=analyze(wave, stft_cfg))
+        return SeparationResult(zones=wave.copy(), spectrogram=analyze(wave))
     if n_chan != model_cfg.zones:
         raise InvalidInput(
             f"input has {n_chan} channels but the configuration expects {model_cfg.zones}"
@@ -52,8 +49,8 @@ def separate_waveform(
     if weights is None:
         raise InvalidInput("multichannel separation requires model weights")
 
-    spec = analyze(wave, stft_cfg)
+    spec = analyze(wave)
     masks = forward(spec, weights, model_cfg)
     out_spec = separate_stream(spec, masks, mvdr_cfg)
-    zones = synthesize(out_spec, stft_cfg, length=n_samples)
+    zones = synthesize(out_spec, length=n_samples)
     return SeparationResult(zones=zones, spectrogram=out_spec)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cabinsep.dsp import StftConfig
 from cabinsep.model import ModelConfig, init_random
 
 
@@ -11,13 +10,10 @@ def rng():
     return np.random.default_rng(1234)
 
 
-# Small-bin configuration used for fast model tests: fft 64 -> 33 bins.
-SMALL_BINS = 33
-
-
+# The S (small) variant at the one 257-bin framing, shared by the model tests.
 @pytest.fixture(scope="session")
 def small_cfg():
-    return ModelConfig(bins=SMALL_BINS)  # S at 33 bins
+    return ModelConfig()
 
 
 @pytest.fixture(scope="session")
@@ -25,12 +21,7 @@ def small_weights(small_cfg):
     return init_random(small_cfg, seed=7)
 
 
-@pytest.fixture(scope="session")
-def small_stft():
-    return StftConfig(fft_size=64)
-
-
-def random_spectrogram(rng, zones=4, frames=10, bins=SMALL_BINS, scale=1.0):
+def random_spectrogram(rng, zones=4, frames=10, bins=ModelConfig.bins, scale=1.0):
     return scale * (rng.standard_normal((zones, frames, bins))
                     + 1j * rng.standard_normal((zones, frames, bins)))
 

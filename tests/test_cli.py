@@ -513,6 +513,8 @@ BAD_INPUTS = {
                                   "--report {out}"),
     "bench_seconds_nan": (2, "bench --variant S --seconds nan --runs 1 --seed 0 "
                              "--report {out}"),
+    "extract_rate_mismatch": (2, "ir extract --kind mls --order 8 --recording {mls_8k} "
+                                 "--out {out}"),
     "extract_negative_ir_length": (2, "ir extract --kind mls --order 4 --recording {mix} "
                                       "--ir-length -3 --out {out}"),
     "ism_ir_length_huge": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --mic 0 "
@@ -585,11 +587,20 @@ BAD_CONTAINERS = {
     "single_npy": lambda blob, w: _saved(np.save, w["decoder.w"]),
     "text_member": lambda blob, w: _text_member_archive(w),
     "v1": lambda blob, w: _v1_container(w),
+    "nan_member": lambda blob, w: _saved(
+        np.savez, fingerprint=np.array(w.fingerprint),
+        **{**w.tensors, "head_speech.b": np.array([0, np.nan, 0, 0], np.float32)}),
+    "inf_member": lambda blob, w: _saved(
+        np.savez, fingerprint=np.array(w.fingerprint),
+        **{**w.tensors, "block0.fullband.in_proj.w": w["block0.fullband.in_proj.w"] * np.inf}),
 }
 BAD_INPUTS.update({
     f"separate_weights_{name}": (2, f"separate --input {{mix}} --weights {{weights_{name}}} "
                                     "--out-dir {out}")
     for name in BAD_CONTAINERS})
+# a one-channel input passes through the network unused, but the container is still read
+BAD_INPUTS["separate_weights_nan_member_mono"] = (
+    2, "separate --input {mono} --weights {weights_nan_member} --out-dir {out}")
 
 
 @pytest.fixture(scope="module")
@@ -632,6 +643,10 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
     files["labels_8k"] = tmp_path / "labels_8k"
     files["labels_8k"].mkdir()
     write_wav(files["labels_8k"] / "zone1_label.wav", estimates[0, ::2], FS // 2)
+    files["mono"] = tmp_path / "mono.wav"
+    write_mixture(files["mono"], rng, channels=1)
+    files["mls_8k"] = tmp_path / "mls_8k.wav"
+    write_wav(files["mls_8k"], gen_excitation(ExcitationSpec(kind="mls", order=8)), FS // 2)
     files["weights"] = weights_file
     return files
 

@@ -22,23 +22,22 @@ FS = 16000
 class TestConfig:
     def test_defaults_match_expected_framing(self):
         cfg = StftConfig()
-        assert [f.name for f in dataclasses.fields(StftConfig)] == ["fft_size"]
+        assert dataclasses.fields(StftConfig) == ()
         assert (cfg.fft_size, cfg.window_length, cfg.hop) == (512, 512, 256)
         assert (cfg.bins, cfg.sample_rate) == (257, FS)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(fft_size=511),                 # odd fft
-        dict(fft_size=0),
-        dict(fft_size=-2),
+        dict(fft_size=64),
+        dict(fft_size=512),                 # not even the one framing's own value
+        dict(sample_rate=8000),
     ])
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(TypeError):
             StftConfig(**kwargs)
 
     def test_window_equals_scipy_periodic_hamming(self):
-        for n in range(2, 2049, 2):
-            cfg = StftConfig(fft_size=n)
-            np.testing.assert_array_equal(cfg.window(), get_window("hamming", n, fftbins=True))
+        np.testing.assert_array_equal(StftConfig().window(),
+                                      get_window("hamming", 512, fftbins=True))
 
 
 class TestAnalyze:
@@ -73,11 +72,11 @@ class TestAnalyze:
         got = analyze(x, cfg)[0, frame_idx]
         np.testing.assert_allclose(got, expected, atol=1e-9)
 
-    @pytest.mark.parametrize("fft_size, window_length, hop", [(512, 512, 256), (64, 64, 32)])
+    @pytest.mark.parametrize("fft_size, window_length, hop", [(512, 512, 256)])
     @pytest.mark.parametrize("n", [1, 400, 16001])
     def test_frames_equal_explicit_slices(self, rng, fft_size, window_length, hop, n):
         # reference: each frame cut from the zero-padded signal by slicing
-        cfg = StftConfig(fft_size=fft_size)
+        cfg = StftConfig()
         x = rng.standard_normal((2, n))
         frames = num_frames(n, cfg)
         padded = np.zeros((2, (frames - 1) * hop + window_length))
@@ -159,21 +158,17 @@ class TestSynthesize:
             synthesize(np.zeros((1, 4, 100), dtype=complex))
 
     def test_dc_nyquist_imag_dropped(self, rng):
-        for cfg in (StftConfig(), StftConfig(fft_size=64)):
-            spec = (rng.standard_normal((1, 3, cfg.bins))
-                    + 1j * rng.standard_normal((1, 3, cfg.bins)))
-            cleaned = spec.copy()
-            cleaned[..., 0] = cleaned[..., 0].real
-            cleaned[..., -1] = cleaned[..., -1].real
-            np.testing.assert_array_equal(synthesize(spec, cfg), synthesize(cleaned, cfg))
+        spec = rng.standard_normal((1, 3, 257)) + 1j * rng.standard_normal((1, 3, 257))
+        cleaned = spec.copy()
+        cleaned[..., 0] = cleaned[..., 0].real
+        cleaned[..., -1] = cleaned[..., -1].real
+        np.testing.assert_array_equal(synthesize(spec), synthesize(cleaned))
 
     @settings(max_examples=60, deadline=None)
-    @given(fft_size=st.sampled_from([2, 8, 64, 512]), channels=st.integers(1, 4),
-           frames=st.integers(0, 60), log_scale=st.floats(-8, 3),
+    @given(channels=st.integers(1, 4), frames=st.integers(0, 60), log_scale=st.floats(-8, 3),
            length=st.none() | st.integers(1, 40000), seed=st.integers(0, 2**31))
-    def test_equals_frame_loop_bit_for_bit(self, fft_size, channels, frames, log_scale,
-                                           length, seed):
-        cfg = StftConfig(fft_size=fft_size)
+    def test_equals_frame_loop_bit_for_bit(self, channels, frames, log_scale, length, seed):
+        cfg = StftConfig()
         r = np.random.default_rng(seed)
         shape = (channels, frames, cfg.bins)
         spec = 10.0 ** log_scale * (r.standard_normal(shape) + 1j * r.standard_normal(shape))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+from cabinsep.dsp import StftConfig
 from cabinsep.errors import InvalidConfig, InvalidInput, WeightShapeError
 from cabinsep.features import compute_ipd, compute_lps, stack_real_imag
 from cabinsep.model import (
@@ -29,7 +30,9 @@ from cabinsep.model.network import (
     _layer_norm,
     _swish,
 )
-from conftest import SMALL_BINS, random_spectrogram, run_frames
+from conftest import random_spectrogram, run_frames
+
+BINS = ModelConfig.bins
 
 
 def encode(spec, weights, cfg):
@@ -127,6 +130,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(variant_config("S"), conformer_layers=2)
 
+    def test_bins_are_not_settable(self):
+        with pytest.raises(TypeError):
+            ModelConfig(bins=33)
+        with pytest.raises(TypeError):
+            replace(variant_config("S"), bins=33)
+
+    def test_framing_equals_the_stfts(self):
+        assert ModelConfig.bins == StftConfig.bins
+        assert ModelConfig.hop_seconds * StftConfig.sample_rate == StftConfig.hop
+
     # each id names the offending fields as `name = value`
     @pytest.mark.parametrize("kwargs", [
         pytest.param({"chunk_lookback_seconds": math.inf}, id="chunk_lookback_seconds = inf"),
@@ -166,14 +179,15 @@ class TestConfig:
 
     def test_only_the_variant_values_are_fields(self):
         assert [f.name for f in fields(ModelConfig)] == [
-            "bins", "n_full_sub", "tac_compression", "conformer_layers", "time_skip",
+            "n_full_sub", "tac_compression", "conformer_layers", "time_skip",
             "chunk_lookback_seconds", "variant"]
         assert [f.name for f in fields(ModelConfig) if f.init] == [
-            "bins", "time_skip", "chunk_lookback_seconds", "variant"]
+            "time_skip", "chunk_lookback_seconds", "variant"]
         cfg = variant_config("S")
-        assert (cfg.zones, cfg.embed_channels, cfg.encoder_channels, cfg.fullband_hidden,
-                cfg.subband_hidden, cfg.attn_heads, cfg.ff_dim, cfg.hop_seconds,
-                cfg.lps_floor, cfg.ipd_pair) == (4, 24, 8, 96, 16, 4, 8, 0.016, 1e-10, (0, 1))
+        assert (cfg.zones, cfg.bins, cfg.embed_channels, cfg.encoder_channels,
+                cfg.fullband_hidden, cfg.subband_hidden, cfg.attn_heads, cfg.ff_dim,
+                cfg.hop_seconds, cfg.lps_floor, cfg.ipd_pair) == (
+                    4, 257, 24, 8, 96, 16, 4, 8, 0.016, 1e-10, (0, 1))
 
 
 class TestWeights:
@@ -228,6 +242,15 @@ class TestWeights:
         small_weights.validate(replace(small_cfg, chunk_lookback_seconds=1.0))
         ModelWeights(small_weights.tensors).validate(other)  # no fingerprint stored
 
+    def test_non_finite_container_rejected(self, tmp_path, small_weights):
+        path = tmp_path / "w.bin"
+        for bad in (np.nan, np.inf):
+            broken = ModelWeights(dict(small_weights.tensors), small_weights.fingerprint)
+            broken.tensors["head_speech.b"] = np.array([0, bad, 0, 0], np.float32)
+            broken.save(path)
+            with pytest.raises(InvalidInput, match="head_speech.b"):
+                ModelWeights.load(path)
+
     def test_truncated_container_rejected(self, tmp_path, small_cfg, small_weights):
         path = tmp_path / "w.bin"
         small_weights.save(path)
@@ -240,16 +263,16 @@ class TestWeights:
 class TestEncode:
     def test_output_shape(self, rng, small_cfg, small_weights):
         emb = encode(random_spectrogram(rng, frames=9), small_weights, small_cfg)
-        assert emb.shape == (small_cfg.embed_channels, 9, SMALL_BINS)
+        assert emb.shape == (small_cfg.embed_channels, 9, BINS)
 
     def test_zero_inputs_zero_biases_give_zero(self, small_cfg, small_weights):
         zeroed = ModelWeights({
             name: (np.zeros_like(t) if name.endswith(".b") else t)
             for name, t in small_weights.tensors.items()
         })
-        z = np.zeros((4, 5, SMALL_BINS))
+        z = np.zeros((4, 5, BINS))
         stage = _EncoderStage(zeroed, small_cfg)
-        emb = run_frames(stage.step, np.zeros((8, 5, SMALL_BINS)), z, z[:2])
+        emb = run_frames(stage.step, np.zeros((8, 5, BINS)), z, z[:2])
         np.testing.assert_array_equal(emb, 0.0)
 
     def test_causal_in_time(self, rng, small_cfg, small_weights):
@@ -275,7 +298,7 @@ class TestTimeSkip:
     """The network runs TAC on frames 0, 2, 4, ... and skips the rest."""
 
     def test_even_start(self, rng):
-        cfg = ModelConfig(bins=SMALL_BINS, variant="M")
+        cfg = ModelConfig(variant="M")
         for frames in (7, 8):
             net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
             calls = record_tac_frames(net)
@@ -287,7 +310,7 @@ class TestTimeSkip:
         net = StreamingMaskNet(small_weights, small_cfg)
         (calls,) = record_tac_frames(net)
         masks = forward_frames(net, random_spectrogram(rng, frames=total))
-        assert masks.shape == (small_cfg.zones, total, SMALL_BINS)
+        assert masks.shape == (small_cfg.zones, total, BINS)
         for frames in range(1, total + 1):
             ran = sum(1 for t in calls if t < frames)
             assert ran == int(np.ceil(frames / 2))
@@ -322,7 +345,7 @@ class TestTimeSkip:
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_without_time_skip_tac_runs_every_frame(self, rng):
-        cfg = ModelConfig(bins=SMALL_BINS, variant="M", time_skip=False)
+        cfg = ModelConfig(variant="M", time_skip=False)
         net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
         calls = record_tac_frames(net)
         forward_frames(net, random_spectrogram(rng, frames=7))
@@ -341,7 +364,7 @@ class TestTimeSkip:
     @pytest.mark.parametrize("first_tac_frame", [0])
     @pytest.mark.parametrize("frames", [1, 2, 7, 64])
     def test_tac_calls_match_mac_count(self, rng, time_skip, first_tac_frame, frames):
-        cfg = ModelConfig(bins=SMALL_BINS, variant="M", time_skip=time_skip)
+        cfg = ModelConfig(variant="M", time_skip=time_skip)
         net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
         calls = record_tac_frames(net)
         forward_frames(net, random_spectrogram(rng, frames=frames))
@@ -362,18 +385,18 @@ class TestCausalConv:
         out_ch, in_ch, kt, kf, frames = 3, 2, 3, 3, 6
         w = rng.standard_normal((out_ch, in_ch, kt, kf)).astype(np.float32)
         b = rng.standard_normal(out_ch).astype(np.float32)
-        x = rng.standard_normal((in_ch, frames, SMALL_BINS)).astype(np.float32)
-        conv = _CausalConv2d(w, b, SMALL_BINS)
+        x = rng.standard_normal((in_ch, frames, BINS)).astype(np.float32)
+        conv = _CausalConv2d(w, b, BINS)
         w_mat = w.transpose(0, 2, 3, 1).reshape(out_ch, -1)
-        history = np.concatenate([np.zeros((in_ch, kt - 1, SMALL_BINS), np.float32), x],
+        history = np.concatenate([np.zeros((in_ch, kt - 1, BINS), np.float32), x],
                                  axis=1)
         for t in range(frames):
-            patches = np.empty((kt, kf, in_ch, SMALL_BINS), np.float32)
+            patches = np.empty((kt, kf, in_ch, BINS), np.float32)
             for dt in range(kt):
                 padded = np.pad(history[:, t + dt], ((0, 0), (kf // 2, kf // 2)))
                 for df in range(kf):
-                    patches[dt, df] = padded[:, df : df + SMALL_BINS]
-            expected = w_mat @ patches.reshape(-1, SMALL_BINS) + b[:, None]
+                    patches[dt, df] = padded[:, df : df + BINS]
+            expected = w_mat @ patches.reshape(-1, BINS) + b[:, None]
             np.testing.assert_array_equal(conv.step(x[:, t]), expected)
 
 
@@ -382,7 +405,7 @@ class TestTac:
         # C=24, d=4: the container carries 24->6 compressions and a 12->24 restore
         assert small_weights["block0.tac.linear_a.w"].shape == (6, 24)
         assert small_weights["block0.tac.linear_c.w"].shape == (24, 12)
-        emb = np.ones((24, 5, SMALL_BINS))
+        emb = np.ones((24, 5, BINS))
         out = run_frames(_Tac(small_weights, "block0.tac").step, emb)
         assert out.shape == emb.shape
 
@@ -391,7 +414,7 @@ class TestTac:
             name: (np.zeros_like(t) if ".tac." in name and name.endswith(".b") else t)
             for name, t in small_weights.tensors.items()
         })
-        out = run_frames(_Tac(zeroed, "block0.tac").step, np.zeros((24, 3, SMALL_BINS)))
+        out = run_frames(_Tac(zeroed, "block0.tac").step, np.zeros((24, 3, BINS)))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_channel_mean_branch_closed_form(self, small_cfg, small_weights):
@@ -411,7 +434,7 @@ class TestTac:
         tensors["block0.tac.linear_c.b"] = np.zeros(24, np.float32)
         crafted = ModelWeights(tensors)
         c = 0.37
-        emb = np.full((24, 4, SMALL_BINS), c)
+        emb = np.full((24, 4, BINS), c)
         out = run_frames(_Tac(crafted, "block0.tac").step, emb)
         np.testing.assert_allclose(out, c, atol=1e-12)
 
@@ -422,7 +445,7 @@ def full_band(emb, weights):
 
 class TestFullBand:
     def test_shape_preserved(self, rng, small_weights):
-        emb = rng.standard_normal((24, 7, SMALL_BINS))
+        emb = rng.standard_normal((24, 7, BINS))
         assert full_band(emb, small_weights).shape == emb.shape
 
     def test_zero_weights_identity(self, rng, small_weights):
@@ -430,11 +453,11 @@ class TestFullBand:
             name: (np.zeros_like(t) if ".fullband." in name else t)
             for name, t in small_weights.tensors.items()
         }
-        emb = rng.standard_normal((24, 5, SMALL_BINS))
+        emb = rng.standard_normal((24, 5, BINS))
         np.testing.assert_array_equal(full_band(emb, ModelWeights(tensors)), emb)
 
     def test_causal(self, rng, small_weights):
-        emb = rng.standard_normal((24, 8, SMALL_BINS))
+        emb = rng.standard_normal((24, 8, BINS))
         base = full_band(emb, small_weights)
         bumped = emb.copy()
         bumped[:, 5:, :] += 1.0
@@ -448,11 +471,11 @@ def sub_band(emb, weights, cfg):
 
 class TestSubbandConformer:
     def test_shape_preserved(self, rng, small_cfg, small_weights):
-        emb = rng.standard_normal((24, 6, SMALL_BINS))
+        emb = rng.standard_normal((24, 6, BINS))
         assert sub_band(emb, small_weights, small_cfg).shape == emb.shape
 
     def test_causal(self, rng, small_cfg, small_weights):
-        emb = rng.standard_normal((24, 9, SMALL_BINS))
+        emb = rng.standard_normal((24, 9, BINS))
         base = sub_band(emb, small_weights, small_cfg)
         bumped = emb.copy()
         bumped[:, 6:, :] -= 2.0
@@ -462,14 +485,14 @@ class TestSubbandConformer:
 
     def test_chunked_equals_unchunked_when_window_not_binding(self, rng, small_cfg,
                                                               small_weights):
-        emb = rng.standard_normal((24, 6, SMALL_BINS))
+        emb = rng.standard_normal((24, 6, BINS))
         base = sub_band(emb, small_weights, small_cfg)
         # lookback of 10 frames > T=6: identical output
         chunked_cfg = replace(small_cfg, chunk_lookback_seconds=10 * 0.016)
         np.testing.assert_array_equal(base, sub_band(emb, small_weights, chunked_cfg))
 
     def test_chunking_changes_long_sequences(self, rng, small_cfg, small_weights):
-        emb = rng.standard_normal((24, 12, SMALL_BINS))
+        emb = rng.standard_normal((24, 12, BINS))
         base = sub_band(emb, small_weights, small_cfg)
         chunked_cfg = replace(small_cfg, chunk_lookback_seconds=4 * 0.016)
         out = sub_band(emb, small_weights, chunked_cfg)
@@ -520,7 +543,7 @@ class TestKvRing:
 class TestConformerConv:
     def test_window_matches_list_history_reference(self, rng, small_cfg, small_weights,
                                                    monkeypatch):
-        emb = rng.standard_normal((24, 9, SMALL_BINS)).astype(np.float32)
+        emb = rng.standard_normal((24, 9, BINS)).astype(np.float32)
         window = sub_band(emb, small_weights, small_cfg)
         monkeypatch.setattr(_ConformerLayer, "_conv_module", list_conv_module)
         np.testing.assert_array_equal(window, sub_band(emb, small_weights, small_cfg))
@@ -601,8 +624,8 @@ class TestForward:
     def test_masks_bounded_and_shaped(self, rng, small_cfg, small_weights):
         spec = random_spectrogram(rng, frames=11)
         masks = forward(spec, small_weights, small_cfg)
-        assert masks.speech.shape == (4, 11, SMALL_BINS)
-        assert masks.noise.shape == (4, 11, SMALL_BINS)
+        assert masks.speech.shape == (4, 11, BINS)
+        assert masks.noise.shape == (4, 11, BINS)
         for m in (masks.speech, masks.noise):
             assert np.all(m >= 0.0) and np.all(m <= 1.0)
 
@@ -654,7 +677,7 @@ class TestForward:
             np.testing.assert_array_equal(base.noise[:, :t, :], out.noise[:, :t, :])
 
     def test_wrong_weights_rejected(self, rng, small_cfg):
-        other_cfg = ModelConfig(bins=SMALL_BINS, variant="M")
+        other_cfg = ModelConfig(variant="M")
         wrong = init_random(other_cfg, seed=0)
         with pytest.raises(WeightShapeError):
             forward(random_spectrogram(rng, frames=3), wrong, small_cfg)

@@ -29,22 +29,21 @@ class TestSeparateWaveform:
         result = separate_waveform(wave, None, small_cfg)
         np.testing.assert_array_equal(result.zones, wave)
 
-    def test_multichannel_shapes(self, rng, small_cfg, small_weights, small_stft):
+    def test_multichannel_shapes(self, rng, small_cfg, small_weights):
         wave = rng.standard_normal((4, 1600)) * 0.1
         result = separate_waveform(wave, small_weights, small_cfg)
         assert result.zones.shape == (4, 1600)
-        assert result.spectrogram.shape == analyze(wave, small_stft).shape
+        assert result.spectrogram.shape == analyze(wave).shape
 
-    def test_frames_at_the_models_bin_count(self, rng, small_cfg, small_weights,
-                                            small_stft):
-        # reference: the same stages composed by hand at fft 64 (33 bins)
+    def test_frames_at_the_models_bin_count(self, rng, small_cfg, small_weights):
+        # reference: the same stages composed by hand at the one framing
         wave = rng.standard_normal((4, 1600)) * 0.1
         result = separate_waveform(wave, small_weights, small_cfg)
-        spec = analyze(wave, small_stft)
+        spec = analyze(wave)
         out_spec = separate_stream(spec, forward(spec, small_weights, small_cfg), MvdrConfig())
         np.testing.assert_array_equal(result.spectrogram, out_spec)
         np.testing.assert_array_equal(result.zones,
-                                      synthesize(out_spec, small_stft, length=1600))
+                                      synthesize(out_spec, length=1600))
 
     def test_channel_count_mismatch_rejected(self, rng, small_cfg, small_weights):
         with pytest.raises(InvalidInput):
@@ -55,15 +54,15 @@ class TestSeparateWaveform:
             separate_waveform(rng.standard_normal((4, 1000)), None, small_cfg)
 
     def test_prefix_of_input_reproduces_prefix_of_output(self, rng, small_cfg,
-                                                         small_weights, small_stft):
+                                                         small_weights):
         # waveform-level causality: truncate at a frame boundary and compare
         # the region whose covering frames are complete in both runs
         wave = rng.standard_normal((4, 3200)) * 0.1
         full = separate_waveform(wave, small_weights, small_cfg)
-        cut = 20 * small_stft.hop
+        cut = 6 * StftConfig.hop
         part = separate_waveform(wave[:, :cut], small_weights, small_cfg)
-        frames_part = int(np.ceil(cut / small_stft.hop))
-        valid = (frames_part - 1) * small_stft.hop
+        frames_part = int(np.ceil(cut / StftConfig.hop))
+        valid = (frames_part - 1) * StftConfig.hop
         np.testing.assert_array_equal(part.zones[:, :valid], full.zones[:, :valid])
 
     def test_deterministic(self, rng, small_cfg, small_weights):

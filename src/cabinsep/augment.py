@@ -137,15 +137,6 @@ def render_reverberant(speech: np.ndarray, irs: list[ImpulseResponse]) -> np.nda
     return image
 
 
-def snr_scale(signal: np.ndarray, noise: np.ndarray, target_snr_db: float) -> np.ndarray:
-    """Scale `noise` so that 10 log10(P_signal / P_noise) equals the target.
-
-    Powers are mean squares over each full waveform.
-    """
-    noise = np.asarray(noise, dtype=np.float64)
-    return noise * _snr_factor(signal, noise, target_snr_db)
-
-
 def _snr_factor(signal: np.ndarray, noise: np.ndarray, target_snr_db: float) -> float:
     """The gain that puts `noise` `target_snr_db` below `signal` in mean-square power."""
     p_signal = float(np.mean(np.asarray(signal, dtype=np.float64) ** 2))
@@ -227,7 +218,7 @@ def mix_scene_signals(
             raise InvalidInput("transient events must be mono")
         if not (0 <= onset < length):
             raise InvalidInput(f"transient onset {onset} outside the scene")
-        scaled = snr_scale(reference, waveform, snr_db)
+        scaled = _snr_factor(reference, waveform, snr_db) * waveform
         end = min(length, onset + scaled.shape[0])
         noise_total[:, onset:end] += scaled[: end - onset]
 
@@ -342,7 +333,7 @@ _POSTURE_JITTER = 0.05
 _PAUSE_PROBABILITY = 0.5
 
 
-def synthetic_utterance(rng: np.random.Generator, num_samples: int) -> np.ndarray:
+def _synthetic_utterance(rng: np.random.Generator, num_samples: int) -> np.ndarray:
     """Speech-shaped test signal: low-pass-tilted noise under a bursty envelope.
 
     The envelope interpolates ~4 Hz random nodes, half of which are forced
@@ -388,7 +379,7 @@ def sample_cabin_scene(
         else:
             position = seat_position(zone, rng, jitter=_POSTURE_JITTER)
         irs = simulate_ism_all(cabin_room(position, ir_length=_SCENE_IR_LENGTH))
-        speech = synthetic_utterance(rng, num_samples)
+        speech = _synthetic_utterance(rng, num_samples)
         speakers.append((zone, speech, irs, 1.0))
 
     noise_irs = simulate_ism_all(cabin_room(_NOISE_POSITION, ir_length=_SCENE_IR_LENGTH))

@@ -176,6 +176,9 @@ def cmd_ir_extract(args) -> int:
     if rate != spec.sample_rate:
         raise InvalidInput(f"{args.recording}: {rate} Hz recording of a "
                            f"{spec.sample_rate} Hz excitation")
+    if recording.shape[0] != 1:
+        raise InvalidInput(f"{args.recording}: a recording needs exactly one channel, "
+                           f"got {recording.shape[0]}")
     ir = irlab.extract_ir(recording[0], spec, **_given(args, "ir_length"))
     irlab.write_ir(args.out, ir)
     print(f"extracted {ir.taps.size}-tap IR to {args.out}")

@@ -59,11 +59,6 @@ def as_multichannel(wave: np.ndarray) -> np.ndarray:
     return wave
 
 
-def num_frames(num_samples: int, cfg: StftConfig) -> int:
-    """Frame count of `analyze` for a signal of the given length."""
-    return int(np.ceil(num_samples / cfg.hop))
-
-
 def analyze(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     """Short-time Fourier transform of a (multichannel) waveform.
 
@@ -82,7 +77,7 @@ def analyze(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
     if n_samples == 0 or n_chan == 0:
         raise InvalidInput("empty waveform")
 
-    frames = num_frames(n_samples, cfg)
+    frames = int(np.ceil(n_samples / cfg.hop))
     padded_len = (frames - 1) * cfg.hop + cfg.window_length
     padded = np.zeros((n_chan, padded_len))
     padded[:, :n_samples] = wave

@@ -18,7 +18,8 @@ class InvalidManifest(CabinSepError, ValueError):
 
 
 class WeightShapeError(CabinSepError, ValueError):
-    """Weight container does not match the model configuration."""
+    """Weight container does not match the model configuration, or its weights
+    leave the range the network computes safely in."""
 
 
 class NumericalError(CabinSepError, ArithmeticError):

@@ -29,6 +29,13 @@ means as matrix-vector products rather than short trailing-axis reductions,
 each conv's patch view is built once, and attention's softmax is normalised
 after the context sum, on the (bins, heads, head_dim) context rather than on
 the (bins, heads, frames) weights.
+
+The softmax is shifted by a per-head constant rather than by each row's max,
+which would be one more reduction over the (bins, heads, frames) scores. A
+score is q.k scaled, with q and k projections of a layer-norm output whose
+norm is at most sqrt(width), so when a layer is built its weights bound every
+score by some B, and every exp argument then lies in [-2B, 0]. A container
+whose B could make a whole row underflow is refused with WeightShapeError.
 """
 
 from __future__ import annotations
@@ -40,11 +47,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .. import features
-from ..errors import InvalidInput
+from ..errors import InvalidInput, WeightShapeError
 from .config import ModelConfig
 from .weights import ModelWeights
 
 _LN_EPS = 1e-5
+# the largest softmax shift: exp arguments reach -2x it, and float32 exp goes
+# subnormal near -87
+_MAX_SHIFT = 40.0
 
 
 @dataclass
@@ -191,6 +201,20 @@ class _KvCache:
         return self.buf[..., : self.n]
 
 
+def _score_bound(ln_g, ln_b, wq, bq, wk, bk, heads: int) -> np.ndarray:
+    """Per-head bound on |q.k| over every input, (heads,) float64.
+
+    The layer-norm output has norm <= sqrt(width) before its gain and bias,
+    and a head's projection grows a norm by at most its spectral norm.
+    """
+    width = ln_g.size
+    u = np.abs(ln_g).max() * np.sqrt(width) + np.linalg.norm(ln_b)
+    w = np.stack([wq, wk]).astype(np.float64).reshape(2, heads, -1, width)
+    b = np.stack([bq, bk]).reshape(2, heads, -1)
+    q, k = np.linalg.norm(w, 2, axis=(2, 3)) * u + np.linalg.norm(b, axis=2)
+    return q * k
+
+
 class _ConformerLayer:
     """Causal conformer block on per-bin sequences; weights shared across bins."""
 
@@ -212,6 +236,15 @@ class _ConformerLayer:
         self.head_dim = cfg.subband_hidden // cfg.attn_heads
         # float32: under NEP 50 a float64 scalar would make the scaling float64
         self.scale = np.float32(1.0 / np.sqrt(self.head_dim))
+        # the margins keep float32 rounding from pushing a score past the bound
+        bound = _score_bound(*self.ln["ln_att"], self.wq, self.bq, self.wk, self.bk,
+                             self.heads) * self.scale
+        shift = bound * (1 + 1e-3) + 1e-3
+        if not shift.max() <= _MAX_SHIFT:
+            raise WeightShapeError(
+                f"{prefix}.att: the weights bound the attention scores only by "
+                f"{shift.max():.4g}; past {_MAX_SHIFT:g} a softmax row could underflow")
+        self.shift = shift.astype(np.float32).reshape(1, self.heads, 1)
         self.k_cache = _KvCache(cfg.bins, self.heads, self.head_dim, cfg.lookback_frames)
         self.v_cache = _KvCache(cfg.bins, self.heads, self.head_dim, cfg.lookback_frames)
         # the last kt GLU outputs, oldest first; zeros before the stream
@@ -237,7 +270,7 @@ class _ConformerLayer:
         # fresh temporaries cost more here than the arithmetic
         q *= self.scale
         scores = np.einsum("fhd,fhds->fhs", q, keys)
-        scores -= scores.max(axis=-1, keepdims=True)
+        scores -= self.shift
         att = np.exp(scores, out=scores)
         ctx = np.einsum("fhs,fhds->fhd", att, values)
         ctx /= att.sum(axis=-1)[..., None]

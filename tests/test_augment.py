@@ -12,8 +12,6 @@ from cabinsep.augment import (
     oracle_masks,
     render_reverberant,
     sample_cabin_scene,
-    snr_scale,
-    synthetic_utterance,
 )
 from cabinsep.dsp import write_wav
 from cabinsep.errors import InvalidInput, InvalidManifest
@@ -59,18 +57,26 @@ class TestRenderReverberant:
 
 
 class TestSnrScale:
+    """A transient's SNR, through `mix_scene_signals`."""
+
+    @staticmethod
+    def scaled(signal, noise, target):
+        """The noise label at microphone 1 of `noise` mixed at `target` dB under `signal`."""
+        speakers = [(0, signal, [unit_impulse(length=1) for _ in range(4)], 1.0)]
+        render = mix_scene_signals(speakers, 4, transients=[(noise, 0, target)])
+        return render.noise_label[0]
+
     def test_equal_power_target_zero(self, rng):
         signal = rng.standard_normal(1000)
         noise = rng.standard_normal(1000)
         noise *= np.sqrt(np.mean(signal**2) / np.mean(noise**2))
-        scaled = snr_scale(signal, noise, 0.0)
-        np.testing.assert_allclose(scaled, noise, rtol=1e-9)
+        np.testing.assert_allclose(self.scaled(signal, noise, 0.0), noise, rtol=1e-9)
 
     def test_plus_20_db_scales_power_by_hundredth(self, rng):
         signal = rng.standard_normal(1000)
         noise = rng.standard_normal(1000)
-        at0 = snr_scale(signal, noise, 0.0)
-        at20 = snr_scale(signal, noise, 20.0)
+        at0 = self.scaled(signal, noise, 0.0)
+        at20 = self.scaled(signal, noise, 20.0)
         np.testing.assert_allclose(np.mean(at20**2) / np.mean(at0**2), 0.01,
                                    rtol=1e-9)
 
@@ -78,14 +84,14 @@ class TestSnrScale:
         for target in (-15.0, 0.0, 7.3, 24.0):
             signal = rng.standard_normal(2000) * rng.uniform(0.1, 3)
             noise = rng.standard_normal(2000) * rng.uniform(0.1, 3)
-            scaled = snr_scale(signal, noise, target)
+            scaled = self.scaled(signal, noise, target)
             assert abs(measured_snr_db(signal, scaled) - target) < 1e-3
 
     def test_silent_operands_rejected(self, rng):
-        with pytest.raises(InvalidInput):
-            snr_scale(np.zeros(10), rng.standard_normal(10), 0.0)
-        with pytest.raises(InvalidInput):
-            snr_scale(rng.standard_normal(10), np.zeros(10), 0.0)
+        with pytest.raises(InvalidInput, match="signal is silent"):
+            self.scaled(np.zeros(10), rng.standard_normal(10), 0.0)
+        with pytest.raises(InvalidInput, match="noise is silent"):
+            self.scaled(rng.standard_normal(10), np.zeros(10), 0.0)
 
 
 class TestMixSceneSignals:
@@ -254,10 +260,14 @@ class TestManifest:
 
 
 class TestSceneSampling:
-    def test_synthetic_utterance_has_pauses_and_unit_peak(self, rng):
-        utt = synthetic_utterance(rng, FS)
-        assert utt.shape == (FS,)
-        np.testing.assert_allclose(np.max(np.abs(utt)), 0.5, atol=1e-9)
+    def test_sampled_speech_has_pauses(self):
+        # the utterance envelope is zero at about half its ~4 Hz nodes; the
+        # 64 ms IRs do not fill a pause that long
+        render = sample_cabin_scene(np.random.default_rng(3), [1], duration_seconds=2.0)
+        label = render.speech_labels[1]
+        frames = label[: label.size // 800 * 800].reshape(-1, 800)  # 50 ms
+        rms = np.sqrt(np.mean(frames**2, axis=1))
+        assert np.mean(rms < 1e-3 * rms.max()) > 0.1
 
     def test_sampled_scene_is_deterministic_given_seed(self):
         a = sample_cabin_scene(np.random.default_rng(11), [0, 2],

@@ -517,6 +517,9 @@ BAD_INPUTS = {
                                  "--out {out}"),
     "extract_negative_ir_length": (2, "ir extract --kind mls --order 4 --recording {mix} "
                                       "--ir-length -3 --out {out}"),
+    # channel 0 is silent and channel 1 holds the excitation
+    "extract_two_channels": (2, "ir extract --kind mls --order 8 --recording {mls_stereo} "
+                                "--out {out}"),
     "ism_ir_length_huge": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --mic 0 "
                               "--ir-length 1000000000000000 --out {out}"),
     "gen_ess_duration_huge": (3, "ir gen --kind ess --duration 1e9 --out {out}"),
@@ -594,6 +597,10 @@ BAD_CONTAINERS = {
         np.savez, fingerprint=np.array(w.fingerprint),
         **{**w.tensors, "block0.fullband.in_proj.w": w["block0.fullband.in_proj.w"] * np.inf}),
 }
+# well-formed, but its attention scores are too large for the softmax's shift
+BAD_CONTAINERS["wq_x20"] = lambda blob, w: _saved(
+    np.savez, fingerprint=np.array(w.fingerprint),
+    **{**w.tensors, "block0.subband.layer0.att.wq": 20 * w["block0.subband.layer0.att.wq"]})
 BAD_INPUTS.update({
     f"separate_weights_{name}": (2, f"separate --input {{mix}} --weights {{weights_{name}}} "
                                     "--out-dir {out}")
@@ -601,6 +608,9 @@ BAD_INPUTS.update({
 # a one-channel input passes through the network unused, but the container is still read
 BAD_INPUTS["separate_weights_nan_member_mono"] = (
     2, "separate --input {mono} --weights {weights_nan_member} --out-dir {out}")
+# the network refuses that one when it is built, as weights that do not fit it
+BAD_INPUTS["separate_weights_wq_x20"] = (
+    3, "separate --input {mix} --weights {weights_wq_x20} --out-dir {out}")
 
 
 @pytest.fixture(scope="module")
@@ -647,6 +657,9 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
     write_mixture(files["mono"], rng, channels=1)
     files["mls_8k"] = tmp_path / "mls_8k.wav"
     write_wav(files["mls_8k"], gen_excitation(ExcitationSpec(kind="mls", order=8)), FS // 2)
+    files["mls_stereo"] = tmp_path / "mls_stereo.wav"
+    mls = gen_excitation(ExcitationSpec(kind="mls", order=8))
+    write_wav(files["mls_stereo"], np.stack([np.zeros_like(mls), mls]), FS)
     files["weights"] = weights_file
     return files
 

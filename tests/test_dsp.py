@@ -9,7 +9,6 @@ from scipy.signal import get_window
 from cabinsep.dsp import (
     StftConfig,
     analyze,
-    num_frames,
     read_wav,
     synthesize,
     write_wav,
@@ -44,7 +43,6 @@ class TestAnalyze:
     def test_framing_contract(self, rng):
         spec = analyze(rng.standard_normal((1, 4096)))
         assert spec.shape == (1, 16, 257)
-        assert num_frames(4096, StftConfig()) == 16
 
     def test_zero_input_zero_spectrogram(self):
         spec = analyze(np.zeros((2, 1000)))
@@ -78,7 +76,7 @@ class TestAnalyze:
         # reference: each frame cut from the zero-padded signal by slicing
         cfg = StftConfig()
         x = rng.standard_normal((2, n))
-        frames = num_frames(n, cfg)
+        frames = -(-n // hop)  # the last frame may run past the signal
         padded = np.zeros((2, (frames - 1) * hop + window_length))
         padded[:, :n] = x
         segments = np.stack([padded[:, t * hop : t * hop + window_length]

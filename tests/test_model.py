@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from cabinsep.dsp import StftConfig
+from cabinsep.dsp import StftConfig, analyze
 from cabinsep.errors import InvalidConfig, InvalidInput, WeightShapeError
 from cabinsep.features import compute_ipd, compute_lps, stack_real_imag
 from cabinsep.model import (
@@ -30,7 +30,7 @@ from cabinsep.model.network import (
     _layer_norm,
     _swish,
 )
-from conftest import random_spectrogram, run_frames
+from conftest import CHANNEL_KINDS, bad_channel_wave, random_spectrogram, run_frames
 
 BINS = ModelConfig.bins
 
@@ -538,6 +538,52 @@ class TestKvRing:
             assert cache.view().shape[-1] == n
         assert len(capacities) >= 5  # 16, 20, 25, 31, ... slots
         np.testing.assert_array_equal(cache.view(), frames.transpose(1, 2, 3, 0))
+
+
+def normalised_probes(rng, width):
+    """Vectors of norm sqrt(width), the most a layer norm's output reaches
+    before its gain and bias: random directions, sign patterns, signed one-hots."""
+    probes = np.concatenate([rng.standard_normal((200, width)),
+                             rng.choice([-1.0, 1.0], size=(200, width)),
+                             np.eye(width), -np.eye(width)])
+    return probes / np.linalg.norm(probes, axis=1, keepdims=True) * np.sqrt(width)
+
+
+class TestSoftmaxShift:
+    @pytest.mark.parametrize("variant", ["S", "M", "L"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_shift_bounds_every_score(self, rng, variant, seed):
+        cfg = ModelConfig(variant=variant)
+        net = StreamingMaskNet(init_random(cfg, seed), cfg)
+        layers = [layer for _, _, subband in net.blocks for layer in subband.layers]
+        assert len(layers) == cfg.n_full_sub * cfg.conformer_layers
+        for layer in layers:
+            gain, bias = layer.ln["ln_att"]
+            width = gain.size
+            probes = [normalised_probes(rng, width)]
+            # and the directions each head's query and key projections stretch most
+            for w in (layer.wq, layer.wk):
+                for w_head in w.reshape(layer.heads, -1, width):
+                    top = np.linalg.svd(w_head)[2][0]
+                    probes.append(np.sqrt(width) * np.stack([top, -top]))
+            u = np.concatenate(probes).astype(np.float32) * gain + bias
+            q = (u @ layer.wq.T + layer.bq).reshape(-1, layer.heads, layer.head_dim)
+            k = (u @ layer.wk.T + layer.bk).reshape(-1, layer.heads, layer.head_dim)
+            scores = np.abs(np.einsum("ahd,bhd->hab", q * layer.scale, k))
+            assert np.all(scores.max(axis=(1, 2)) <= layer.shift.ravel())
+
+    def test_scaled_query_weights_refused(self, small_cfg):
+        weights = init_random(small_cfg, seed=0)
+        name = "block0.subband.layer0.att.wq"
+        tensors = {**weights.tensors, name: 20 * weights[name]}
+        with pytest.raises(WeightShapeError, match="block0.subband.layer0.att"):
+            StreamingMaskNet(ModelWeights(tensors, weights.fingerprint), small_cfg)
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_KINDS))
+    def test_masks_finite_for_every_channel_kind(self, small_cfg, small_weights, kind):
+        spec = analyze(bad_channel_wave([kind] * 4, seed=0, samples=4000))
+        masks = forward(spec, small_weights, small_cfg)
+        assert np.isfinite(masks.speech).all() and np.isfinite(masks.noise).all()
 
 
 class TestConformerConv:

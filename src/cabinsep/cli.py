@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE, read_wav, write_wav
+from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, read_wav, write_wav
 from .errors import InvalidConfig, InvalidInput, InvalidManifest, WeightShapeError
 from .metrics import (
     PositioningEntry,
@@ -289,9 +289,12 @@ def cmd_bench(args) -> int:
         separate_waveform(wave, weights, cfg)
 
     rtf = rtf_benchmark(run, args.seconds, runs=args.runs)
+    frames = -(-samples // StftConfig.hop)  # as analyze frames the wave
     report = {
         "variant": args.variant,
         "chunk_lookback_seconds": cfg.chunk_lookback_seconds,
+        "lookback_frames": cfg.lookback_frames,
+        "kv_cache_bytes": cfg.kv_cache_bytes(frames),
         "params": count_params(cfg),
         "gmacs_per_second": macs.gmacs_per_second,
         "mac_items": macs.items,

@@ -143,9 +143,11 @@ def synthesize(
 # ---------------------------------------------------------------------------
 
 def read_wav(path) -> tuple[np.ndarray, int]:
-    """Read a WAV file into a float64 (channels, samples) array in [-1, 1].
+    """Read a WAV file into a float64 (channels, samples) array.
 
-    Raises InvalidInput on an unreadable file or a non-finite sample.
+    Integer PCM is scaled to [-1, 1); float samples are kept as stored, so
+    they may lie beyond full scale. Raises InvalidInput on an unreadable
+    file or a non-finite sample.
     """
     try:
         rate, data = wavfile.read(path)

@@ -67,6 +67,13 @@ class ModelConfig:
             return None
         return int(self.chunk_lookback_seconds / self.hop_seconds)
 
+    def kv_cache_bytes(self, frames: int) -> int:
+        """Bytes of the float32 keys and values that every conformer layer
+        attends to after `frames` frames: min(frames, lookback) of each."""
+        span = frames if self.lookback_frames is None else min(frames, self.lookback_frames)
+        layers = self.n_full_sub * self.conformer_layers
+        return 2 * layers * span * self.bins * self.subband_hidden * 4
+
     def fingerprint(self) -> str:
         """Stable short hash over the architecture-defining values.
 

@@ -19,7 +19,8 @@ Stage order per frame:
 With `time_skip` the TAC runs on frames 0, 2, 4, ... and the other frames
 pass it unchanged; without it the TAC runs on every frame.
 
-The network computes in float32, straight off the weight container's arrays.
+The network computes in float32, straight off the weight container's arrays;
+only the conv kernels and attention's projections are re-laid out, once.
 The features become float32 once, in the encoder's conv windows; the STFT,
 the features and the MVDR stay float64/complex128.
 
@@ -27,11 +28,17 @@ Per frame, numpy's fixed cost per call outweighs the arithmetic of most
 layers, so the frame path keeps its passes few: layer norm takes both of its
 means as matrix-vector products rather than short trailing-axis reductions,
 each conv's patch view is built once, and attention's softmax is normalised
-after the context sum, on the (bins, heads, head_dim) context rather than on
-the (bins, heads, frames) weights.
+after the context sum, on the (head_dim, heads x bins) context rather than on
+the (frames, heads x bins) weights.
+
+Attention keeps each cached frame as a (head_dim, heads x bins) block, so
+both of its contractions run their inner loops over 1028 contiguous floats
+per row at 257 bins, not over the few dozen cached frames of one (bin, head,
+dim). The query, key and value projections are reordered once, when a layer
+is built, so that they produce that layout directly.
 
 The softmax is shifted by a per-head constant rather than by each row's max,
-which would be one more reduction over the (bins, heads, frames) scores. A
+which would be one more reduction over the (frames, heads x bins) scores. A
 score is q.k scaled, with q and k projections of a layer-norm output whose
 norm is at most sqrt(width), so when a layer is built its weights bound every
 score by some B, and every exp argument then lies in [-2B, 0]. A container
@@ -170,35 +177,41 @@ class _Tac:
 
 
 class _KvCache:
-    """Keys or values of past frames as (bins, heads, head_dim, slots).
+    """Keys or values of past frames as (slots, head_dim, heads * bins).
 
-    Frames are innermost, so attention reads one contiguous run per (bin,
-    head, dim). With a lookback of L frames the buffer is a ring of exactly L
-    slots: frame n goes to slot n % L and the ring is read unrotated.
-    Attention has no positional term, so only the summation order differs
-    from chronological order. Without a lookback the buffer grows by 1.25x:
-    every write touches each page of it, so spare capacity is resident.
+    A frame is one contiguous slot, and each of its head_dim rows holds the
+    heads x bins positions side by side, so attention's two contractions run
+    their inner loops over rows of heads * bins floats (1028 at 257 bins)
+    rather than over a few dozen slots per (bin, head, dim). With a lookback
+    of L frames the buffer is a ring of exactly L slots: frame n goes to slot
+    n % L and the ring is read unrotated. Attention has no positional term,
+    so only the summation order differs from chronological order. Without a
+    lookback the buffer grows along the slot axis by 1.25x and the attended
+    frames are a contiguous prefix. A grow copies only the filled slots and
+    no slot is written before its frame arrives, so the spare quarter is
+    address space that need not be resident; each frame is copied four to
+    five times over a stream's life, while attention reads it at every later
+    frame.
     """
 
-    def __init__(self, n_bins: int, heads: int, head_dim: int, lookback: int | None):
+    def __init__(self, head_dim: int, width: int, lookback: int | None):
         slots = 16 if lookback is None else lookback
-        self.buf = np.zeros((n_bins, heads, head_dim, slots), np.float32)
+        self.buf = np.zeros((slots, head_dim, width), np.float32)
         self.n = 0
         self.lookback = lookback
 
     def append(self, frame: np.ndarray) -> None:
-        slots = self.buf.shape[-1]
+        slots = self.buf.shape[0]
         if self.lookback is None and self.n == slots:
-            slots += slots // 4
-            grown = np.zeros(self.buf.shape[:-1] + (slots,), np.float32)
-            grown[..., : self.n] = self.buf
+            grown = np.zeros((slots + slots // 4,) + self.buf.shape[1:], np.float32)
+            grown[:slots] = self.buf
             self.buf = grown
-        self.buf[..., self.n % slots] = frame
+        self.buf[self.n % self.buf.shape[0]] = frame
         self.n += 1
 
     def view(self) -> np.ndarray:
-        """The attended frames, (bins, heads, head_dim, min(n, slots))."""
-        return self.buf[..., : self.n]
+        """The attended frames, (min(n, slots), head_dim, heads * bins)."""
+        return self.buf[: self.n]
 
 
 def _score_bound(ln_g, ln_b, wq, bq, wk, bk, heads: int) -> np.ndarray:
@@ -244,9 +257,19 @@ class _ConformerLayer:
             raise WeightShapeError(
                 f"{prefix}.att: the weights bound the attention scores only by "
                 f"{shift.max():.4g}; past {_MAX_SHIFT:g} a softmax row could underflow")
-        self.shift = shift.astype(np.float32).reshape(1, self.heads, 1)
-        self.k_cache = _KvCache(cfg.bins, self.heads, self.head_dim, cfg.lookback_frames)
-        self.v_cache = _KvCache(cfg.bins, self.heads, self.head_dim, cfg.lookback_frames)
+        # q, k and v come out as (head_dim, heads * bins), the cache's row
+        # layout: the projections' rows are reordered from (head, dim) to
+        # (dim, head), stacked, and the query's carry the scale
+        order = np.arange(cfg.subband_hidden).reshape(self.heads, self.head_dim).T.ravel()
+        self.w_qkv = np.concatenate([self.wq[order] * self.scale, self.wk[order],
+                                     self.wv[order]])
+        self.b_qkv = np.concatenate([self.bq[order] * self.scale, self.bk[order],
+                                     self.bv[order]])[:, None]
+        self.wo_ctx = self.wo[:, order]
+        self.shift = np.repeat(shift.astype(np.float32), cfg.bins)  # (heads * bins,)
+        width = self.heads * cfg.bins
+        self.k_cache = _KvCache(self.head_dim, width, cfg.lookback_frames)
+        self.v_cache = _KvCache(self.head_dim, width, cfg.lookback_frames)
         # the last kt GLU outputs, oldest first; zeros before the stream
         self.conv_window = np.zeros((self.dw[0].shape[1], cfg.bins, cfg.subband_hidden),
                                     np.float32)
@@ -256,25 +279,22 @@ class _ConformerLayer:
         return _swish(x @ w1.T + b1) @ w2.T + b2
 
     def _attend(self, x: np.ndarray) -> np.ndarray:
-        n_bins = x.shape[0]
         u = _layer_norm(x, *self.ln["ln_att"])
-        q = (u @ self.wq.T + self.bq).reshape(n_bins, self.heads, self.head_dim)
-        k = (u @ self.wk.T + self.bk).reshape(n_bins, self.heads, self.head_dim)
-        v = (u @ self.wv.T + self.bv).reshape(n_bins, self.heads, self.head_dim)
+        qkv = self.w_qkv @ u.T + self.b_qkv  # (3 H, F)
+        q, k, v = qkv.reshape(3, self.head_dim, -1)  # each (dh, heads * F)
         self.k_cache.append(k)
         self.v_cache.append(v)
-        keys = self.k_cache.view()      # (F, heads, dh, S)
+        keys = self.k_cache.view()      # (S, dh, heads * F)
         values = self.v_cache.view()
-        # the scaling and the softmax division act on the (F, heads, dh) side,
-        # which is smaller than the (F, heads, S) scores; in place, because
-        # fresh temporaries cost more here than the arithmetic
-        q *= self.scale
-        scores = np.einsum("fhd,fhds->fhs", q, keys)
+        # the softmax division acts on the (dh, heads * F) context, which is
+        # smaller than the (S, heads * F) weights; in place, because fresh
+        # temporaries cost more here than the arithmetic
+        scores = np.einsum("dn,sdn->sn", q, keys)
         scores -= self.shift
         att = np.exp(scores, out=scores)
-        ctx = np.einsum("fhs,fhds->fhd", att, values)
-        ctx /= att.sum(axis=-1)[..., None]
-        return ctx.reshape(n_bins, -1) @ self.wo.T + self.bo
+        ctx = np.einsum("sn,sdn->dn", att, values)
+        ctx /= att.sum(axis=0)
+        return ctx.reshape(-1, x.shape[0]).T @ self.wo_ctx.T + self.bo
 
     def _conv_module(self, x: np.ndarray) -> np.ndarray:
         u = _layer_norm(x, *self.ln["ln_conv"])

@@ -16,6 +16,11 @@ from .errors import InvalidInput
 from .model import ModelConfig, ModelWeights, forward
 from .mvdr import MvdrConfig, separate_stream
 
+# 120 dB above full scale. The network squares its activations in float32
+# layer norms, which overflow near an input of 1e20, while 1e16 still runs
+# clean; no recording comes near this bound.
+MAX_SAMPLE_MAGNITUDE = 1e6
+
 
 @dataclass
 class SeparationResult:
@@ -32,14 +37,21 @@ def separate_waveform(
     """Separate a Z-channel mixture into per-zone waveforms.
 
     A one-channel input passes through unchanged, whatever `model_cfg` and
-    `weights` are (weights may be None). Non-finite samples are rejected.
+    `weights` are (weights may be None). Non-finite samples, and samples
+    above `MAX_SAMPLE_MAGNITUDE` in magnitude, are rejected: full scale is
+    1.0, and far above it the float32 network would overflow.
     """
     wave = as_multichannel(wave)
     n_chan, n_samples = wave.shape
-    if n_samples == 0:
+    if wave.size == 0:
         raise InvalidInput("empty input waveform")
-    if not np.isfinite(wave).all():
+    peak = max(wave.max(), -wave.min())  # NaN if any sample is NaN; no copy
+    if not np.isfinite(peak):
         raise InvalidInput("input waveform holds non-finite samples")
+    if peak > MAX_SAMPLE_MAGNITUDE:
+        raise InvalidInput(
+            f"input waveform peaks at {peak:.3g}, above {MAX_SAMPLE_MAGNITUDE:g} "
+            "(120 dB above full scale)")
     if n_chan == 1:
         return SeparationResult(zones=wave.copy(), spectrogram=analyze(wave))
     if n_chan != model_cfg.zones:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import cabinsep
 from cabinsep.cli import main
-from cabinsep.dsp import read_wav, write_wav
+from cabinsep.dsp import analyze, read_wav, write_wav
 from cabinsep.irlab import (
     ExcitationSpec,
     ImpulseResponse,
@@ -23,7 +23,7 @@ from cabinsep.irlab import (
     simulate_ism,
     write_ir,
 )
-from cabinsep.model import ModelWeights, init_random, variant_config
+from cabinsep.model import ModelWeights, StreamingMaskNet, init_random, variant_config
 from cabinsep.mvdr import MvdrConfig
 from conftest import bad_channel_wave, four_channel_kinds
 
@@ -500,6 +500,30 @@ class TestBench:
         assert bounded["gmacs_per_second"] < unbounded["gmacs_per_second"]
         assert [cfg.lookback_frames for cfg in ran] == [None, None, 62, 62]
 
+    # 0.3 s is 19 frames, 1.2 s is 75; the lookbacks are 6 and 62 frames
+    @pytest.mark.parametrize("seconds, chunk", [(0.3, None), (0.3, 0.1), (1.2, 1.0)])
+    def test_kv_cache_bytes_match_the_attended_caches(self, tmp_path, monkeypatch,
+                                                      seconds, chunk):
+        ran = []
+        monkeypatch.setattr("cabinsep.cli.separate_waveform",
+                            lambda wave, weights, cfg: ran.append((wave, weights, cfg)))
+        report_path = tmp_path / "bench.json"
+        extra = [] if chunk is None else ["--chunk-seconds", str(chunk)]
+        assert main(["bench", "--variant", "S", "--seconds", str(seconds), "--runs", "1",
+                     "--seed", "1", "--report", str(report_path), *extra]) == 0
+        report = json.loads(report_path.read_text())
+        wave, weights, cfg = ran[-1]
+        assert report["lookback_frames"] == cfg.lookback_frames
+        net = StreamingMaskNet(weights, cfg)
+        spec = analyze(wave)
+        for t in range(spec.shape[1]):
+            net.step(spec[:, t])
+        caches = [cache for _, _, subband in net.blocks for layer in subband.layers
+                  for cache in (layer.k_cache, layer.v_cache)]
+        assert report["kv_cache_bytes"] == sum(cache.view().nbytes for cache in caches)
+        if chunk == 1.0:
+            assert report["kv_cache_bytes"] == 8158208  # the README's 8.2 MB
+
 # expected exit code and argv; {out} is the file or directory that must not
 # be written, the other names are files written by `bad_input_files`
 BAD_INPUTS = {
@@ -543,6 +567,9 @@ BAD_INPUTS = {
                                          "--out {out}"),
     "ism_room_dimension_infinite": (3, "ir ism --room {room_dimension_infinite} --mic 0 "
                                        "--out {out}"),
+    # a float WAV far beyond full scale, where the float32 network would overflow
+    "separate_amplitude_1e20": (2, "separate --input {loud} --weights {weights} "
+                                   "--out-dir {out}"),
     "eval_nan_estimate": (2, "eval --est-dir {est_nan} --label-dir {est} --true-zone 1 "
                              "--report {out}"),
     "eval_label_rate_mismatch": (2, "eval --est-dir {est} --label-dir {labels_8k} "
@@ -655,6 +682,8 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
     write_wav(files["labels_8k"] / "zone1_label.wav", estimates[0, ::2], FS // 2)
     files["mono"] = tmp_path / "mono.wav"
     write_mixture(files["mono"], rng, channels=1)
+    files["loud"] = tmp_path / "loud.wav"
+    write_wav(files["loud"], 1e20 * rng.standard_normal((4, FS // 2)), FS)
     files["mls_8k"] = tmp_path / "mls_8k.wav"
     write_wav(files["mls_8k"], gen_excitation(ExcitationSpec(kind="mls", order=8)), FS // 2)
     files["mls_stereo"] = tmp_path / "mls_stereo.wav"

@@ -511,9 +511,18 @@ class TestKvRing:
         nbytes = [cache.buf.nbytes for cache in caches]
         forward_frames(net, random_spectrogram(rng, frames=3 * lookback))
         for cache, before in zip(caches, nbytes):
-            assert cache.buf.shape[-1] == lookback
-            assert cache.view().shape[-1] == lookback
+            assert cache.buf.shape[0] == lookback
+            assert cache.view().shape[0] == lookback
             assert cache.buf.nbytes == before
+
+    def test_slot_holds_frame_modulo_lookback(self, rng):
+        lookback = 5
+        cache = _KvCache(2, 6, lookback)
+        frames = rng.standard_normal((3 * lookback + 2, 2, 6)).astype(np.float32)
+        for frame in frames:
+            cache.append(frame)
+        for n in range(len(frames) - lookback, len(frames)):
+            np.testing.assert_array_equal(cache.view()[n % lookback], frames[n])
 
     @pytest.mark.parametrize("lookback", [None, 1, 4, 7])
     def test_matches_chronological_reference(self, rng, small_cfg, small_weights,
@@ -529,15 +538,15 @@ class TestKvRing:
         np.testing.assert_allclose(ring.noise, reference.noise, rtol=0, atol=5e-5)
 
     def test_unbounded_growth_keeps_every_frame(self, rng):
-        cache = _KvCache(3, 2, 2, None)
-        frames = rng.standard_normal((100, 3, 2, 2)).astype(np.float32)
+        cache = _KvCache(2, 6, None)
+        frames = rng.standard_normal((100, 2, 6)).astype(np.float32)
         capacities = set()
         for n, frame in enumerate(frames, start=1):
             cache.append(frame)
-            capacities.add(cache.buf.shape[-1])
-            assert cache.view().shape[-1] == n
+            capacities.add(cache.buf.shape[0])
+            assert cache.view().shape[0] == n
         assert len(capacities) >= 5  # 16, 20, 25, 31, ... slots
-        np.testing.assert_array_equal(cache.view(), frames.transpose(1, 2, 3, 0))
+        np.testing.assert_array_equal(cache.view(), frames)
 
 
 def normalised_probes(rng, width):
@@ -570,7 +579,10 @@ class TestSoftmaxShift:
             q = (u @ layer.wq.T + layer.bq).reshape(-1, layer.heads, layer.head_dim)
             k = (u @ layer.wk.T + layer.bk).reshape(-1, layer.heads, layer.head_dim)
             scores = np.abs(np.einsum("ahd,bhd->hab", q * layer.scale, k))
-            assert np.all(scores.max(axis=(1, 2)) <= layer.shift.ravel())
+            # the shift holds one value per head, repeated over the bins
+            shift = layer.shift.reshape(layer.heads, -1)
+            assert np.all(shift == shift[:, :1])
+            assert np.all(scores.max(axis=(1, 2)) <= shift[:, 0])
 
     def test_scaled_query_weights_refused(self, small_cfg):
         weights = init_random(small_cfg, seed=0)
@@ -642,7 +654,7 @@ class TestFloat32:
             assert [m.dtype for m in masks] == [np.float32, np.float32]
         (fullband, tac, subband), = net.blocks
         caches = [c for layer in subband.layers for c in (layer.k_cache, layer.v_cache)]
-        assert all(c.buf.shape[-1] > 16 for c in caches)  # grew past the initial slots
+        assert all(c.buf.shape[0] > 16 for c in caches)  # grew past the initial slots
         state = [c.buf for c in caches] + [layer.conv_window for layer in subband.layers]
         state += [conv.window for pair in net.encoder.convs.values() for conv in pair]
         state += [net.decoder.window, fullband.lstm.h, fullband.lstm.c]

@@ -7,7 +7,7 @@ from cabinsep.dsp import StftConfig, analyze, synthesize
 from cabinsep.errors import InvalidInput
 from cabinsep.model import forward, init_random, variant_config
 from cabinsep.mvdr import MvdrConfig, separate_stream
-from cabinsep.pipeline import separate_waveform
+from cabinsep.pipeline import MAX_SAMPLE_MAGNITUDE, separate_waveform
 from conftest import bad_channel_wave, four_channel_kinds
 
 
@@ -85,6 +85,25 @@ class TestSeparateWaveform:
                 separate_waveform(wave, small_weights, small_cfg)
             with pytest.raises(InvalidInput):
                 separate_waveform(wave[2:3], None, small_cfg)
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning at the bound
+    def test_samples_up_to_the_magnitude_bound_run(self, rng, small_cfg, small_weights):
+        wave = rng.standard_normal((4, 1600)) * 0.1 * MAX_SAMPLE_MAGNITUDE
+        wave[0, 500] = -MAX_SAMPLE_MAGNITUDE
+        result = separate_waveform(wave, small_weights, small_cfg)
+        assert np.isfinite(result.zones).all()
+        np.testing.assert_array_equal(separate_waveform(wave[:1], None, small_cfg).zones,
+                                      wave[:1])
+
+    @pytest.mark.parametrize("peak", [np.nextafter(MAX_SAMPLE_MAGNITUDE, np.inf), 1e20])
+    def test_samples_above_the_magnitude_bound_rejected(self, rng, small_cfg, small_weights,
+                                                        peak):
+        wave = rng.standard_normal((4, 1600)) * 0.1
+        wave[1, 300] = -peak
+        with pytest.raises(InvalidInput, match="120 dB above full scale"):
+            separate_waveform(wave, small_weights, small_cfg)
+        with pytest.raises(InvalidInput, match="120 dB above full scale"):
+            separate_waveform(wave[1:2], None, small_cfg)
 
 
 # each case turns a 0.05-rms noise input into a bad one

@@ -14,6 +14,7 @@ and the noise at microphone 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,10 +52,22 @@ class NoiseEntry:
     onset_seconds: float = 0.0
 
 
+def _typed(value, kind: type, what: str):
+    """`value` if it has JSON type `kind` (a bool is no int), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _finite(value, what: str) -> float:
+    if not math.isfinite(value := float(value)):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
+
+
 @dataclass
 class SceneManifest:
     zones: int = 4
-    sample_rate: int = DEFAULT_SAMPLE_RATE
     speakers: list[SpeakerEntry] = field(default_factory=list)
     background: NoiseEntry | None = None
     transients: list[NoiseEntry] = field(default_factory=list)
@@ -74,34 +87,41 @@ class SceneManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "SceneManifest":
+        """Parse a manifest; keys outside the schema are ignored, but a
+        `sample_rate` other than 16000 is refused rather than rendered at 16 kHz."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidManifest(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InvalidManifest("a manifest must be a JSON object")
+        if (rate := doc.get("sample_rate", DEFAULT_SAMPLE_RATE)) != DEFAULT_SAMPLE_RATE:
+            raise InvalidManifest(f"manifest sample_rate {rate!r}: scenes are 16 kHz")
         try:
             speakers = [
-                SpeakerEntry(zone=int(s["zone"]), speech=s["speech"],
-                             irs=tuple(s["irs"]), gain=float(s.get("gain", 1.0)))
+                SpeakerEntry(zone=_typed(s["zone"], int, "zone"),
+                             speech=_typed(s["speech"], str, "speech"),
+                             irs=tuple(_typed(p, str, "IR") for p in s["irs"]),
+                             gain=_finite(s.get("gain", 1.0), "gain"))
                 for s in doc.get("speakers", [])
             ]
             background = doc.get("background")
             if background is not None:
-                background = NoiseEntry(file=background["file"],
+                background = NoiseEntry(file=_typed(background["file"], str, "file"),
                                         snr_db=float(background["snr_db"]))
             transients = [
-                NoiseEntry(file=t["file"], snr_db=float(t["snr_db"]),
-                           onset_seconds=float(t.get("onset_seconds", 0.0)))
+                NoiseEntry(file=_typed(t["file"], str, "file"), snr_db=float(t["snr_db"]),
+                           onset_seconds=_finite(t.get("onset_seconds", 0.0),
+                                                 "onset_seconds"))
                 for t in doc.get("transients", [])
             ]
-        except (KeyError, TypeError) as exc:
-            raise InvalidManifest(f"manifest is missing required fields: {exc}") from exc
-        return cls(
-            zones=int(doc.get("zones", 4)),
-            sample_rate=int(doc.get("sample_rate", DEFAULT_SAMPLE_RATE)),
-            speakers=speakers,
-            background=background,
-            transients=transients,
-        )
+            zones = _typed(doc.get("zones", 4), int, "zones")
+        except KeyError as exc:
+            raise InvalidManifest(f"manifest is missing required field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise InvalidManifest(f"malformed manifest: {exc}") from exc
+        return cls(zones=zones, speakers=speakers, background=background,
+                   transients=transients)
 
 
 @dataclass
@@ -223,6 +243,9 @@ def mix_scene_signals(
         noise_total[:, onset:end] += scaled[: end - onset]
 
     mixture = speech_sum + noise_total
+    # a scene is written as float32 WAVs; NaN fails the comparison too
+    if not max(mixture.max(), -mixture.min()) <= np.finfo(np.float32).max:
+        raise InvalidInput("the scene's mixture exceeds float32's range (is a gain too large?)")
     speech_labels = np.zeros((zones, length))
     for zone, _ in images:
         speech_labels[zone] = zone_images[zone, zone]
@@ -240,46 +263,29 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
 
     `irs_by_zone` optionally overrides each speaker's IR assignment (e.g. an
     assignment drawn with `mix_ir_sets`); manifest IR paths are ignored for
-    zones present in the mapping. Every WAV and IR must have the manifest's
-    sample rate, else InvalidInput.
+    zones present in the mapping.
     """
     manifest.validate()
-    base = Path(base_dir)
-
-    def _resolve(name: str) -> Path:
-        p = Path(name)
-        return p if p.is_absolute() else base / p
-
-    def _check_rate(rate: int, what: str) -> None:
-        if rate != manifest.sample_rate:
-            raise InvalidInput(
-                f"{what}: sample rate {rate} != manifest rate {manifest.sample_rate}"
-            )
-
+    base = Path(base_dir)  # `base / path` keeps an absolute path as it is
     speakers = []
     for entry in manifest.speakers:
-        speech, rate = read_wav(_resolve(entry.speech))
-        _check_rate(rate, entry.speech)
+        speech = read_wav(base / entry.speech)
         if irs_by_zone is not None and entry.zone in irs_by_zone:
             irs = irs_by_zone[entry.zone]
         else:
-            irs = [read_ir(_resolve(p)) for p in entry.irs]
-        for m, ir in enumerate(irs):
-            _check_rate(ir.sample_rate, f"zone {entry.zone} IR {m}")
+            irs = [read_ir(base / p) for p in entry.irs]
         speakers.append((entry.zone, speech[0], irs, entry.gain))
 
     background = None
     background_snr = None
     if manifest.background is not None:
-        background, rate = read_wav(_resolve(manifest.background.file))
-        _check_rate(rate, manifest.background.file)
+        background = read_wav(base / manifest.background.file)
         background_snr = manifest.background.snr_db
 
     transients = []
     for t in manifest.transients:
-        wave, rate = read_wav(_resolve(t.file))
-        _check_rate(rate, t.file)
-        onset = int(round(t.onset_seconds * manifest.sample_rate))
+        wave = read_wav(base / t.file)
+        onset = int(round(t.onset_seconds * DEFAULT_SAMPLE_RATE))
         transients.append((wave[0], onset, t.snr_db))
 
     return mix_scene_signals(

@@ -58,9 +58,7 @@ def _given(args, *names) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_separate(args) -> int:
-    wave, rate = read_wav(args.input)
-    if rate != DEFAULT_SAMPLE_RATE:
-        raise InvalidInput(f"{args.input}: expected 16 kHz audio, got {rate} Hz")
+    wave = read_wav(args.input)
     cfg = variant_config(args.variant, **_given(args, "chunk_lookback_seconds"))
     if not args.weights and wave.shape[0] > 1:
         raise InvalidConfig("multichannel separation requires --weights")
@@ -73,7 +71,7 @@ def cmd_separate(args) -> int:
     names = []
     for z in range(result.zones.shape[0]):
         name = f"zone{z + 1}.wav"
-        write_wav(out_dir / name, result.zones[z], DEFAULT_SAMPLE_RATE)
+        write_wav(out_dir / name, result.zones[z])
         names.append(name)
     report = {
         "input": str(args.input),
@@ -130,11 +128,10 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_wav(out_dir / "mixture.wav", render.mixture, manifest.sample_rate)
+    write_wav(out_dir / "mixture.wav", render.mixture)
     for zone in render.occupied_zones:
-        write_wav(out_dir / f"zone{zone + 1}_label.wav",
-                  render.speech_labels[zone], manifest.sample_rate)
-    write_wav(out_dir / "noise_label.wav", render.noise_label, manifest.sample_rate)
+        write_wav(out_dir / f"zone{zone + 1}_label.wav", render.speech_labels[zone])
+    write_wav(out_dir / "noise_label.wav", render.noise_label)
     (out_dir / "scene_report.json").write_text(json.dumps({
         "manifest": str(args.manifest),
         "zones": manifest.zones,
@@ -161,9 +158,9 @@ def cmd_ir_gen(args) -> int:
 
     spec = _excitation_spec(args)
     signal = irlab.gen_excitation(spec)
-    write_wav(args.out, signal, spec.sample_rate)
+    write_wav(args.out, signal)
     if args.kind == "ess" and args.inverse_out:
-        write_wav(args.inverse_out, irlab.inverse_filter_ess(spec), spec.sample_rate)
+        write_wav(args.inverse_out, irlab.inverse_filter_ess(spec))
     print(f"wrote {args.kind} excitation ({signal.shape[0]} samples) to {args.out}")
     return EXIT_OK
 
@@ -172,10 +169,7 @@ def cmd_ir_extract(args) -> int:
     from . import irlab
 
     spec = _excitation_spec(args)
-    recording, rate = read_wav(args.recording)
-    if rate != spec.sample_rate:
-        raise InvalidInput(f"{args.recording}: {rate} Hz recording of a "
-                           f"{spec.sample_rate} Hz excitation")
+    recording = read_wav(args.recording)
     if recording.shape[0] != 1:
         raise InvalidInput(f"{args.recording}: a recording needs exactly one channel, "
                            f"got {recording.shape[0]}")
@@ -220,15 +214,13 @@ def _eval_pair(est_dir: Path, label_dir: Path,
     zones = []
     zone = 1
     while (est_dir / f"zone{zone}.wav").exists():
-        est, rate = read_wav(est_dir / f"zone{zone}.wav")
+        est = read_wav(est_dir / f"zone{zone}.wav")
         label_path = label_dir / f"zone{zone}_label.wav"
         if not label_path.exists():
             label_path = label_dir / f"zone{zone}.wav"
         zones.append(est[0])
         if label_path.exists():
-            label, label_rate = read_wav(label_path)
-            if label_rate != rate:
-                raise InvalidInput(f"{label_path}: {label_rate} Hz label for a {rate} Hz estimate")
+            label = read_wav(label_path)
             n = min(est.shape[1], label.shape[1])
             rows.append({"zone": zone, "si_snr_db": si_snr(est[0, :n], label[0, :n])})
         zone += 1

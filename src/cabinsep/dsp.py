@@ -139,21 +139,23 @@ def synthesize(
 
 
 # ---------------------------------------------------------------------------
-# WAV files: read PCM 16/32-bit and float, write IEEE float 32-bit
+# WAV files, all at 16 kHz: read PCM 16/32-bit and float, write IEEE float 32-bit
 # ---------------------------------------------------------------------------
 
-def read_wav(path) -> tuple[np.ndarray, int]:
-    """Read a WAV file into a float64 (channels, samples) array.
+def read_wav(path) -> np.ndarray:
+    """Read a 16 kHz WAV file into a float64 (channels, samples) array.
 
     Integer PCM is scaled to [-1, 1); float samples are kept as stored, so
-    they may lie beyond full scale. Raises InvalidInput on an unreadable
-    file or a non-finite sample.
+    they may lie beyond full scale. Raises InvalidInput naming the file if
+    it is unreadable, not at 16 kHz or holds a non-finite sample.
     """
     try:
         rate, data = wavfile.read(path)
     except (FileNotFoundError, ValueError, struct.error) as exc:
         # struct.error: a file cut inside its RIFF or fmt header
         raise InvalidInput(f"cannot read WAV file {path}: {exc}") from exc
+    if rate != DEFAULT_SAMPLE_RATE:
+        raise InvalidInput(f"{path}: sample rate {rate} Hz, expected {DEFAULT_SAMPLE_RATE} Hz")
     if data.ndim == 1:
         data = data[:, None]
     data = data.T  # interleaved (samples, channels) -> (channels, samples)
@@ -167,10 +169,10 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         raise InvalidInput(f"unsupported WAV sample format {data.dtype} in {path}")
     if not np.isfinite(wave).all():
         raise InvalidInput(f"{path}: WAV samples must be finite")
-    return wave, int(rate)
+    return wave
 
 
-def write_wav(path, wave: np.ndarray, sample_rate: int = DEFAULT_SAMPLE_RATE) -> None:
-    """Write a (channels, samples) or (samples,) waveform as IEEE float32 WAV."""
+def write_wav(path, wave: np.ndarray) -> None:
+    """Write a (channels, samples) or (samples,) waveform as a 16 kHz IEEE float32 WAV."""
     data = as_multichannel(wave).T  # interleave
-    wavfile.write(path, sample_rate, data.astype(np.float32))
+    wavfile.write(path, DEFAULT_SAMPLE_RATE, data.astype(np.float32))

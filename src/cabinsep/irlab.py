@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 from scipy.signal import fftconvolve, max_len_seq
@@ -49,10 +48,9 @@ _MAX_DIMENSION = 100.0
 
 @dataclass
 class ImpulseResponse:
-    """FIR response and the sample rate of its taps."""
+    """FIR response, its taps at 16 kHz."""
 
     taps: np.ndarray
-    sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
@@ -77,10 +75,9 @@ class RoomSpec:
     reflection: float | tuple[float, ...] = 0.35
     max_order: int = 3
     ir_length: int = 2048
-    sample_rate: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
-        for name in ("max_order", "ir_length", "sample_rate"):
+        for name in ("max_order", "ir_length"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise InvalidConfig(f"{name} must be an integer")
         betas = self.reflection_pairs()
@@ -88,8 +85,6 @@ class RoomSpec:
             raise InvalidConfig("reflection coefficients must lie in [0, 1)")
         if not (0 <= self.max_order <= _MAX_ORDER):
             raise InvalidConfig(f"max_order must be in [0, {_MAX_ORDER}], got {self.max_order}")
-        if self.sample_rate < 1:
-            raise InvalidConfig(f"sample_rate must be >= 1, got {self.sample_rate}")
         if not (1 <= self.ir_length <= _MAX_SAMPLES):
             raise InvalidConfig(f"ir_length must be in [1, {_MAX_SAMPLES}], got {self.ir_length}")
         positions = (("source", self.source), *((f"mic {i}", m) for i, m in enumerate(self.mics)))
@@ -152,7 +147,7 @@ def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
 
     Image amplitudes follow beta_near^|r+p| * beta_far^|r| / (4 pi d) with
     the image lattice truncated at `max_order` total reflections; each
-    arrival lands at the fractional delay d / SPEED_OF_SOUND * sample_rate
+    arrival lands at the fractional delay d / SPEED_OF_SOUND * 16 kHz
     through a 16-tap Hann-windowed sinc. Taps of a sinc that would fall
     outside [0, ir_length) are dropped.
 
@@ -169,7 +164,6 @@ def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
     mic_pos = np.asarray(room.mics[mic])
     betas = room.reflection_pairs()
     order = room.max_order
-    fs = room.sample_rate
 
     # int8 holds every candidate: |r + p| <= _MAX_ORDER + 1 and |2 r| <= 2 * _MAX_ORDER
     side = 2 * order + 1
@@ -188,7 +182,7 @@ def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
     near_hits, far_hits, dist = near_hits[heard], far_hits[heard], dist[heard]
     gain = (np.prod(betas[0] ** near_hits, axis=1) * np.prod(betas[1] ** far_hits, axis=1)
             / (4.0 * np.pi * dist))
-    delay = dist / SPEED_OF_SOUND * fs
+    delay = dist / SPEED_OF_SOUND * DEFAULT_SAMPLE_RATE
 
     idx = np.floor(delay).astype(np.int64)[:, None] + np.arange(
         1 - _SINC_HALF_WIDTH, _SINC_HALF_WIDTH + 1)
@@ -197,7 +191,7 @@ def simulate_ism(room: RoomSpec, mic: int) -> ImpulseResponse:
     values = gain[:, None] * np.sinc(offsets) * window
     inside = (idx >= 0) & (idx < room.ir_length)
     taps = np.bincount(idx[inside], weights=values[inside], minlength=room.ir_length)
-    return ImpulseResponse(taps=taps, sample_rate=fs)
+    return ImpulseResponse(taps=taps)
 
 
 def simulate_ism_all(room: RoomSpec) -> list[ImpulseResponse]:
@@ -220,7 +214,6 @@ class ExcitationSpec:
     """
 
     kind: str
-    sample_rate: ClassVar[int] = DEFAULT_SAMPLE_RATE
     f_start: float = 20.0
     f_end: float = 8000.0
     duration: float = 3.0
@@ -232,10 +225,10 @@ class ExcitationSpec:
         if self.kind not in ("ess", "mls", "tsp"):
             raise InvalidConfig(f"unknown excitation kind {self.kind!r}")
         if self.kind == "ess":
-            if not (0.0 < self.f_start < self.f_end <= self.sample_rate / 2):
+            if not (0.0 < self.f_start < self.f_end <= DEFAULT_SAMPLE_RATE / 2):
                 raise InvalidConfig(
                     f"need 0 < f_start < f_end <= fs/2, got "
-                    f"({self.f_start}, {self.f_end}) at fs={self.sample_rate}"
+                    f"({self.f_start}, {self.f_end}) at fs={DEFAULT_SAMPLE_RATE}"
                 )
             if not (0.0 < self.duration < math.inf):
                 raise InvalidConfig("sweep duration must be positive and finite")
@@ -257,7 +250,7 @@ class ExcitationSpec:
 
     def num_samples(self) -> int:
         if self.kind == "ess":
-            return int(round(self.duration * self.sample_rate))
+            return int(round(self.duration * DEFAULT_SAMPLE_RATE))
         if self.kind == "mls":
             return 2**self.order - 1
         return self.length
@@ -266,7 +259,7 @@ class ExcitationSpec:
 def _gen_ess(spec: ExcitationSpec) -> np.ndarray:
     """Unit-amplitude exponential sine sweep sin(2 pi f1 L (e^{t/L} - 1))."""
     n = spec.num_samples()
-    t = np.arange(n) / spec.sample_rate
+    t = np.arange(n) / DEFAULT_SAMPLE_RATE
     rate = math.log(spec.f_end / spec.f_start)
     sweep_time = spec.duration / rate  # L
     return np.sin(2.0 * np.pi * spec.f_start * sweep_time * (np.exp(t / sweep_time) - 1.0))
@@ -281,7 +274,7 @@ def inverse_filter_ess(spec: ExcitationSpec) -> np.ndarray:
         raise InvalidConfig("spec.kind must be 'ess'")
     sweep = _gen_ess(spec)
     n = sweep.shape[0]
-    t = np.arange(n) / spec.sample_rate
+    t = np.arange(n) / DEFAULT_SAMPLE_RATE
     rate = math.log(spec.f_end / spec.f_start)
     sweep_time = spec.duration / rate
     inverse = sweep[::-1] * np.exp(-t / sweep_time)
@@ -361,7 +354,7 @@ def extract_ir(recording: np.ndarray, spec: ExcitationSpec,
 
     if taps.shape[0] < ir_length:
         taps = np.pad(taps, (0, ir_length - taps.shape[0]))
-    return ImpulseResponse(taps=taps, sample_rate=spec.sample_rate)
+    return ImpulseResponse(taps=taps)
 
 
 def _wrap_periodic(signal: np.ndarray, period: int) -> np.ndarray:
@@ -411,16 +404,16 @@ def mix_ir_sets(simulated: list[ImpulseResponse] | None,
 
 
 # ---------------------------------------------------------------------------
-# IR files: one mono float32 WAV whose header holds the sample rate
+# IR files: one mono 16 kHz float32 WAV
 # ---------------------------------------------------------------------------
 
 def write_ir(path, ir: ImpulseResponse) -> None:
-    write_wav(path, ir.taps, sample_rate=ir.sample_rate)
+    write_wav(path, ir.taps)
 
 
 def read_ir(path) -> ImpulseResponse:
     """Read a one-channel IR WAV; any other channel count is InvalidInput."""
-    wave, rate = read_wav(path)
+    wave = read_wav(path)
     if wave.shape[0] != 1:
         raise InvalidInput(f"{path}: an IR WAV needs exactly one channel, got {wave.shape[0]}")
-    return ImpulseResponse(taps=wave[0], sample_rate=rate)
+    return ImpulseResponse(taps=wave[0])

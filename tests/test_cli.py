@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.io import wavfile
 
 import cabinsep
 from cabinsep.cli import main
@@ -41,13 +42,13 @@ def weights_file(tmp_path_factory):
 
 def write_mixture(path, rng, channels=4, seconds=0.6):
     wave = rng.standard_normal((channels, int(seconds * FS))) * 0.05
-    write_wav(path, wave, FS)
+    write_wav(path, wave)
     return wave
 
 
 def write_cut_wav(path, size):
     """A 4-channel WAV cut to its first `size` bytes, inside the RIFF or fmt header."""
-    write_wav(path, np.zeros((4, 1600)), FS)
+    write_wav(path, np.zeros((4, 1600)))
     path.write_bytes(path.read_bytes()[:size])
 
 
@@ -87,17 +88,17 @@ class TestSeparate:
         wave = write_mixture(mix, rng, channels=1)
         out = tmp_path / "out"
         assert main(["separate", "--input", str(mix), "--out-dir", str(out)]) == 0
-        back, _ = read_wav(out / "zone1.wav")
-        source, _ = read_wav(mix)
+        back = read_wav(out / "zone1.wav")
+        source = read_wav(mix)
         np.testing.assert_array_equal(back, source)
 
     def test_truncated_prefix_run_bit_exact(self, tmp_path, rng, weights_file):
         full_wave = rng.standard_normal((4, 4 * 2560)) * 0.05
         mix_full = tmp_path / "full.wav"
-        write_wav(mix_full, full_wave, FS)
+        write_wav(mix_full, full_wave)
         cut = 24 * 256
         mix_part = tmp_path / "part.wav"
-        write_wav(mix_part, full_wave[:, :cut], FS)
+        write_wav(mix_part, full_wave[:, :cut])
         out_full, out_part = tmp_path / "of", tmp_path / "op"
         assert main(["separate", "--input", str(mix_full), "--weights",
                      str(weights_file), "--out-dir", str(out_full)]) == 0
@@ -106,8 +107,8 @@ class TestSeparate:
         frames_part = int(np.ceil(cut / 256))
         valid = (frames_part - 1) * 256
         for z in range(1, 5):
-            a, _ = read_wav(out_full / f"zone{z}.wav")
-            b, _ = read_wav(out_part / f"zone{z}.wav")
+            a = read_wav(out_full / f"zone{z}.wav")
+            b = read_wav(out_part / f"zone{z}.wav")
             np.testing.assert_array_equal(a[0, :valid], b[0, :valid])
 
     def test_missing_input_exit_2(self, tmp_path, weights_file):
@@ -185,7 +186,7 @@ class TestSeparate:
         wave = rng.standard_normal((4, 4000)) * 0.05
         wave[1, 1234] = np.nan
         mix = tmp_path / "nan.wav"
-        write_wav(mix, wave, FS)  # float32 WAV keeps the NaN
+        write_wav(mix, wave)  # float32 WAV keeps the NaN
         out = tmp_path / "o"
         assert main(["separate", "--input", str(mix), "--weights",
                      str(weights_file), "--out-dir", str(out)]) == 2
@@ -216,11 +217,11 @@ class TestSeparate:
     def test_bad_channels_exit_0_with_finite_zones(self, tmp_path_factory, weights_file,
                                                    kinds, seed):
         tmp = tmp_path_factory.mktemp("bad_channels")
-        write_wav(tmp / "mix.wav", bad_channel_wave(kinds, seed, FS // 5), FS)
+        write_wav(tmp / "mix.wav", bad_channel_wave(kinds, seed, FS // 5))
         assert main(["separate", "--input", str(tmp / "mix.wav"), "--weights",
                      str(weights_file), "--out-dir", str(tmp / "out")]) == 0
         for z in range(1, 5):
-            zone, _ = read_wav(tmp / "out" / f"zone{z}.wav")
+            zone = read_wav(tmp / "out" / f"zone{z}.wav")
             assert zone.shape[-1] == FS // 5 and np.isfinite(zone).all()
 
 
@@ -256,8 +257,8 @@ def test_separation_path_never_imports_scipy_signal(tmp_path, rng):
 class TestSimulateAndEval:
     @pytest.fixture
     def scene_dir(self, tmp_path, rng):
-        write_wav(tmp_path / "speech.wav", rng.standard_normal(4000) * 0.1, FS)
-        write_wav(tmp_path / "noise.wav", rng.standard_normal(2000) * 0.1, FS)
+        write_wav(tmp_path / "speech.wav", rng.standard_normal(4000) * 0.1)
+        write_wav(tmp_path / "noise.wav", rng.standard_normal(2000) * 0.1)
         for m in range(4):
             taps = np.zeros(16)
             taps[m + 1] = 1.0
@@ -278,8 +279,8 @@ class TestSimulateAndEval:
         assert (out / "mixture.wav").exists()
         assert (out / "zone3_label.wav").exists()
         assert (out / "noise_label.wav").exists()
-        mixture, rate = read_wav(out / "mixture.wav")
-        assert rate == FS and mixture.shape[0] == 4
+        mixture = read_wav(out / "mixture.wav")
+        assert wavfile.read(out / "mixture.wav")[0] == FS and mixture.shape[0] == 4
 
     def test_simulate_bad_manifest_exit_2(self, scene_dir):
         (scene_dir / "bad.json").write_text("{")
@@ -287,7 +288,8 @@ class TestSimulateAndEval:
                      "--out-dir", str(scene_dir / "x")]) == 2
 
     def test_simulate_noise_rate_mismatch_exit_2_without_outputs(self, scene_dir, rng):
-        write_wav(scene_dir / "noise.wav", rng.standard_normal(1000) * 0.1, FS // 2)
+        wavfile.write(scene_dir / "noise.wav", FS // 2,
+                      (rng.standard_normal(1000) * 0.1).astype(np.float32))
         out = scene_dir / "rendered"
         assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
                      "--out-dir", str(out)]) == 2
@@ -307,11 +309,11 @@ class TestSimulateAndEval:
                      "--recorded-ir-dir", str(scene_dir / "rec"),
                      "--seed", "3"]) == 0
         # recorded IRs delay by 5 samples; the manifest's own IRs by zone+1=3
-        label, _ = read_wav(out / "zone3_label.wav")
+        label = read_wav(out / "zone3_label.wav")
         assert np.argmax(np.abs(label[0])) >= 5
 
     def test_simulate_multichannel_ir_exit_2_without_outputs(self, scene_dir):
-        write_wav(scene_dir / "ir1.wav", np.ones((2, 16)), FS)
+        write_wav(scene_dir / "ir1.wav", np.ones((2, 16)))
         out = scene_dir / "rendered"
         assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
                      "--out-dir", str(out)]) == 2
@@ -328,7 +330,7 @@ class TestSimulateAndEval:
 
     @pytest.mark.parametrize("noise", ["background", "transients"])
     def test_simulate_silent_speech_exit_2_without_outputs(self, scene_dir, noise):
-        write_wav(scene_dir / "speech.wav", np.zeros(4000), FS)
+        write_wav(scene_dir / "speech.wav", np.zeros(4000))
         manifest = json.loads((scene_dir / "scene.json").read_text())
         if noise == "transients":
             del manifest["background"]
@@ -350,10 +352,10 @@ class TestSimulateAndEval:
                      "--out-dir", str(rendered)]) == 0
         est = scene_dir / "est"
         est.mkdir()
-        label, _ = read_wav(rendered / "zone3_label.wav")
+        label = read_wav(rendered / "zone3_label.wav")
         for z in range(1, 5):
             wave = label[0] if z == 3 else np.zeros_like(label[0])
-            write_wav(est / f"zone{z}.wav", wave, FS)
+            write_wav(est / f"zone{z}.wav", wave)
         report_path = scene_dir / "report.json"
         assert main(["eval", "--est-dir", str(est), "--label-dir", str(rendered),
                      "--true-zone", "3", "--report", str(report_path)]) == 0
@@ -386,17 +388,17 @@ class TestIrCommands:
         sweep_path = tmp_path / "sweep.wav"
         assert main(["ir", "gen", "--kind", "ess", "--duration", "1.0",
                      "--out", str(sweep_path)]) == 0
-        sweep, _ = read_wav(sweep_path)
+        sweep = read_wav(sweep_path)
         taps = np.zeros(64)
         taps[9] = 0.8
         recording = np.convolve(sweep[0], taps)
         rec_path = tmp_path / "rec.wav"
-        write_wav(rec_path, recording, FS)
+        write_wav(rec_path, recording)
         ir_path = tmp_path / "ir.wav"
         assert main(["ir", "extract", "--kind", "ess", "--duration", "1.0",
                      "--recording", str(rec_path), "--out", str(ir_path),
                      "--ir-length", "64"]) == 0
-        extracted, _ = read_wav(ir_path)
+        extracted = read_wav(ir_path)
         assert np.argmax(np.abs(extracted[0])) == 9
 
     def test_ism_with_cabin_preset(self, tmp_path):
@@ -404,20 +406,20 @@ class TestIrCommands:
         assert main(["ir", "ism", "--preset", "cabin", "--source", "1.2,0.5,0.9",
                      "--mic", "0", "--out", str(out)]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["cabin_ir.wav"]
-        taps, rate = read_wav(out)
-        assert rate == FS and taps.shape[0] == 1
+        taps = read_wav(out)
+        assert wavfile.read(out)[0] == FS and taps.shape[0] == 1
 
     def test_extract_writes_one_mono_wav(self, tmp_path):
         rec_path = tmp_path / "rec.wav"
-        write_wav(rec_path, gen_excitation(ExcitationSpec(kind="mls", order=8)), FS)
+        write_wav(rec_path, gen_excitation(ExcitationSpec(kind="mls", order=8)))
         out_dir = tmp_path / "irs"
         out_dir.mkdir()
         assert main(["ir", "extract", "--kind", "mls", "--order", "8",
                      "--recording", str(rec_path), "--out", str(out_dir / "ir.wav"),
                      "--ir-length", "64"]) == 0
         assert [p.name for p in out_dir.iterdir()] == ["ir.wav"]
-        taps, rate = read_wav(out_dir / "ir.wav")
-        assert rate == FS and taps.shape == (1, 64)
+        taps = read_wav(out_dir / "ir.wav")
+        assert wavfile.read(out_dir / "ir.wav")[0] == FS and taps.shape == (1, 64)
 
     def test_ism_with_room_file(self, tmp_path):
         room = {
@@ -432,14 +434,14 @@ class TestIrCommands:
         out = tmp_path / "ir.wav"
         assert main(["ir", "ism", "--room", str(tmp_path / "room.json"),
                      "--mic", "0", "--out", str(out)]) == 0
-        ir, _ = read_wav(out)
+        ir = read_wav(out)
         assert np.any(ir != 0)
 
     def test_ism_preset_defaults_are_cabin_room_defaults(self, tmp_path):
         out = tmp_path / "ir.wav"
         assert main(["ir", "ism", "--preset", "cabin", "--source", "1.2,0.5,0.9",
                      "--mic", "2", "--out", str(out)]) == 0
-        taps, _ = read_wav(out)
+        taps = read_wav(out)
         expected = simulate_ism(cabin_room((1.2, 0.5, 0.9)), 2).taps
         np.testing.assert_array_equal(taps[0], expected.astype(np.float32))
 
@@ -450,14 +452,14 @@ class TestIrCommands:
         for name in ("bare", "full"):
             assert main(["ir", "ism", "--room", str(tmp_path / f"{name}.json"), "--mic", "0",
                          "--out", str(tmp_path / f"{name}.wav")]) == 0
-            taps.append(read_wav(tmp_path / f"{name}.wav")[0])
+            taps.append(read_wav(tmp_path / f"{name}.wav"))
         np.testing.assert_array_equal(taps[0], taps[1])
 
     @pytest.mark.parametrize("kind", ["ess", "mls", "tsp"])
     def test_gen_defaults_are_excitation_spec_defaults(self, tmp_path, kind):
         out = tmp_path / "exc.wav"
         assert main(["ir", "gen", "--kind", kind, "--out", str(out)]) == 0
-        signal, _ = read_wav(out)
+        signal = read_wav(out)
         expected = gen_excitation(ExcitationSpec(kind=kind))
         np.testing.assert_array_equal(signal[0], expected.astype(np.float32))
 
@@ -561,9 +563,12 @@ BAD_INPUTS = {
                                            "--mic 0 --out {out}"),
     "ism_max_order_huge": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --mic 0 "
                               "--max-order 1000000 --out {out}"),
-    "ism_room_sample_rate_zero": (3, "ir ism --room {room_sample_rate_zero} --mic 0 "
+    # a room has no sample rate (IRs are simulated at 16 kHz), so the key is unknown
+    # whatever its value
+    "ism_room_sample_rate": (2, "ir ism --room {room_sample_rate} --mic 0 --out {out}"),
+    "ism_room_sample_rate_zero": (2, "ir ism --room {room_sample_rate_zero} --mic 0 "
                                      "--out {out}"),
-    "ism_room_sample_rate_negative": (3, "ir ism --room {room_sample_rate_negative} --mic 0 "
+    "ism_room_sample_rate_negative": (2, "ir ism --room {room_sample_rate_negative} --mic 0 "
                                          "--out {out}"),
     "ism_room_dimension_infinite": (3, "ir ism --room {room_dimension_infinite} --mic 0 "
                                        "--out {out}"),
@@ -574,7 +579,58 @@ BAD_INPUTS = {
                              "--report {out}"),
     "eval_label_rate_mismatch": (2, "eval --est-dir {est} --label-dir {labels_8k} "
                                     "--report {out}"),
+    # every WAV is read at 16 kHz only, also when all the files agree on another rate
+    "separate_rate_8k": (2, "separate --input {mix_8k} --weights {weights} --out-dir {out}"),
+    "eval_estimate_8k": (2, "eval --est-dir {est_8k} --label-dir {est} --report {out}"),
+    "eval_pair_8k": (2, "eval --est-dir {est_8k} --label-dir {est_8k} --report {out}"),
+    "simulate_strategy_ir_8k": (2, "simulate --manifest {scene_ok} --out-dir {out} "
+                                   "--strategy only --recorded-ir-dir {irs_8k} --seed 0"),
 }
+
+
+def _scene(speaker=None, background=None, transient=None, **top) -> dict:
+    """The manifest `bad_input_files` writes as `scene_ok`, with fields replaced."""
+    return {"zones": 4,
+            "speakers": [{"zone": 2, "speech": "speech.wav",
+                          "irs": [f"ir{m}.wav" for m in range(4)], **(speaker or {})}],
+            "background": {"file": "noise.wav", "snr_db": 10.0, **(background or {})},
+            "transients": [{"file": "click.wav", "snr_db": 0.0, "onset_seconds": 0.1,
+                            **(transient or {})}],
+            **top}
+
+
+BAD_SCENES = {
+    # malformed values: exit 2, not a traceback, a misread zone or a non-finite scene
+    "zones_not_a_number": _scene(zones="four"),
+    "zone_not_a_number": _scene(speaker={"zone": "front"}),
+    "zone_fraction": _scene(speaker={"zone": 1.9}),
+    "zone_bool": _scene(speaker={"zone": True}),
+    "speech_not_a_string": _scene(speaker={"speech": 5}),
+    "gain_not_a_number": _scene(speaker={"gain": "loud"}),
+    "gain_nan": _scene(speaker={"gain": math.nan}),
+    "gain_inf": _scene(speaker={"gain": math.inf}),
+    "gain_1e300": _scene(speaker={"gain": 1e300}),
+    # finite in float64, but beyond what the float32 mixture.wav can hold
+    "gain_1e300_no_noise": {"speakers": _scene(speaker={"gain": 1e300})["speakers"]},
+    "snr_not_a_number": _scene(background={"snr_db": "x"}),
+    "onset_not_a_number": _scene(transient={"onset_seconds": "soon"}),
+    "onset_nan": _scene(transient={"onset_seconds": math.nan}),
+    "onset_inf": _scene(transient={"onset_seconds": math.inf}),
+    "sample_rate_not_a_number": _scene(sample_rate="fast"),
+    "top_level_array": [_scene()],
+    # each file a manifest names is read at 16 kHz only
+    "speech_8k": _scene(speaker={"speech": "speech_8k.wav"}),
+    "background_8k": _scene(background={"file": "noise_8k.wav"}),
+    "transient_8k": _scene(transient={"file": "click_8k.wav"}),
+    "ir_8k": _scene(speaker={"irs": ["ir0.wav", "ir1_8k.wav", "ir2.wav", "ir3.wav"]}),
+    "all_8k": _scene(sample_rate=8000,
+                     speaker={"speech": "speech_8k.wav",
+                              "irs": [f"ir{m}_8k.wav" for m in range(4)]},
+                     background={"file": "noise_8k.wav"}, transient={"file": "click_8k.wav"}),
+}
+BAD_INPUTS.update({
+    f"simulate_{name}": (2, f"simulate --manifest {{scene_{name}}} --out-dir {{out}}")
+    for name in BAD_SCENES})
 
 
 def _saved(save, *args, **kwargs) -> bytes:
@@ -660,6 +716,7 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
                  {k: v for k, v in ROOM.items() if k != "dimensions"}),
              "room_unknown_key": json.dumps({**ROOM, "absorption": 0.2}),
              "room_reflection_not_numbers": json.dumps({**ROOM, "reflection": ["a"] * 6}),
+             "room_sample_rate": json.dumps({**ROOM, "sample_rate": FS}),
              "room_sample_rate_zero": json.dumps({**ROOM, "sample_rate": 0}),
              "room_sample_rate_negative": json.dumps({**ROOM, "sample_rate": -16000}),
              "room_dimension_infinite": json.dumps(
@@ -676,21 +733,61 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
             if nan and z == 2:
                 wave = wave.copy()
                 wave[100] = np.nan
-            write_wav(files[name] / f"zone{z}.wav", wave, FS)
+            write_wav(files[name] / f"zone{z}.wav", wave)
     files["labels_8k"] = tmp_path / "labels_8k"
     files["labels_8k"].mkdir()
-    write_wav(files["labels_8k"] / "zone1_label.wav", estimates[0, ::2], FS // 2)
+    wavfile.write(files["labels_8k"] / "zone1_label.wav", FS // 2,
+                  estimates[0, ::2].astype(np.float32))
     files["mono"] = tmp_path / "mono.wav"
     write_mixture(files["mono"], rng, channels=1)
     files["loud"] = tmp_path / "loud.wav"
-    write_wav(files["loud"], 1e20 * rng.standard_normal((4, FS // 2)), FS)
+    write_wav(files["loud"], 1e20 * rng.standard_normal((4, FS // 2)))
     files["mls_8k"] = tmp_path / "mls_8k.wav"
-    write_wav(files["mls_8k"], gen_excitation(ExcitationSpec(kind="mls", order=8)), FS // 2)
+    wavfile.write(files["mls_8k"], FS // 2,
+                  gen_excitation(ExcitationSpec(kind="mls", order=8)).astype(np.float32))
     files["mls_stereo"] = tmp_path / "mls_stereo.wav"
     mls = gen_excitation(ExcitationSpec(kind="mls", order=8))
-    write_wav(files["mls_stereo"], np.stack([np.zeros_like(mls), mls]), FS)
+    write_wav(files["mls_stereo"], np.stack([np.zeros_like(mls), mls]))
     files["weights"] = weights_file
+    files["mix_8k"] = tmp_path / "mix_8k.wav"
+    wavfile.write(files["mix_8k"], FS // 2, read_wav(files["mix"]).T.astype(np.float32))
+    files["est_8k"] = tmp_path / "est_8k"
+    files["est_8k"].mkdir()
+    for z, wave in enumerate(estimates, start=1):
+        wavfile.write(files["est_8k"] / f"zone{z}.wav", FS // 2, wave.astype(np.float32))
+    scene = tmp_path / "scene"
+    (scene / "irs_8k").mkdir(parents=True)
+    waves = {"speech": rng.standard_normal(4000) * 0.1,
+             "noise": rng.standard_normal(2000) * 0.1,
+             "click": rng.standard_normal(200) * 0.1}
+    for m in range(4):
+        waves[f"ir{m}"] = np.zeros(16)
+        waves[f"ir{m}"][m + 1] = 1.0
+        wavfile.write(scene / "irs_8k" / f"mic{m}.wav", FS // 2,
+                      waves[f"ir{m}"].astype(np.float32))
+    for name, wave in waves.items():
+        write_wav(scene / f"{name}.wav", wave)
+        wavfile.write(scene / f"{name}_8k.wav", FS // 2, wave.astype(np.float32))
+    files["irs_8k"] = scene / "irs_8k"
+    for name, doc in {"ok": _scene(), **BAD_SCENES}.items():
+        files[f"scene_{name}"] = scene / f"{name}.json"
+        files[f"scene_{name}"].write_text(json.dumps(doc))
     return files
+
+
+def test_bad_input_fixtures_differ_from_working_inputs(bad_input_files):
+    """The manifest the bad scenes vary renders, and the estimates evaluate."""
+    files = bad_input_files
+    assert main(["simulate", "--manifest", str(files["scene_ok"]),
+                 "--out-dir", str(files["out"] / "scene")]) == 0
+    irs = files["scene_ok"].parent
+    for m in range(4):
+        (irs / f"mic{m}.wav").write_bytes((irs / f"ir{m}.wav").read_bytes())
+    assert main(["simulate", "--manifest", str(files["scene_ok"]),
+                 "--out-dir", str(files["out"] / "strategy"), "--strategy", "only",
+                 "--recorded-ir-dir", str(irs), "--seed", "0"]) == 0
+    assert main(["eval", "--est-dir", str(files["est"]), "--label-dir", str(files["est"]),
+                 "--report", str(files["out"] / "eval.json")]) == 0
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

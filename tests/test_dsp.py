@@ -180,9 +180,9 @@ class TestWavIO:
     def test_float32_round_trip(self, tmp_path, rng):
         wave = rng.uniform(-0.9, 0.9, size=(4, 1000))
         path = tmp_path / "multi.wav"
-        write_wav(path, wave, FS)
-        back, rate = read_wav(path)
-        assert rate == FS
+        write_wav(path, wave)
+        back = read_wav(path)
+        assert wavfile.read(path)[0] == FS
         assert back.shape == (4, 1000)
         np.testing.assert_allclose(back, wave, atol=1e-7)
 
@@ -191,9 +191,16 @@ class TestWavIO:
         pcm = rng.integers(-full_scale, full_scale, size=(500, 2), dtype=np.int64).astype(dtype)
         path = tmp_path / "pcm.wav"
         wavfile.write(path, FS, pcm)
-        back, rate = read_wav(path)
-        assert rate == FS
+        back = read_wav(path)
+        assert wavfile.read(path)[0] == FS
         np.testing.assert_array_equal(back, pcm.T / full_scale)
+
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_other_rates_rejected_naming_file_and_rate(self, tmp_path, rate):
+        path = tmp_path / "other.wav"
+        wavfile.write(path, rate, np.zeros(100, np.float32))
+        with pytest.raises(InvalidInput, match=f"other.wav: sample rate {rate} Hz"):
+            read_wav(path)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):

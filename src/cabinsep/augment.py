@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
-from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, analyze, read_wav
+from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, _read_mono, analyze, read_wav
 from .errors import InvalidInput, InvalidManifest
 from .irlab import (
     CABIN_MICS,
@@ -269,12 +269,12 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
     base = Path(base_dir)  # `base / path` keeps an absolute path as it is
     speakers = []
     for entry in manifest.speakers:
-        speech = read_wav(base / entry.speech)
+        speech = _read_mono(base / entry.speech, "a speech WAV")
         if irs_by_zone is not None and entry.zone in irs_by_zone:
             irs = irs_by_zone[entry.zone]
         else:
             irs = [read_ir(base / p) for p in entry.irs]
-        speakers.append((entry.zone, speech[0], irs, entry.gain))
+        speakers.append((entry.zone, speech, irs, entry.gain))
 
     background = None
     background_snr = None
@@ -284,9 +284,8 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
 
     transients = []
     for t in manifest.transients:
-        wave = read_wav(base / t.file)
         onset = int(round(t.onset_seconds * DEFAULT_SAMPLE_RATE))
-        transients.append((wave[0], onset, t.snr_db))
+        transients.append((_read_mono(base / t.file, "a transient WAV"), onset, t.snr_db))
 
     return mix_scene_signals(
         speakers, manifest.zones,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, read_wav, write_wav
+from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, _read_mono, read_wav, write_wav
 from .errors import InvalidConfig, InvalidInput, InvalidManifest, WeightShapeError
 from .metrics import (
     PositioningEntry,
@@ -169,11 +169,8 @@ def cmd_ir_extract(args) -> int:
     from . import irlab
 
     spec = _excitation_spec(args)
-    recording = read_wav(args.recording)
-    if recording.shape[0] != 1:
-        raise InvalidInput(f"{args.recording}: a recording needs exactly one channel, "
-                           f"got {recording.shape[0]}")
-    ir = irlab.extract_ir(recording[0], spec, **_given(args, "ir_length"))
+    recording = _read_mono(args.recording, "a recording")
+    ir = irlab.extract_ir(recording, spec, **_given(args, "ir_length"))
     irlab.write_ir(args.out, ir)
     print(f"extracted {ir.taps.size}-tap IR to {args.out}")
     return EXIT_OK
@@ -214,15 +211,15 @@ def _eval_pair(est_dir: Path, label_dir: Path,
     zones = []
     zone = 1
     while (est_dir / f"zone{zone}.wav").exists():
-        est = read_wav(est_dir / f"zone{zone}.wav")
+        est = _read_mono(est_dir / f"zone{zone}.wav", "a zone estimate")
         label_path = label_dir / f"zone{zone}_label.wav"
         if not label_path.exists():
             label_path = label_dir / f"zone{zone}.wav"
-        zones.append(est[0])
+        zones.append(est)
         if label_path.exists():
-            label = read_wav(label_path)
-            n = min(est.shape[1], label.shape[1])
-            rows.append({"zone": zone, "si_snr_db": si_snr(est[0, :n], label[0, :n])})
+            label = _read_mono(label_path, "a label")
+            n = min(est.shape[0], label.shape[0])
+            rows.append({"zone": zone, "si_snr_db": si_snr(est[:n], label[:n])})
         zone += 1
     if not zones:
         raise InvalidInput(f"no zone*.wav files found in {est_dir}")

@@ -172,6 +172,17 @@ def read_wav(path) -> np.ndarray:
     return wave
 
 
+def _read_mono(path, what: str) -> np.ndarray:
+    """`read_wav` of a file that must hold one channel, as (samples,).
+
+    Any other channel count is InvalidInput naming the file, as `what`.
+    """
+    wave = read_wav(path)
+    if wave.shape[0] != 1:
+        raise InvalidInput(f"{path}: {what} needs exactly one channel, got {wave.shape[0]}")
+    return wave[0]
+
+
 def write_wav(path, wave: np.ndarray) -> None:
     """Write a (channels, samples) or (samples,) waveform as a 16 kHz IEEE float32 WAV."""
     data = as_multichannel(wave).T  # interleave

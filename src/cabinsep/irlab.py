@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import fftconvolve, max_len_seq
 
-from .dsp import DEFAULT_SAMPLE_RATE, read_wav, write_wav
+from .dsp import DEFAULT_SAMPLE_RATE, _read_mono, write_wav
 from .errors import InvalidConfig, InvalidInput
 
 SPEED_OF_SOUND = 343.0
@@ -413,7 +413,4 @@ def write_ir(path, ir: ImpulseResponse) -> None:
 
 def read_ir(path) -> ImpulseResponse:
     """Read a one-channel IR WAV; any other channel count is InvalidInput."""
-    wave = read_wav(path)
-    if wave.shape[0] != 1:
-        raise InvalidInput(f"{path}: an IR WAV needs exactly one channel, got {wave.shape[0]}")
-    return ImpulseResponse(taps=wave[0])
+    return ImpulseResponse(taps=_read_mono(path, "an IR WAV"))

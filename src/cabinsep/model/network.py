@@ -24,12 +24,16 @@ only the conv kernels and attention's projections are re-laid out, once.
 The features become float32 once, in the encoder's conv windows; the STFT,
 the features and the MVDR stay float64/complex128.
 
-Per frame, numpy's fixed cost per call outweighs the arithmetic of most
-layers, so the frame path keeps its passes few: layer norm takes both of its
-means as matrix-vector products rather than short trailing-axis reductions,
-each conv's patch view is built once, and attention's softmax is normalised
-after the context sum, on the (head_dim, heads x bins) context rather than on
-the (frames, heads x bins) weights.
+Every stage keeps a frame as (channels, bins), bins innermost, the sub-band
+conformer included: its projections left-multiply by the weights, and its
+layer norm, GLU, swish and residuals run their inner loops over 257
+contiguous bins rather than over a width of 16. Per frame, numpy's fixed
+cost per call outweighs the arithmetic of most layers, so the frame path
+keeps its passes few: layer norm takes both of its means as products with a
+row of 1/width, the 3-tap depthwise conv is one contraction, each conv's
+patch view is built once, and attention's softmax is normalised after the
+context sum, on the (head_dim, heads x bins) context rather than on the
+(frames, heads x bins) weights.
 
 Attention keeps each cached frame as a (head_dim, heads x bins) block, so
 both of its contractions run their inner loops over 1028 contiguous floats
@@ -37,12 +41,12 @@ per row at 257 bins, not over the few dozen cached frames of one (bin, head,
 dim). The query, key and value projections are reordered once, when a layer
 is built, so that they produce that layout directly.
 
-The softmax is shifted by a per-head constant rather than by each row's max,
-which would be one more reduction over the (frames, heads x bins) scores. A
+The softmax is not shifted, neither by each row's max, which would be one
+more reduction over the (frames, heads x bins) scores, nor by a constant. A
 score is q.k scaled, with q and k projections of a layer-norm output whose
 norm is at most sqrt(width), so when a layer is built its weights bound every
-score by some B, and every exp argument then lies in [-2B, 0]. A container
-whose B could make a whole row underflow is refused with WeightShapeError.
+score by some B, and every exp argument lies in [-B, B]. A container whose B
+exceeds 40, past which exp could overflow, is refused with WeightShapeError.
 """
 
 from __future__ import annotations
@@ -59,9 +63,9 @@ from .config import ModelConfig
 from .weights import ModelWeights
 
 _LN_EPS = 1e-5
-# the largest softmax shift: exp arguments reach -2x it, and float32 exp goes
-# subnormal near -87
-_MAX_SHIFT = 40.0
+# the largest score bound: exp arguments lie in [-B, B], float32 exp leaves
+# its normal range past +-87, and a row sum of exp(40) terms has e^48 to spare
+_MAX_BOUND = 40.0
 
 
 @dataclass
@@ -85,14 +89,14 @@ def _swish(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    # both means as matrix-vector products: numpy's reduction over a short
-    # trailing axis costs more than the arithmetic
-    mean = np.full(x.shape[-1], 1.0 / x.shape[-1], np.float32)
-    centred = x - (x @ mean)[..., None]
-    var = (centred * centred) @ mean  # as np.var computes it
-    centred /= np.sqrt(var + _LN_EPS)[..., None]
-    centred *= gain
-    centred += bias
+    # over each column of (width, bins), both means as products with a row:
+    # numpy's reduction over the short width axis costs more than the arithmetic
+    mean = np.full(x.shape[0], 1.0 / x.shape[0], np.float32)
+    centred = x - mean @ x
+    var = mean @ (centred * centred)  # as np.var computes it
+    centred /= np.sqrt(var + _LN_EPS)
+    centred *= gain[:, None]
+    centred += bias[:, None]
     return centred
 
 
@@ -229,21 +233,22 @@ def _score_bound(ln_g, ln_b, wq, bq, wk, bk, heads: int) -> np.ndarray:
 
 
 class _ConformerLayer:
-    """Causal conformer block on per-bin sequences; weights shared across bins."""
+    """Causal conformer block on per-bin sequences of (width, bins) frames."""
 
     def __init__(self, weights: ModelWeights, prefix: str, cfg: ModelConfig):
         get = lambda leaf: weights[f"{prefix}.{leaf}"]
+        col = lambda leaf: get(leaf)[:, None]
         self.ln = {name: (get(f"{name}.g"), get(f"{name}.b"))
                    for name in ("ln_ff1", "ln_att", "ln_conv", "ln_ff2", "ln_out")}
-        self.ff1 = (get("ff1.w1"), get("ff1.b1"), get("ff1.w2"), get("ff1.b2"))
-        self.ff2 = (get("ff2.w1"), get("ff2.b1"), get("ff2.w2"), get("ff2.b2"))
+        self.ff1 = (get("ff1.w1"), col("ff1.b1"), get("ff1.w2"), col("ff1.b2"))
+        self.ff2 = (get("ff2.w1"), col("ff2.b1"), get("ff2.w2"), col("ff2.b2"))
         self.wq, self.bq = get("att.wq"), get("att.bq")
         self.wk, self.bk = get("att.wk"), get("att.bk")
         self.wv, self.bv = get("att.wv"), get("att.bv")
-        self.wo, self.bo = get("att.wo"), get("att.bo")
-        self.pw1 = (get("conv.pw1.w"), get("conv.pw1.b"))
-        self.dw = (get("conv.dw.w"), get("conv.dw.b"))
-        self.pw2 = (get("conv.pw2.w"), get("conv.pw2.b"))
+        self.wo, self.bo = get("att.wo"), col("att.bo")
+        self.pw1 = (get("conv.pw1.w"), col("conv.pw1.b"))
+        self.dw = (get("conv.dw.w"), col("conv.dw.b"))
+        self.pw2 = (get("conv.pw2.w"), col("conv.pw2.b"))
 
         self.heads = cfg.attn_heads
         self.head_dim = cfg.subband_hidden // cfg.attn_heads
@@ -251,12 +256,12 @@ class _ConformerLayer:
         self.scale = np.float32(1.0 / np.sqrt(self.head_dim))
         # the margins keep float32 rounding from pushing a score past the bound
         bound = _score_bound(*self.ln["ln_att"], self.wq, self.bq, self.wk, self.bk,
-                             self.heads) * self.scale
-        shift = bound * (1 + 1e-3) + 1e-3
-        if not shift.max() <= _MAX_SHIFT:
+                             self.heads) * self.scale * (1 + 1e-3) + 1e-3
+        if not bound.max() <= _MAX_BOUND:
             raise WeightShapeError(
                 f"{prefix}.att: the weights bound the attention scores only by "
-                f"{shift.max():.4g}; past {_MAX_SHIFT:g} a softmax row could underflow")
+                f"{bound.max():.4g}; past {_MAX_BOUND:g} the unshifted softmax "
+                f"could overflow float32")
         # q, k and v come out as (head_dim, heads * bins), the cache's row
         # layout: the projections' rows are reordered from (head, dim) to
         # (dim, head), stacked, and the query's carry the scale
@@ -266,21 +271,20 @@ class _ConformerLayer:
         self.b_qkv = np.concatenate([self.bq[order] * self.scale, self.bk[order],
                                      self.bv[order]])[:, None]
         self.wo_ctx = self.wo[:, order]
-        self.shift = np.repeat(shift.astype(np.float32), cfg.bins)  # (heads * bins,)
         width = self.heads * cfg.bins
         self.k_cache = _KvCache(self.head_dim, width, cfg.lookback_frames)
         self.v_cache = _KvCache(self.head_dim, width, cfg.lookback_frames)
         # the last kt GLU outputs, oldest first; zeros before the stream
-        self.conv_window = np.zeros((self.dw[0].shape[1], cfg.bins, cfg.subband_hidden),
+        self.conv_window = np.zeros((self.dw[0].shape[1], cfg.subband_hidden, cfg.bins),
                                     np.float32)
 
     def _ff(self, x, params):
         w1, b1, w2, b2 = params
-        return _swish(x @ w1.T + b1) @ w2.T + b2
+        return w2 @ _swish(w1 @ x + b1) + b2
 
     def _attend(self, x: np.ndarray) -> np.ndarray:
         u = _layer_norm(x, *self.ln["ln_att"])
-        qkv = self.w_qkv @ u.T + self.b_qkv  # (3 H, F)
+        qkv = self.w_qkv @ u + self.b_qkv  # (3 H, F)
         q, k, v = qkv.reshape(3, self.head_dim, -1)  # each (dh, heads * F)
         self.k_cache.append(k)
         self.v_cache.append(v)
@@ -290,28 +294,24 @@ class _ConformerLayer:
         # smaller than the (S, heads * F) weights; in place, because fresh
         # temporaries cost more here than the arithmetic
         scores = np.einsum("dn,sdn->sn", q, keys)
-        scores -= self.shift
         att = np.exp(scores, out=scores)
         ctx = np.einsum("sn,sdn->dn", att, values)
         ctx /= att.sum(axis=0)
-        return ctx.reshape(-1, x.shape[0]).T @ self.wo_ctx.T + self.bo
+        return self.wo_ctx @ ctx.reshape(-1, x.shape[1]) + self.bo
 
     def _conv_module(self, x: np.ndarray) -> np.ndarray:
         u = _layer_norm(x, *self.ln["ln_conv"])
         w1, b1 = self.pw1
-        gates = u @ w1.T + b1
-        half = gates.shape[-1] // 2
-        glu = gates[:, :half] * expit(gates[:, half:])
-        dw_w, dw_b = self.dw
+        gates = w1 @ u + b1
+        half = gates.shape[0] // 2
         taps = self.conv_window
         taps[:-1] = taps[1:]
-        taps[-1] = glu
-        conv = taps[0] * dw_w[:, 0]
-        for k in range(1, dw_w.shape[1]):
-            conv += taps[k] * dw_w[:, k]
+        np.multiply(gates[:half], expit(gates[half:]), out=taps[-1])
+        dw_w, dw_b = self.dw
+        conv = np.einsum("khf,hk->hf", taps, dw_w)
         conv += dw_b
         w2, b2 = self.pw2
-        return _swish(conv) @ w2.T + b2
+        return w2 @ _swish(conv) + b2
 
     def step(self, x: np.ndarray) -> np.ndarray:
         x = x + 0.5 * self._ff(_layer_norm(x, *self.ln["ln_ff1"]), self.ff1)
@@ -326,19 +326,19 @@ class _SubBand:
 
     def __init__(self, weights: ModelWeights, prefix: str, cfg: ModelConfig):
         self.w_in = weights[f"{prefix}.conv_in.w"]
-        self.b_in = weights[f"{prefix}.conv_in.b"]
+        self.b_in = weights[f"{prefix}.conv_in.b"][:, None]
         self.layers = [
             _ConformerLayer(weights, f"{prefix}.layer{j}", cfg)
             for j in range(cfg.conformer_layers)
         ]
         self.w_out = weights[f"{prefix}.proj_out.w"]
-        self.b_out = weights[f"{prefix}.proj_out.b"]
+        self.b_out = weights[f"{prefix}.proj_out.b"][:, None]
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        z = x.T @ self.w_in.T + self.b_in  # (F, H)
+        z = self.w_in @ x + self.b_in  # (H, F)
         for layer in self.layers:
             z = layer.step(z)
-        return x + (z @ self.w_out.T + self.b_out).T
+        return x + (self.w_out @ z + self.b_out)
 
 
 class _EncoderStage:

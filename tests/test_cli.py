@@ -585,6 +585,12 @@ BAD_INPUTS = {
     "eval_pair_8k": (2, "eval --est-dir {est_8k} --label-dir {est_8k} --report {out}"),
     "simulate_strategy_ir_8k": (2, "simulate --manifest {scene_ok} --out-dir {out} "
                                    "--strategy only --recorded-ir-dir {irs_8k} --seed 0"),
+    # a zone estimate or label is one channel; channel 0 of each 2-channel file
+    # is the working mono one, so a reader of channel 0 alone would exit 0
+    "eval_estimate_two_channels": (2, "eval --est-dir {est_stereo} --label-dir {est} "
+                                      "--report {out}"),
+    "eval_label_two_channels": (2, "eval --est-dir {est} --label-dir {labels_stereo} "
+                                   "--report {out}"),
 }
 
 
@@ -623,6 +629,10 @@ BAD_SCENES = {
     "background_8k": _scene(background={"file": "noise_8k.wav"}),
     "transient_8k": _scene(transient={"file": "click_8k.wav"}),
     "ir_8k": _scene(speaker={"irs": ["ir0.wav", "ir1_8k.wav", "ir2.wav", "ir3.wav"]}),
+    # speech and transients are one channel; channel 0 of each 2-channel file
+    # is the working mono one
+    "speech_two_channels": _scene(speaker={"speech": "speech_stereo.wav"}),
+    "transient_two_channels": _scene(transient={"file": "click_stereo.wav"}),
     "all_8k": _scene(sample_rate=8000,
                      speaker={"speech": "speech_8k.wav",
                               "irs": [f"ir{m}_8k.wav" for m in range(4)]},
@@ -734,6 +744,11 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
                 wave = wave.copy()
                 wave[100] = np.nan
             write_wav(files[name] / f"zone{z}.wav", wave)
+    for name, wav in (("est_stereo", "zone1.wav"), ("labels_stereo", "zone1_label.wav")):
+        files[name] = tmp_path / name
+        files[name].mkdir()
+        write_wav(files[name] / wav, np.stack([estimates[0], estimates[1]]))
+    (files["est_stereo"] / "zone2.wav").write_bytes((files["est"] / "zone2.wav").read_bytes())
     files["labels_8k"] = tmp_path / "labels_8k"
     files["labels_8k"].mkdir()
     wavfile.write(files["labels_8k"] / "zone1_label.wav", FS // 2,
@@ -768,6 +783,7 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
     for name, wave in waves.items():
         write_wav(scene / f"{name}.wav", wave)
         wavfile.write(scene / f"{name}_8k.wav", FS // 2, wave.astype(np.float32))
+        write_wav(scene / f"{name}_stereo.wav", np.stack([wave, wave[::-1]]))
     files["irs_8k"] = scene / "irs_8k"
     for name, doc in {"ok": _scene(), **BAD_SCENES}.items():
         files[f"scene_{name}"] = scene / f"{name}.json"
@@ -795,3 +811,17 @@ def test_bad_input_defined_exit_without_output(case, bad_input_files):
     expected, argv = BAD_INPUTS[case]
     assert main([a.format(**bad_input_files) for a in argv.split()]) == expected
     assert not bad_input_files["out"].exists()
+
+
+@pytest.mark.parametrize("case, wav", [
+    ("simulate_speech_two_channels", "scene/speech_stereo.wav"),
+    ("simulate_transient_two_channels", "scene/click_stereo.wav"),
+    ("eval_estimate_two_channels", "est_stereo/zone1.wav"),
+    ("eval_label_two_channels", "labels_stereo/zone1_label.wav"),
+])
+def test_multichannel_wav_error_names_file_and_channels(case, wav, bad_input_files, capsys):
+    _, argv = BAD_INPUTS[case]
+    assert main([a.format(**bad_input_files) for a in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert str(bad_input_files["mix"].parent / wav) in err
+    assert "exactly one channel, got 2" in err

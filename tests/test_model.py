@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +29,17 @@ from cabinsep.model.network import (
     _SubBand,
     _Tac,
     _layer_norm,
+    _score_bound,
     _swish,
 )
 from conftest import CHANNEL_KINDS, bad_channel_wave, random_spectrogram, run_frames
 
 BINS = ModelConfig.bins
+# S masks (init_random seed 7) of random_spectrogram(default_rng(12), frames=12),
+# written by the network when its sub-band stage still computed on (bins, width)
+# arrays: every second bin, so that the archive stays under 100 kB, and the
+# 4-frame lookback run from frame 4 on, where it departs from the unbounded one
+GOLDEN_MASKS = Path(__file__).resolve().parent / "data" / "golden_masks_S.npz"
 
 
 def encode(spec, weights, cfg):
@@ -63,11 +70,13 @@ def forward_frames(net, spec):
 
 def chronological_attend(self, x):
     """Reference `_ConformerLayer._attend`: an append-only (S, F, heads, dh)
-    history, sliced to the lookback and read in frame order."""
+    history, sliced to the lookback and read in frame order, computed on the
+    (F, H) transpose of the layer's (H, F) input. The layer holds its output
+    bias as a column."""
     if not hasattr(self, "past"):
         self.past = ([], [])
-    n_bins = x.shape[0]
-    u = _layer_norm(x, *self.ln["ln_att"])
+    n_bins = x.shape[1]
+    u = _layer_norm(x, *self.ln["ln_att"]).T
     q = (u @ self.wq.T + self.bq).reshape(n_bins, self.heads, self.head_dim)
     self.past[0].append((u @ self.wk.T + self.bk).reshape(n_bins, self.heads, self.head_dim))
     self.past[1].append((u @ self.wv.T + self.bv).reshape(n_bins, self.heads, self.head_dim))
@@ -79,26 +88,27 @@ def chronological_attend(self, x):
     att = np.exp(scores)
     att /= att.sum(axis=-1, keepdims=True)
     ctx = np.einsum("fhs,sfhd->fhd", att, values).reshape(n_bins, -1)
-    return ctx @ self.wo.T + self.bo
+    return (ctx @ self.wo.T + self.bo.T).T
 
 
 def list_conv_module(self, x):
     """Reference `_ConformerLayer._conv_module`: past GLU outputs in a list
-    rebuilt every frame."""
+    rebuilt every frame, computed on the (F, H) transpose of the layer's
+    (H, F) input. The layer holds its biases as columns."""
     if not hasattr(self, "history"):
-        self.history = [np.zeros((x.shape[0], self.dw[0].shape[0]), np.float32)
+        self.history = [np.zeros((x.shape[1], self.dw[0].shape[0]), np.float32)
                         for _ in range(self.dw[0].shape[1] - 1)]
-    u = _layer_norm(x, *self.ln["ln_conv"])
+    u = _layer_norm(x, *self.ln["ln_conv"]).T
     w1, b1 = self.pw1
-    gates = u @ w1.T + b1
+    gates = u @ w1.T + b1.T
     half = gates.shape[-1] // 2
     glu = gates[:, :half] * expit(gates[:, half:])
     dw_w, dw_b = self.dw
     taps = self.history + [glu]
-    conv = sum(taps[k] * dw_w[:, k] for k in range(dw_w.shape[1])) + dw_b
+    conv = sum(taps[k] * dw_w[:, k] for k in range(dw_w.shape[1])) + dw_b.T
     self.history = taps[1:]
     w2, b2 = self.pw2
-    return _swish(conv) @ w2.T + b2
+    return (_swish(conv) @ w2.T + b2.T).T
 
 
 class TestConfig:
@@ -579,10 +589,9 @@ class TestSoftmaxShift:
             q = (u @ layer.wq.T + layer.bq).reshape(-1, layer.heads, layer.head_dim)
             k = (u @ layer.wk.T + layer.bk).reshape(-1, layer.heads, layer.head_dim)
             scores = np.abs(np.einsum("ahd,bhd->hab", q * layer.scale, k))
-            # the shift holds one value per head, repeated over the bins
-            shift = layer.shift.reshape(layer.heads, -1)
-            assert np.all(shift == shift[:, :1])
-            assert np.all(scores.max(axis=(1, 2)) <= shift[:, 0])
+            bound = _score_bound(gain, bias, layer.wq, layer.bq, layer.wk, layer.bk,
+                                 layer.heads) * layer.scale
+            assert np.all(scores.max(axis=(1, 2)) <= bound)
 
     def test_scaled_query_weights_refused(self, small_cfg):
         weights = init_random(small_cfg, seed=0)
@@ -598,6 +607,47 @@ class TestSoftmaxShift:
         assert np.isfinite(masks.speech).all() and np.isfinite(masks.noise).all()
 
 
+    def test_unshifted_softmax_finite_just_under_the_bound(self, small_cfg, small_weights):
+        # grow one layer's query weights until its margined bound is 39.9, as
+        # the layer computes it; the bound is affine in the factor, per head
+        layer = "block0.subband.layer0"
+        ln = (small_weights[f"{layer}.ln_att.g"], small_weights[f"{layer}.ln_att.b"])
+        wq, bq = small_weights[f"{layer}.att.wq"], small_weights[f"{layer}.att.bq"]
+        wk, bk = small_weights[f"{layer}.att.wk"], small_weights[f"{layer}.att.bk"]
+        scale = np.float32(1.0 / np.sqrt(small_cfg.subband_hidden // small_cfg.attn_heads))
+        margined = lambda c: (_score_bound(*ln, c * wq, bq, wk, bk, small_cfg.attn_heads)
+                              * scale * (1 + 1e-3) + 1e-3)
+        at0, at1 = margined(0.0), margined(1.0)
+        factor = np.float32(((39.9 - at0) / (at1 - at0)).min())
+        assert 39.8 < margined(factor).max() < 40.0
+        tensors = {**small_weights.tensors, f"{layer}.att.wq": factor * wq}
+        weights = ModelWeights(tensors, small_weights.fingerprint)
+        assert small_cfg.lookback_frames is None
+        for kind in sorted(CHANNEL_KINDS):
+            spec = analyze(bad_channel_wave([kind] * 4, seed=0, samples=201 * 256))
+            assert spec.shape[1] >= 200
+            with np.errstate(over="raise", under="raise", invalid="raise"):
+                masks = forward(spec, weights, small_cfg)
+            assert np.isfinite(masks.speech).all() and np.isfinite(masks.noise).all()
+
+
+class TestGoldenMasks:
+    @pytest.mark.parametrize("lookback", [None, 4])
+    def test_forward_matches_archive(self, small_cfg, small_weights, lookback):
+        seconds = None if lookback is None else lookback * small_cfg.hop_seconds
+        spec = random_spectrogram(np.random.default_rng(12), frames=12)
+        masks = forward(spec, small_weights, replace(small_cfg, chunk_lookback_seconds=seconds))
+        golden = np.load(GOLDEN_MASKS)
+        for kind in ("speech", "noise"):
+            got = getattr(masks, kind)[..., ::2]
+            expected = golden[f"unbounded_{kind}"]
+            if lookback is not None:
+                expected = np.concatenate([expected[:, :lookback], golden[f"lookback4_{kind}"]],
+                                          axis=1)
+            assert got.shape == expected.shape == (4, 12, (BINS + 1) // 2)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-6)
+
+
 class TestConformerConv:
     def test_window_matches_list_history_reference(self, rng, small_cfg, small_weights,
                                                    monkeypatch):
@@ -608,17 +658,19 @@ class TestConformerConv:
 
 
 def layer_norm_reference(x, gain, bias):
-    """Layer norm in float64 through np.mean and np.var."""
+    """Layer norm of each column of a (width, bins) array, in float64 through
+    np.mean and np.var."""
     x = x.astype(np.float64)
-    return ((x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
-            * gain + bias)
+    return ((x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + 1e-5)
+            * gain[:, None] + bias[:, None])
 
 
 class TestLayerNorm:
-    # 16 is the preset width; 1/24 is not exact in float32
+    # a "row" is one bin's vector of `width` features, a column of the
+    # (width, bins) input; 16 is the preset width; 1/24 is not exact in float32
     @pytest.mark.parametrize("width", [16, 24])
     def test_matches_float64_var_reference(self, rng, width):
-        x = rng.standard_normal((257, width)).astype(np.float32)
+        x = rng.standard_normal((width, 257)).astype(np.float32)
         gain = rng.uniform(0.5, 1.5, width).astype(np.float32)
         bias = rng.standard_normal(width).astype(np.float32)
         out = _layer_norm(x, gain, bias)
@@ -628,7 +680,7 @@ class TestLayerNorm:
     @pytest.mark.parametrize("width", [16, 24])
     def test_rows_offset_by_1e3(self, rng, width):
         # the float32 means carry ~1e-4 of a unit row spread at this offset
-        x = (rng.standard_normal((257, width)) + 1e3).astype(np.float32)
+        x = (rng.standard_normal((width, 257)) + 1e3).astype(np.float32)
         gain = rng.uniform(0.5, 1.5, width).astype(np.float32)
         bias = rng.standard_normal(width).astype(np.float32)
         np.testing.assert_allclose(_layer_norm(x, gain, bias), layer_norm_reference(x, gain, bias),
@@ -638,10 +690,10 @@ class TestLayerNorm:
         # constants with few significant bits, so that every partial sum of
         # the mean is exact in any summation order
         rows = np.array([0.0, 3.0, -7.25, 1000.5, 2.0**-20], np.float32)
-        x = np.repeat(rows[:, None], 16, axis=1)
+        x = np.repeat(rows[None, :], 16, axis=0)
         gain = rng.uniform(0.5, 1.5, 16).astype(np.float32)
         bias = rng.standard_normal(16).astype(np.float32)
-        np.testing.assert_array_equal(_layer_norm(x, gain, bias), np.tile(bias, (5, 1)))
+        np.testing.assert_array_equal(_layer_norm(x, gain, bias), np.tile(bias[:, None], (1, 5)))
 
 
 class TestFloat32:

@@ -24,7 +24,7 @@ from scipy.signal import fftconvolve, lfilter
 from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, _read_mono, analyze, read_wav
 from .errors import InvalidInput, InvalidManifest
 from .irlab import (
-    CABIN_MICS,
+    ZONES,
     ImpulseResponse,
     cabin_room,
     read_ir,
@@ -67,7 +67,6 @@ def _finite(value, what: str) -> float:
 
 @dataclass
 class SceneManifest:
-    zones: int = 4
     speakers: list[SpeakerEntry] = field(default_factory=list)
     background: NoiseEntry | None = None
     transients: list[NoiseEntry] = field(default_factory=list)
@@ -88,7 +87,8 @@ class SceneManifest:
     @classmethod
     def from_json(cls, text: str) -> "SceneManifest":
         """Parse a manifest; keys outside the schema are ignored, but a
-        `sample_rate` other than 16000 is refused rather than rendered at 16 kHz."""
+        `sample_rate` other than 16000 is refused rather than rendered at 16 kHz,
+        and `zones` other than the integer 4 rather than rendered with 4."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -97,6 +97,8 @@ class SceneManifest:
             raise InvalidManifest("a manifest must be a JSON object")
         if (rate := doc.get("sample_rate", DEFAULT_SAMPLE_RATE)) != DEFAULT_SAMPLE_RATE:
             raise InvalidManifest(f"manifest sample_rate {rate!r}: scenes are 16 kHz")
+        if type(zones := doc.get("zones", ZONES)) is not int or zones != ZONES:
+            raise InvalidManifest(f"manifest zones {zones!r}: a cabin has {ZONES} zones")
         try:
             speakers = [
                 SpeakerEntry(zone=_typed(s["zone"], int, "zone"),
@@ -115,13 +117,11 @@ class SceneManifest:
                                                  "onset_seconds"))
                 for t in doc.get("transients", [])
             ]
-            zones = _typed(doc.get("zones", 4), int, "zones")
         except KeyError as exc:
             raise InvalidManifest(f"manifest is missing required field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise InvalidManifest(f"malformed manifest: {exc}") from exc
-        return cls(zones=zones, speakers=speakers, background=background,
-                   transients=transients)
+        return cls(speakers=speakers, background=background, transients=transients)
 
 
 @dataclass
@@ -168,24 +168,29 @@ def _snr_factor(signal: np.ndarray, noise: np.ndarray, target_snr_db: float) -> 
     return np.sqrt(p_signal / (p_noise * 10.0 ** (target_snr_db / 10.0)))
 
 
-def _fit_noise(noise: np.ndarray, zones: int, length: int) -> np.ndarray:
-    """Tile/trim a mono or multichannel noise recording to (zones, length)."""
+def _fit_noise(noise: np.ndarray, length: int) -> np.ndarray:
+    """Tile/trim a mono or multichannel noise recording to (ZONES, length)."""
     noise = np.asarray(noise, dtype=np.float64)
     if noise.ndim == 1:
         noise = noise[None, :]
     if noise.shape[0] == 1:
-        noise = np.broadcast_to(noise, (zones, noise.shape[1])).copy()
-    if noise.shape[0] != zones:
-        raise InvalidInput(f"noise has {noise.shape[0]} channels, expected 1 or {zones}")
+        noise = np.broadcast_to(noise, (ZONES, noise.shape[1])).copy()
+    if noise.shape[0] != ZONES:
+        raise InvalidInput(f"noise has {noise.shape[0]} channels, expected 1 or {ZONES}")
     if noise.shape[1] == 0:
         raise InvalidInput("noise recording is empty")
     reps = int(np.ceil(length / noise.shape[1]))
     return np.tile(noise, (1, reps))[:, :length]
 
 
+def _check_float32(signal: np.ndarray) -> None:
+    # a scene is written as float32 WAVs; NaN fails the comparison too
+    if not max(signal.max(), -signal.min()) <= np.finfo(np.float32).max:
+        raise InvalidInput("the scene's mixture exceeds float32's range (is a gain too large?)")
+
+
 def mix_scene_signals(
     speakers: list[tuple[int, np.ndarray, list[ImpulseResponse], float]],
-    zones: int,
     background: np.ndarray | None = None,
     background_snr_db: float | None = None,
     transients: list[tuple[np.ndarray, int, float]] | None = None,
@@ -205,30 +210,31 @@ def mix_scene_signals(
         raise InvalidInput("a scene needs at least one speaker")
     seen = set()
     for zone, _, irs, _ in speakers:
-        if not 0 <= zone < zones:
-            raise InvalidManifest(f"speaker zone {zone} outside [0, {zones})")
+        if not 0 <= zone < ZONES:
+            raise InvalidManifest(f"speaker zone {zone} outside [0, {ZONES})")
         if zone in seen:
             raise InvalidManifest(f"two speakers assigned to zone {zone}")
         seen.add(zone)
-        if len(irs) != zones:
-            raise InvalidInput(f"speaker in zone {zone}: expected {zones} IRs, got {len(irs)}")
+        if len(irs) != ZONES:
+            raise InvalidInput(f"speaker in zone {zone}: expected {ZONES} IRs, got {len(irs)}")
 
     images = []
     for zone, speech, irs, gain in speakers:
         images.append((zone, gain * render_reverberant(speech, irs)))
     length = max(img.shape[1] for _, img in images)
 
-    zone_images = np.zeros((zones, zones, length))
+    zone_images = np.zeros((ZONES, ZONES, length))
     for zone, img in images:
         zone_images[zone, :, : img.shape[1]] = img
     speech_sum = zone_images.sum(axis=0)
+    _check_float32(speech_sum)  # before `_snr_factor` squares it
 
-    noise_total = np.zeros((zones, length))
+    noise_total = np.zeros((ZONES, length))
     reference = speech_sum[0]
     if background is not None:
         if background_snr_db is None:
             raise InvalidInput("background noise requires a target SNR")
-        fitted = _fit_noise(background, zones, length)
+        fitted = _fit_noise(background, length)
         # one common factor for all channels, chosen on the reference mic
         noise_total += _snr_factor(reference, fitted[0], background_snr_db) * fitted
     for event in transients or []:
@@ -243,10 +249,8 @@ def mix_scene_signals(
         noise_total[:, onset:end] += scaled[: end - onset]
 
     mixture = speech_sum + noise_total
-    # a scene is written as float32 WAVs; NaN fails the comparison too
-    if not max(mixture.max(), -mixture.min()) <= np.finfo(np.float32).max:
-        raise InvalidInput("the scene's mixture exceeds float32's range (is a gain too large?)")
-    speech_labels = np.zeros((zones, length))
+    _check_float32(mixture)
+    speech_labels = np.zeros((ZONES, length))
     for zone, _ in images:
         speech_labels[zone] = zone_images[zone, zone]
     return SceneRender(
@@ -288,8 +292,7 @@ def mix_scene(manifest: SceneManifest, base_dir=".",
         transients.append((_read_mono(base / t.file, "a transient WAV"), onset, t.snr_db))
 
     return mix_scene_signals(
-        speakers, manifest.zones,
-        background=background, background_snr_db=background_snr,
+        speakers, background=background, background_snr_db=background_snr,
         transients=transients,
     )
 
@@ -307,11 +310,10 @@ def oracle_masks(render: SceneRender, stft_cfg: StftConfig = StftConfig()):
     """
     mixture_spec = analyze(render.mixture, stft_cfg)
     noise_spec = analyze(render.noise_label, stft_cfg)
-    zones = render.mixture.shape[0]
     eps = 1e-12
     speech = np.zeros(mixture_spec.shape)
     noise = np.zeros(mixture_spec.shape)
-    for z in range(zones):
+    for z in range(ZONES):
         image = analyze(render.zone_images[z, z], stft_cfg)[0]
         target_power = image.real**2 + image.imag**2
         residual = mixture_spec[z] - image
@@ -376,7 +378,6 @@ def sample_cabin_scene(
     through its own IRs and scaled to `background_snr_db` at microphone 1.
     """
     num_samples = int(duration_seconds * DEFAULT_SAMPLE_RATE)
-    zones = len(CABIN_MICS)
     speakers = []
     for zone in speaker_zones:
         if source_positions and zone in source_positions:
@@ -390,7 +391,4 @@ def sample_cabin_scene(
     noise_irs = simulate_ism_all(cabin_room(_NOISE_POSITION, ir_length=_SCENE_IR_LENGTH))
     noise = render_reverberant(rng.standard_normal(num_samples), noise_irs)
 
-    return mix_scene_signals(
-        speakers, zones,
-        background=noise, background_snr_db=background_snr_db,
-    )
+    return mix_scene_signals(speakers, background=noise, background_snr_db=background_snr_db)

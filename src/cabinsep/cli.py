@@ -91,13 +91,13 @@ def cmd_separate(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _load_ir_set(directory, zones: int):
-    """Per-microphone IR set from a directory of mic0.wav .. mic{Z-1}.wav."""
+def _load_ir_set(directory):
+    """Per-microphone IR set from a directory of mic0.wav .. mic3.wav."""
     from . import irlab
 
     directory = Path(directory)
     irs = []
-    for m in range(zones):
+    for m in range(irlab.ZONES):
         path = directory / f"mic{m}.wav"
         if not path.exists():
             raise InvalidInput(f"IR set {directory} is missing {path.name}")
@@ -113,10 +113,11 @@ def cmd_simulate(args) -> int:
     if args.strategy:
         if args.seed is None:
             raise InvalidConfig("--strategy draws an IR assignment and requires --seed")
-        simulated = (_load_ir_set(args.simulated_ir_dir, manifest.zones)
-                     if args.simulated_ir_dir else None)
-        recorded = (_load_ir_set(args.recorded_ir_dir, manifest.zones)
-                    if args.recorded_ir_dir else None)
+        # an IR set holds one source position, so it can render one speaker only
+        if (count := len(manifest.speakers)) > 1:
+            raise InvalidManifest(f"--strategy renders one speaker, the manifest has {count}")
+        simulated = _load_ir_set(args.simulated_ir_dir) if args.simulated_ir_dir else None
+        recorded = _load_ir_set(args.recorded_ir_dir) if args.recorded_ir_dir else None
         rng = np.random.default_rng(args.seed)
         irs_by_zone = {
             entry.zone: irlab.mix_ir_sets(simulated, recorded, args.strategy,
@@ -134,7 +135,7 @@ def cmd_simulate(args) -> int:
     write_wav(out_dir / "noise_label.wav", render.noise_label)
     (out_dir / "scene_report.json").write_text(json.dumps({
         "manifest": str(args.manifest),
-        "zones": manifest.zones,
+        "zones": irlab.ZONES,
         "occupied_zones": [z + 1 for z in render.occupied_zones],
         "samples": int(render.mixture.shape[1]),
     }, indent=2))
@@ -336,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--manifest", required=True)
     sim.add_argument("--out-dir", required=True)
     sim.add_argument("--strategy", choices=("mixed", "added", "only", "simulated"),
-                     help="draw each speaker's IR assignment from IR-set directories")
-    sim.add_argument("--simulated-ir-dir", help="directory of mic0.wav..mic{Z-1}.wav")
-    sim.add_argument("--recorded-ir-dir", help="directory of mic0.wav..mic{Z-1}.wav")
+                     help="draw the one speaker's IR assignment from IR-set directories")
+    sim.add_argument("--simulated-ir-dir", help="directory of mic0.wav..mic3.wav")
+    sim.add_argument("--recorded-ir-dir", help="directory of mic0.wav..mic3.wav")
     sim.add_argument("--seed", type=int, help="required with --strategy")
     sim.set_defaults(func=cmd_simulate)
 

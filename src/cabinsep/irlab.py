@@ -35,6 +35,8 @@ CABIN_SEATS = (
     (2.35, 0.42, 0.90),
     (2.35, 1.08, 0.90),
 )
+# the number of zones of a cabin scene: one microphone and one seat per zone
+ZONES = len(CABIN_MICS)
 
 _SINC_HALF_WIDTH = 8  # 16-tap Hann-windowed sinc for fractional delays
 
@@ -128,8 +130,8 @@ def cabin_room(source, reflection: float = RoomSpec.reflection,
 def seat_position(zone: int, rng: np.random.Generator | None = None,
                   jitter: float = 0.0) -> tuple[float, float, float]:
     """Nominal seat (standard-posture) source position for a zone, with optional jitter."""
-    if not 0 <= zone < len(CABIN_SEATS):
-        raise InvalidInput(f"zone {zone} outside [0, {len(CABIN_SEATS)})")
+    if not 0 <= zone < ZONES:
+        raise InvalidInput(f"zone {zone} outside [0, {ZONES})")
     base = np.asarray(CABIN_SEATS[zone])
     if rng is not None and jitter > 0.0:
         base = base + rng.uniform(-jitter, jitter, size=3)
@@ -389,12 +391,14 @@ def mix_ir_sets(simulated: list[ImpulseResponse] | None,
         raise InvalidInput(f"strategy {strategy!r} requires a simulated IR set")
     if needs_rec and not recorded:
         raise InvalidInput(f"strategy {strategy!r} requires a recorded IR set")
-    n_mics = len(simulated) if simulated else len(recorded)
-    if not (0 <= speaker_zone < n_mics):
-        raise InvalidInput(f"speaker zone {speaker_zone} out of range for {n_mics} mics")
+    for name, irs in (("simulated", simulated), ("recorded", recorded)):
+        if irs is not None and len(irs) != ZONES:
+            raise InvalidInput(f"the {name} IR set holds {len(irs)} IRs, expected {ZONES}")
+    if not (0 <= speaker_zone < ZONES):
+        raise InvalidInput(f"speaker zone {speaker_zone} outside [0, {ZONES})")
 
     if strategy == "mixed":
-        return [recorded[m] if m == speaker_zone else simulated[m] for m in range(n_mics)]
+        return [recorded[m] if m == speaker_zone else simulated[m] for m in range(ZONES)]
     if strategy == "added":
         use_recorded = rng.random() < ADDED_RECORDED_FRACTION
         return list(recorded) if use_recorded else list(simulated)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestSnrScale:
     def scaled(signal, noise, target):
         """The noise label at microphone 1 of `noise` mixed at `target` dB under `signal`."""
         speakers = [(0, signal, [unit_impulse(length=1) for _ in range(4)], 1.0)]
-        render = mix_scene_signals(speakers, 4, transients=[(noise, 0, target)])
+        render = mix_scene_signals(speakers, transients=[(noise, 0, target)])
         return render.noise_label[0]
 
     def test_equal_power_target_zero(self, rng):
@@ -104,7 +105,7 @@ class TestMixSceneSignals:
 
     def test_single_speaker_no_noise(self, rng):
         speakers = self._speakers(rng, [1])
-        render = mix_scene_signals(speakers, 4)
+        render = mix_scene_signals(speakers)
         np.testing.assert_array_equal(render.mixture, render.zone_images[1])
         np.testing.assert_array_equal(render.speech_labels[1],
                                       render.mixture[1])
@@ -112,14 +113,14 @@ class TestMixSceneSignals:
         np.testing.assert_array_equal(render.noise_label, 0.0)
 
     def test_two_speaker_additivity_exact(self, rng):
-        render = mix_scene_signals(self._speakers(rng, [0, 2]), 4)
+        render = mix_scene_signals(self._speakers(rng, [0, 2]))
         total = render.zone_images.sum(axis=0) + render.noise_label
         np.testing.assert_array_equal(render.mixture, total)
 
     def test_background_snr_realized(self, rng):
         speakers = self._speakers(rng, [0, 2])
         noise = rng.standard_normal(700)
-        render = mix_scene_signals(speakers, 4, background=noise,
+        render = mix_scene_signals(speakers, background=noise,
                                    background_snr_db=0.0)
         speech_ref = render.zone_images.sum(axis=0)[0]
         assert abs(measured_snr_db(speech_ref, render.noise_label[0])) < 1e-3
@@ -127,7 +128,7 @@ class TestMixSceneSignals:
     def test_transient_added_at_onset(self, rng):
         speakers = self._speakers(rng, [0])
         event = rng.standard_normal(50)
-        render = mix_scene_signals(speakers, 4, transients=[(event, 100, 0.0)])
+        render = mix_scene_signals(speakers, transients=[(event, 100, 0.0)])
         assert np.all(render.noise_label[:, :100] == 0)
         assert np.any(render.noise_label[:, 100:150] != 0)
 
@@ -138,36 +139,38 @@ class TestMixSceneSignals:
                   if noise == "background"
                   else {"transients": [(rng.standard_normal(50), 100, 0.0)]})
         with pytest.raises(InvalidInput, match="signal is silent"):
-            mix_scene_signals(speakers, 4, **kwargs)
+            mix_scene_signals(speakers, **kwargs)
 
     def test_zone_collision_rejected(self, rng):
         speakers = self._speakers(rng, [1]) + self._speakers(rng, [1])
         with pytest.raises(InvalidManifest):
-            mix_scene_signals(speakers, 4)
+            mix_scene_signals(speakers)
 
     @pytest.mark.parametrize("zone", [-1, 4])
     def test_zone_out_of_range_rejected(self, rng, zone):
         with pytest.raises(InvalidManifest, match="outside"):
-            mix_scene_signals(self._speakers(rng, [zone]), 4)
+            mix_scene_signals(self._speakers(rng, [zone]))
 
     def test_wrong_ir_count_rejected(self, rng):
         speakers = [(0, rng.standard_normal(100), [unit_impulse()], 1.0)]
         with pytest.raises(InvalidInput):
-            mix_scene_signals(speakers, 4)
+            mix_scene_signals(speakers)
 
+    # refused before `_snr_factor` squares the speech, so numpy warns of no overflow
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("gain, noise", [(1e300, False), (1e300, True), (np.nan, False)])
     def test_mixture_beyond_float32_rejected(self, rng, gain, noise):
         speakers = [(z, s, irs, gain) for z, s, irs, _ in self._speakers(rng, [0])]
         background = rng.standard_normal(500) if noise else None
         with pytest.raises(InvalidInput, match="float32"):
-            mix_scene_signals(speakers, 4, background=background,
+            mix_scene_signals(speakers, background=background,
                               background_snr_db=5.0 if noise else None)
 
     def test_determinism(self, rng):
         speakers = self._speakers(rng, [0, 3])
         noise = rng.standard_normal(500)
-        a = mix_scene_signals(speakers, 4, background=noise, background_snr_db=5.0)
-        b = mix_scene_signals(speakers, 4, background=noise, background_snr_db=5.0)
+        a = mix_scene_signals(speakers, background=noise, background_snr_db=5.0)
+        b = mix_scene_signals(speakers, background=noise, background_snr_db=5.0)
         np.testing.assert_array_equal(a.mixture, b.mixture)
         np.testing.assert_array_equal(a.noise_label, b.noise_label)
 
@@ -180,7 +183,6 @@ class TestManifest:
         for m in range(4):
             write_ir(tmp_path / f"ir{m}.wav", unit_impulse(m, 16))
         return SceneManifest(
-            zones=4,
             speakers=[SpeakerEntry(zone=1, speech="speech.wav",
                                    irs=tuple(f"ir{m}.wav" for m in range(4)))],
             background=NoiseEntry(file="noise.wav", snr_db=snr),
@@ -197,6 +199,15 @@ class TestManifest:
         assert SceneManifest.from_json(json.dumps(doc)) == manifest
         # keys the renderer does not read, such as a "seed", are ignored
         assert SceneManifest.from_json(json.dumps({**doc, "seed": 123})) == manifest
+        # a cabin has four zones; a manifest need not say so
+        del doc["zones"]
+        assert SceneManifest.from_json(json.dumps(doc)) == manifest
+
+    @pytest.mark.parametrize("zones", [2, 5, 4.0, True, "four", None])
+    def test_zones_other_than_four_rejected(self, zones):
+        doc = json.dumps({"zones": zones, "speakers": []})
+        with pytest.raises(InvalidManifest, match=re.escape(f"zones {zones!r}")):
+            SceneManifest.from_json(doc)
 
     def test_render_from_files(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng)

@@ -341,6 +341,23 @@ class TestSimulateAndEval:
                      "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    def test_simulate_strategy_two_speakers_exit_2_without_outputs(self, scene_dir, capsys):
+        # an IR set holds the IRs of one source position: the zone-0 speaker
+        # would be rendered through the zone-2 speaker's IRs
+        sim = scene_dir / "sim"
+        sim.mkdir()
+        for m in range(4):
+            write_ir(sim / f"mic{m}.wav", ImpulseResponse(np.eye(16)[m + 1]))
+        manifest = json.loads((scene_dir / "scene.json").read_text())
+        manifest["speakers"].append({**manifest["speakers"][0], "zone": 0})
+        (scene_dir / "two.json").write_text(json.dumps(manifest))
+        out = scene_dir / "rendered"
+        assert main(["simulate", "--manifest", str(scene_dir / "two.json"),
+                     "--out-dir", str(out), "--strategy", "simulated",
+                     "--simulated-ir-dir", str(sim), "--seed", "0"]) == 2
+        assert not out.exists()
+        assert "the manifest has 2" in capsys.readouterr().err
+
     def test_simulate_strategy_requires_seed(self, scene_dir):
         assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
                      "--out-dir", str(scene_dir / "y"), "--strategy", "only",
@@ -608,6 +625,10 @@ def _scene(speaker=None, background=None, transient=None, **top) -> dict:
 BAD_SCENES = {
     # malformed values: exit 2, not a traceback, a misread zone or a non-finite scene
     "zones_not_a_number": _scene(zones="four"),
+    # a cabin has four zones: a manifest may leave `zones` out, or give the
+    # integer 4 (a 2-zone scene would render 2 channels that no model separates)
+    "zones_two": _scene(zones=2, speaker={"zone": 1, "irs": ["ir0.wav", "ir1.wav"]}),
+    "zones_float": _scene(zones=4.0),
     "zone_not_a_number": _scene(speaker={"zone": "front"}),
     "zone_fraction": _scene(speaker={"zone": 1.9}),
     "zone_bool": _scene(speaker={"zone": True}),
@@ -811,6 +832,14 @@ def test_bad_input_defined_exit_without_output(case, bad_input_files):
     expected, argv = BAD_INPUTS[case]
     assert main([a.format(**bad_input_files) for a in argv.split()]) == expected
     assert not bad_input_files["out"].exists()
+
+
+# refused before the SNR factors square the speech, so numpy warns of no overflow
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["simulate_gain_1e300", "simulate_gain_1e300_no_noise"])
+def test_huge_gain_refused_without_numpy_warnings(case, bad_input_files):
+    _, argv = BAD_INPUTS[case]
+    assert main([a.format(**bad_input_files) for a in argv.split()]) == 2
 
 
 @pytest.mark.parametrize("case, wav", [

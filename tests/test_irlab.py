@@ -29,6 +29,7 @@ from cabinsep.irlab import (
     simulate_ism_all,
     write_ir,
 )
+from cabinsep.model import ModelConfig
 
 FS = 16000
 C = 343.0
@@ -175,6 +176,9 @@ class TestIsm:
         for bad in (math.inf, math.nan, 100.5, 1e308, 0.0, -3.0):
             with pytest.raises(InvalidConfig, match="dimensions"):
                 RoomSpec(dimensions=(bad, 2.0, 1.5), **room)
+
+    def test_cabin_has_one_mic_and_seat_per_model_zone(self):
+        assert len(CABIN_MICS) == len(CABIN_SEATS) == ModelConfig.zones
 
     @pytest.mark.parametrize("zone", [-1, 4])
     def test_seat_position_zone_out_of_range_rejected(self, zone):
@@ -465,6 +469,14 @@ class TestMixStrategies:
             mix_ir_sets(None, rec, "simulated", 0, rng)
         with pytest.raises(InvalidInput):
             mix_ir_sets(sim, rec, "bogus", 0, rng)
+
+    @pytest.mark.parametrize("strategy", ["mixed", "added"])
+    def test_set_of_other_size_rejected(self, sets, strategy):
+        sim, rec = sets
+        with pytest.raises(InvalidInput, match="recorded IR set holds 2 IRs, expected 4"):
+            mix_ir_sets(sim, rec[:2], strategy, 0, np.random.default_rng(0))
+        with pytest.raises(InvalidInput, match="simulated IR set holds 5 IRs, expected 4"):
+            mix_ir_sets(sim + sim[:1], rec, strategy, 0, np.random.default_rng(0))
 
 
 class TestIrFiles:

@@ -5,14 +5,7 @@ plus an impulse-response laboratory, a cabin scene synthesizer, evaluation
 metrics, and complexity accounting.
 """
 
-from .errors import (
-    CabinSepError,
-    InvalidConfig,
-    InvalidInput,
-    InvalidManifest,
-    NumericalError,
-    WeightShapeError,
-)
+from .errors import CabinSepError, InvalidConfig, InvalidInput, NumericalError
 
 __version__ = "0.1.0"
 
@@ -22,8 +15,6 @@ __all__ = [
     "CabinSepError",
     "InvalidConfig",
     "InvalidInput",
-    "InvalidManifest",
     "NumericalError",
-    "WeightShapeError",
     "__version__",
 ]

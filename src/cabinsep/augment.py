@@ -22,7 +22,7 @@ import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
 from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, _read_mono, analyze, read_wav
-from .errors import InvalidInput, InvalidManifest
+from .errors import InvalidInput
 from .irlab import (
     ZONES,
     ImpulseResponse,
@@ -76,13 +76,13 @@ class SceneManifest:
         if self.background is not None:
             lo, hi = BACKGROUND_SNR_RANGE
             if not (lo <= self.background.snr_db <= hi):
-                raise InvalidManifest(
+                raise InvalidInput(
                     f"background SNR {self.background.snr_db} outside [{lo}, {hi}] dB"
                 )
         for t in self.transients:
             lo, hi = TRANSIENT_SNR_RANGE
             if not (lo <= t.snr_db <= hi):
-                raise InvalidManifest(f"transient SNR {t.snr_db} outside [{lo}, {hi}] dB")
+                raise InvalidInput(f"transient SNR {t.snr_db} outside [{lo}, {hi}] dB")
 
     @classmethod
     def from_json(cls, text: str) -> "SceneManifest":
@@ -92,13 +92,13 @@ class SceneManifest:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise InvalidManifest(f"manifest is not valid JSON: {exc}") from exc
+            raise InvalidInput(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
-            raise InvalidManifest("a manifest must be a JSON object")
+            raise InvalidInput("a manifest must be a JSON object")
         if (rate := doc.get("sample_rate", DEFAULT_SAMPLE_RATE)) != DEFAULT_SAMPLE_RATE:
-            raise InvalidManifest(f"manifest sample_rate {rate!r}: scenes are 16 kHz")
+            raise InvalidInput(f"manifest sample_rate {rate!r}: scenes are 16 kHz")
         if type(zones := doc.get("zones", ZONES)) is not int or zones != ZONES:
-            raise InvalidManifest(f"manifest zones {zones!r}: a cabin has {ZONES} zones")
+            raise InvalidInput(f"manifest zones {zones!r}: a cabin has {ZONES} zones")
         try:
             speakers = [
                 SpeakerEntry(zone=_typed(s["zone"], int, "zone"),
@@ -118,9 +118,9 @@ class SceneManifest:
                 for t in doc.get("transients", [])
             ]
         except KeyError as exc:
-            raise InvalidManifest(f"manifest is missing required field {exc}") from exc
+            raise InvalidInput(f"manifest is missing required field {exc}") from exc
         except (TypeError, ValueError) as exc:
-            raise InvalidManifest(f"malformed manifest: {exc}") from exc
+            raise InvalidInput(f"malformed manifest: {exc}") from exc
         return cls(speakers=speakers, background=background, transients=transients)
 
 
@@ -211,9 +211,9 @@ def mix_scene_signals(
     seen = set()
     for zone, _, irs, _ in speakers:
         if not 0 <= zone < ZONES:
-            raise InvalidManifest(f"speaker zone {zone} outside [0, {ZONES})")
+            raise InvalidInput(f"speaker zone {zone} outside [0, {ZONES})")
         if zone in seen:
-            raise InvalidManifest(f"two speakers assigned to zone {zone}")
+            raise InvalidInput(f"two speakers assigned to zone {zone}")
         seen.add(zone)
         if len(irs) != ZONES:
             raise InvalidInput(f"speaker in zone {zone}: expected {ZONES} IRs, got {len(irs)}")
@@ -308,21 +308,33 @@ def oracle_masks(render: SceneRender, stft_cfg: StftConfig = StftConfig()):
     Returns:
         (mixture spectrogram (Z, T, F), MaskPair) -- ready for the beamformer.
     """
-    mixture_spec = analyze(render.mixture, stft_cfg)
-    noise_spec = analyze(render.noise_label, stft_cfg)
     eps = 1e-12
-    speech = np.zeros(mixture_spec.shape)
-    noise = np.zeros(mixture_spec.shape)
-    for z in range(ZONES):
-        image = analyze(render.zone_images[z, z], stft_cfg)[0]
-        target_power = image.real**2 + image.imag**2
-        residual = mixture_spec[z] - image
-        residual_power = residual.real**2 + residual.imag**2
-        speech[z] = target_power / (target_power + residual_power + eps)
-        mix_power = mixture_spec[z].real**2 + mixture_spec[z].imag**2
-        noise_power = noise_spec[z].real**2 + noise_spec[z].imag**2
-        noise[z] = np.clip(noise_power / (mix_power + eps), 0.0, 1.0)
+    mixture_spec = analyze(render.mixture, stft_cfg)
+    zones = np.arange(ZONES)
+    images = analyze(render.zone_images[zones, zones], stft_cfg)
+    # in place, each spectrogram dropped once read: no more (Z, T, F) arrays
+    # are alive or allocated than in a loop over the zones, which keeps a
+    # scene's peak RSS where that loop had it (temporaries raised it by 5-15 MB)
+    target_power = _power(images)
+    residual_power = _power(np.subtract(mixture_spec, images, out=images))
+    del images
+    residual_power += target_power
+    residual_power += eps
+    speech = np.divide(target_power, residual_power, out=target_power)
+    del residual_power
+    noise_power = _power(analyze(render.noise_label, stft_cfg))
+    mix_power = _power(mixture_spec)
+    mix_power += eps
+    noise = np.divide(noise_power, mix_power, out=noise_power)
+    np.clip(noise, 0.0, 1.0, out=noise)
     return mixture_spec, MaskPair(speech, noise)
+
+
+def _power(spec: np.ndarray) -> np.ndarray:
+    """|spec|^2 as real^2 + imag^2, with one temporary."""
+    power = spec.real**2
+    power += spec.imag**2
+    return power
 
 
 # ---------------------------------------------------------------------------

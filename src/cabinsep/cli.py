@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: separate, simulate, ir (gen/extract/ism), eval, bench,
-init-weights. Exit codes: 0 ok, 2 input error, 3 config/weights error.
+init-weights. Exit codes: 0 ok, 2 input error (`InvalidInput`, or a file
+that cannot be read), 3 config/weights error (`InvalidConfig`).
 Commands validate their inputs before writing any output file. `separate`
 takes its model from `--variant` (and `--chunk-seconds`), and exits 3 when
 the weight container was written for another architecture: other tensor
-shapes, or a stored fingerprint that differs from the configuration's (the
+shapes, or a fingerprint that differs from the configuration's (the
 attention lookback is not part of it).
 
 The `simulate` and `ir` handlers import the IR lab and scene synthesis
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import DEFAULT_SAMPLE_RATE, StftConfig, _read_mono, read_wav, write_wav
-from .errors import InvalidConfig, InvalidInput, InvalidManifest, WeightShapeError
+from .errors import InvalidConfig, InvalidInput
 from .metrics import (
     PositioningEntry,
     PositioningResult,
@@ -46,6 +47,10 @@ from .pipeline import separate_waveform
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
+
+# longest `bench` input: the wave, its whole-file spectrograms and masks stay
+# in memory, ≈4.9 MB per audio second, so 600 s peaks near 3 GB
+_MAX_BENCH_SECONDS = 600.0
 
 
 def _given(args, *names) -> dict:
@@ -115,7 +120,7 @@ def cmd_simulate(args) -> int:
             raise InvalidConfig("--strategy draws an IR assignment and requires --seed")
         # an IR set holds one source position, so it can render one speaker only
         if (count := len(manifest.speakers)) > 1:
-            raise InvalidManifest(f"--strategy renders one speaker, the manifest has {count}")
+            raise InvalidInput(f"--strategy renders one speaker, the manifest has {count}")
         simulated = _load_ir_set(args.simulated_ir_dir) if args.simulated_ir_dir else None
         recorded = _load_ir_set(args.recorded_ir_dir) if args.recorded_ir_dir else None
         rng = np.random.default_rng(args.seed)
@@ -269,6 +274,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = variant_config(args.variant, **_given(args, "chunk_lookback_seconds"))
+    if args.seconds > _MAX_BENCH_SECONDS:
+        raise InvalidInput(f"--seconds {args.seconds:g} exceeds {_MAX_BENCH_SECONDS:g}")
     macs = count_macs(cfg, seconds=args.seconds)  # rejects a bad length before the wave is built
     weights = init_random(cfg, args.seed)
     rng = np.random.default_rng(args.seed)
@@ -278,7 +285,7 @@ def cmd_bench(args) -> int:
     def run():
         separate_waveform(wave, weights, cfg)
 
-    rtf = rtf_benchmark(run, args.seconds, runs=args.runs)
+    rtf = rtf_benchmark(run, args.seconds, **_given(args, "runs"))
     frames = -(-samples // StftConfig.hop)  # as analyze frames the wave
     report = {
         "variant": args.variant,
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="RTF and MAC report for a variant")
     bench.add_argument("--variant", choices=tuple(VARIANT_PRESETS), required=True)
     bench.add_argument("--seconds", type=float, default=4.0)
-    bench.add_argument("--runs", type=int, default=5)
+    bench.add_argument("--runs", type=int)
     bench.add_argument("--seed", type=int, required=True)
     bench.add_argument("--chunk-seconds", dest="chunk_lookback_seconds", type=float,
                        help="limit conformer attention lookback")
@@ -411,10 +418,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidConfig, WeightShapeError) as exc:
+    except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InvalidInput, InvalidManifest, FileNotFoundError, OSError) as exc:
+    except (InvalidInput, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

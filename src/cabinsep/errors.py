@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all modules (and mapped to CLI exit codes)."""
+"""Exception taxonomy shared by all modules; `cli.main` maps `InvalidInput` to
+exit 2 and `InvalidConfig` to exit 3."""
 
 
 class CabinSepError(Exception):
@@ -6,20 +7,11 @@ class CabinSepError(Exception):
 
 
 class InvalidInput(CabinSepError, ValueError):
-    """Malformed or out-of-contract input data (bad shapes, ranges, files)."""
+    """Malformed or out-of-contract input data (shapes, ranges, files, manifests)."""
 
 
 class InvalidConfig(CabinSepError, ValueError):
-    """Configuration object violates its invariants."""
-
-
-class InvalidManifest(CabinSepError, ValueError):
-    """Scene manifest is inconsistent (zone collisions, bad SNR ranges, ...)."""
-
-
-class WeightShapeError(CabinSepError, ValueError):
-    """Weight container does not match the model configuration, or its weights
-    leave the range the network computes safely in."""
+    """A configuration violates its invariants, or a weight container does not fit it."""
 
 
 class NumericalError(CabinSepError, ArithmeticError):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -17,17 +16,23 @@ VARIANT_PRESETS = {
     "L": (3, 2, 2),
 }
 
+# longest attention lookback: each conformer layer allocates its two rings
+# whole (617 MB of address space each at 600 s, unbacked until written), and
+# a far larger ring cannot be allocated at all; attention over 600 s of
+# frames costs tens of times the 16 ms hop, and None covers longer spans
+_MAX_LOOKBACK_SECONDS = 600.0
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters of the mask-estimation network.
 
-    A caller sets `time_skip`, `chunk_lookback_seconds` and `variant`. The
-    S/M/L variants differ only in `n_full_sub`, `tac_compression` and
-    `conformer_layers`, which follow from `variant` through
-    `VARIANT_PRESETS`; every other width is a class constant. `bins` and
-    `hop_seconds` are those of the one STFT framing (`FFT_SIZE` points at
-    `DEFAULT_SAMPLE_RATE`, 50 % overlap).
+    A caller sets `chunk_lookback_seconds` and `variant`. The S/M/L variants
+    differ only in `n_full_sub`, `tac_compression` and `conformer_layers`,
+    which follow from `variant` through `VARIANT_PRESETS`; every other width
+    is a class constant, and so is `time_skip`: every variant runs the TAC on
+    frames 0, 2, 4, ... only. `bins` and `hop_seconds` are those of the one
+    STFT framing (`FFT_SIZE` points at `DEFAULT_SAMPLE_RATE`, 50 % overlap).
     """
 
     zones: ClassVar[int] = 4
@@ -41,7 +46,7 @@ class ModelConfig:
     conformer_layers: int = field(init=False)
     attn_heads: ClassVar[int] = 4
     ff_dim: ClassVar[int] = 8             # conformer feed-forward width (H/2)
-    time_skip: bool = True                # stride-2 frame subsampling before the TAC
+    time_skip: ClassVar[bool] = True      # stride-2 frame subsampling before the TAC
     chunk_lookback_seconds: float | None = None
     hop_seconds: ClassVar[float] = FFT_SIZE // 2 / DEFAULT_SAMPLE_RATE
     lps_floor: ClassVar[float] = LPS_FLOOR
@@ -56,9 +61,11 @@ class ModelConfig:
         for name, value in zip(("n_full_sub", "tac_compression", "conformer_layers"), preset):
             object.__setattr__(self, name, value)
         if self.chunk_lookback_seconds is not None and not (
-                0 < self.chunk_lookback_seconds < math.inf and self.lookback_frames >= 1):
+                0 < self.chunk_lookback_seconds <= _MAX_LOOKBACK_SECONDS
+                and self.lookback_frames >= 1):
             raise InvalidConfig(
-                "chunk_lookback_seconds must be finite and span at least one hop when set")
+                f"chunk_lookback_seconds must span at least one hop and at most "
+                f"{_MAX_LOOKBACK_SECONDS:g} s when set, got {self.chunk_lookback_seconds}")
 
     @property
     def lookback_frames(self) -> int | None:
@@ -80,7 +87,8 @@ class ModelConfig:
         Hashes one `name = value` line per field and class constant, in
         declaration order (a tuple as `a,b`). `chunk_lookback_seconds` is
         written as None: it bounds attention at run time and leaves the
-        weights' meaning unchanged.
+        weights' meaning unchanged. `time_skip`, a class constant, keeps its
+        line, so every container written since it was a field still matches.
         """
         lines = []
         for name in type(self).__annotations__:

@@ -6,8 +6,8 @@ usual convention for GMACs figures. Layer sizes come from the weight map
 (`required_shapes`): each weight tensor with two or more dimensions costs
 the product of its shape once per position it runs at. Positions are one
 per frame for `blockN.fullband.*`, one per TAC frame and bin for
-`blockN.tac.*` (frames 0, 2, 4, ... with `time_skip`), and one
-per frame and bin for everything else. Biases and layer-norm parameters
+`blockN.tac.*` (frames 0, 2, 4, ..., as `ModelConfig.time_skip` fixes), and
+one per frame and bin for everything else. Biases and layer-norm parameters
 have one dimension and are skipped.
 
 Attention cost is data-length dependent: each frame attends to
@@ -48,7 +48,7 @@ def count_macs(cfg: ModelConfig, seconds: float = 1.0) -> MacReport:
         raise InvalidInput(f"seconds must be positive and finite, got {seconds}")
     fps = 1.0 / cfg.hop_seconds
     frames = int(math.ceil(seconds * fps))
-    tac_frames = math.ceil(frames / 2) if cfg.time_skip else frames
+    tac_frames = math.ceil(frames / 2)
     f = cfg.bins
     attention = (cfg.conformer_layers * f * 2 * cfg.subband_hidden
                  * _attention_span_sum(frames, cfg.lookback_frames))

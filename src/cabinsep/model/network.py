@@ -16,8 +16,8 @@ Stage order per frame:
     -> N x (full-band recurrence -> TAC -> sub-band conformer)
     -> causal deconvolution back to Z channels -> two sigmoid mask heads.
 
-With `time_skip` the TAC runs on frames 0, 2, 4, ... and the other frames
-pass it unchanged; without it the TAC runs on every frame.
+The TAC runs on frames 0, 2, 4, ... only (`ModelConfig.time_skip`); the
+other frames pass it unchanged.
 
 The network computes in float32, straight off the weight container's arrays;
 only the conv kernels and attention's projections are re-laid out, once.
@@ -46,7 +46,7 @@ more reduction over the (frames, heads x bins) scores, nor by a constant. A
 score is q.k scaled, with q and k projections of a layer-norm output whose
 norm is at most sqrt(width), so when a layer is built its weights bound every
 score by some B, and every exp argument lies in [-B, B]. A container whose B
-exceeds 40, past which exp could overflow, is refused with WeightShapeError.
+exceeds 40, past which exp could overflow, is refused with InvalidConfig.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 from .. import features
-from ..errors import InvalidInput, WeightShapeError
+from ..errors import InvalidConfig, InvalidInput
 from .config import ModelConfig
 from .weights import ModelWeights
 
@@ -258,7 +258,7 @@ class _ConformerLayer:
         bound = _score_bound(*self.ln["ln_att"], self.wq, self.bq, self.wk, self.bk,
                              self.heads) * self.scale * (1 + 1e-3) + 1e-3
         if not bound.max() <= _MAX_BOUND:
-            raise WeightShapeError(
+            raise InvalidConfig(
                 f"{prefix}.att: the weights bound the attention scores only by "
                 f"{bound.max():.4g}; past {_MAX_BOUND:g} the unshifted softmax "
                 f"could overflow float32")
@@ -405,7 +405,7 @@ class StreamingMaskNet:
         ipd = features.compute_ipd(snapshot)
 
         x = self.encoder.step(spec_feat, lps, ipd)
-        selected = not self.cfg.time_skip or self.frame_index % 2 == 0
+        selected = self.frame_index % 2 == 0
         for fullband, tac, subband in self.blocks:
             x = fullband.step(x)
             if selected:

@@ -1,9 +1,9 @@
 """Weight container: layer enumeration, file format, random initialization.
 
 File format: an uncompressed numpy `.npz` archive (`np.savez`). Member
-`fingerprint` is a 0-d string array holding the config fingerprint ("" for
-none); every other member is one finite float32 tensor, named by its layer
-path. `load` reads it with `allow_pickle=False`.
+`fingerprint` is a 0-d string array holding the config fingerprint, which
+`load` requires to be non-empty; every other member is one finite float32
+tensor, named by its layer path. `load` reads it with `allow_pickle=False`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import zipfile
 
 import numpy as np
 
-from ..errors import InvalidInput, WeightShapeError
+from ..errors import InvalidConfig, InvalidInput
 from .config import ModelConfig
 
 _CONV_KERNEL = 3  # time x freq kernel size of every 2-D convolution
@@ -104,7 +104,7 @@ def count_params(cfg: ModelConfig) -> int:
 class ModelWeights:
     """Named float32 tensor map plus its config fingerprint, with a bit-exact file format."""
 
-    def __init__(self, tensors: dict[str, np.ndarray], fingerprint: str = ""):
+    def __init__(self, tensors: dict[str, np.ndarray], fingerprint: str):
         self.tensors = {
             name: np.ascontiguousarray(t, dtype=np.float32) for name, t in tensors.items()
         }
@@ -116,23 +116,23 @@ class ModelWeights:
     def validate(self, cfg: ModelConfig) -> None:
         """Check the container was written for `cfg`.
 
-        The tensor map must match exactly (no missing, no extras), and a stored
-        fingerprint must equal the config's; a container without one passes.
+        The tensor map must match exactly (no missing, no extras), and the
+        stored fingerprint must equal the config's.
         """
         expected = required_shapes(cfg)
         missing = sorted(set(expected) - set(self.tensors))
         extra = sorted(set(self.tensors) - set(expected))
         if missing or extra:
-            raise WeightShapeError(
+            raise InvalidConfig(
                 f"weight container does not match config: missing={missing[:5]}, "
                 f"extra={extra[:5]}"
             )
         for name, shape in expected.items():
             got = self.tensors[name].shape
             if tuple(got) != tuple(shape):
-                raise WeightShapeError(f"{name}: expected shape {shape}, got {tuple(got)}")
-        if self.fingerprint and self.fingerprint != cfg.fingerprint():
-            raise WeightShapeError(
+                raise InvalidConfig(f"{name}: expected shape {shape}, got {tuple(got)}")
+        if self.fingerprint != cfg.fingerprint():
+            raise InvalidConfig(
                 f"weight container fingerprint {self.fingerprint} does not match "
                 f"the config's {cfg.fingerprint()}"
             )
@@ -154,7 +154,8 @@ class ModelWeights:
         except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
             raise InvalidInput(f"{path}: not a weight container ({exc})") from None
         fingerprint = members.pop("fingerprint", None)
-        if fingerprint is None or fingerprint.ndim or fingerprint.dtype.kind != "U":
+        if (fingerprint is None or fingerprint.ndim or fingerprint.dtype.kind != "U"
+                or not fingerprint.item()):
             raise InvalidInput(f"{path}: no fingerprint string")
         for name, tensor in members.items():
             if tensor.dtype != np.float32:

@@ -125,9 +125,10 @@ def _solve(state: BeamformerState, zones: slice) -> tuple[np.ndarray, np.ndarray
             through views rather than copied.
 
     Returns:
-        weights: (n, bins, Z) complex; bins with a degenerate trace get the
-            one-hot passthrough toward the zone's reference microphone. Rows
-            of a zone that is not positive definite are meaningless.
+        weights: (n, bins, Z) complex; every bin of a zone that is not
+            positive definite, and each other bin with a degenerate trace,
+            gets the one-hot passthrough toward the zone's reference
+            microphone.
         positive_definite: (n,) bool; False where a pivot of any bin was
             <= 0 or NaN.
     """
@@ -173,10 +174,11 @@ def _solve(state: BeamformerState, zones: slice) -> tuple[np.ndarray, np.ndarray
     column = np.stack([row[ids, np.arange(len(ids))] for row in rows], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = column / ratio_trace[..., None]
-    ok = np.abs(ratio_trace) >= _TRACE_EPS  # a NaN trace fails too
+    positive_definite = ~failed.any(axis=1)
+    ok = (np.abs(ratio_trace) >= _TRACE_EPS) & positive_definite[:, None]  # NaN fails too
     if not ok.all():
         weights[~ok] = np.eye(z)[ids[np.nonzero(~ok)[0]]]
-    return weights, ~failed.any(axis=1)
+    return weights, positive_definite
 
 
 def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
@@ -255,6 +257,5 @@ def separate_stream(spec: np.ndarray, masks: MaskPair,
                     "zone %d: covariance inversion failed at frame %d, "
                     "passing reference microphone through", zone, t)
                 fallback_zones.add(zone)
-            weights[zone] = np.eye(z)[zone]
         out[:, t, :] = apply_weights(weights, snapshot)
     return out

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cabinsep.model import ModelConfig, init_random
+from cabinsep.model import ModelConfig, init_random, required_shapes
 
 
 @pytest.fixture
@@ -29,6 +31,12 @@ def random_spectrogram(rng, zones=4, frames=10, bins=ModelConfig.bins, scale=1.0
 def tac_macs(report):
     """The MACs of a `MacReport`'s TAC items."""
     return sum(v for k, v in report.items.items() if ".tac" in k)
+
+
+def tac_frame_macs(cfg):
+    """The MACs of one TAC frame: its weight matrices' sizes times the bins."""
+    return cfg.bins * sum(math.prod(shape) for name, shape in required_shapes(cfg).items()
+                          if ".tac." in name and len(shape) >= 2)
 
 
 def run_frames(step, *tensors):

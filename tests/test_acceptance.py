@@ -6,7 +6,6 @@ time.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from cabinsep.mvdr import BeamformerState, compute_weights, separate_stream
 from cabinsep.pipeline import separate_waveform
 from scipy.signal import fftconvolve
 
-from conftest import tac_macs
+from conftest import tac_frame_macs, tac_macs
 
 FS = 16000
 
@@ -156,20 +155,17 @@ def test_c06_mac_accounting():
     gmacs = count_macs(cfg_s, seconds=1.0).gmacs_per_second
     assert 0.2 <= gmacs <= 0.8
 
+    # the TAC runs on frames 0, 2, 4, ...: 32 TAC frames at 64 frames and at 63
     cfg_l = variant_config("L")
-    seconds = 1.024  # 64 frames: even, so the halving is exact
-    tac_skip = tac_macs(count_macs(cfg_l, seconds=seconds))
-    tac_full = tac_macs(count_macs(replace(cfg_l, time_skip=False), seconds=seconds))
-    assert tac_full == 2 * tac_skip
+    per_tac_frame = tac_frame_macs(cfg_l)
+    even = count_macs(cfg_l, seconds=1.024)
+    assert even.frames == 64 and tac_macs(even) == 32 * per_tac_frame
+    odd = count_macs(cfg_l, seconds=1.0)
+    assert odd.frames == 63 and tac_macs(odd) == 32 * per_tac_frame
 
-    odd = count_macs(cfg_l, seconds=1.0)  # 63 frames
-    odd_full = count_macs(replace(cfg_l, time_skip=False), seconds=1.0)
-    per_frame = tac_macs(odd_full) / odd_full.frames
-    assert abs(tac_macs(odd_full) - 2 * tac_macs(odd)) <= per_frame + 1e-9
-
-    reduction = odd_full.total - odd.total
+    # the cut against a TAC on every frame
+    reduction = odd.frames * per_tac_frame - tac_macs(odd)
     assert reduction > 0
-    assert reduction == tac_macs(odd_full) - tac_macs(odd)
     report(f"PASS [C6] MACs: S = {gmacs:.3f} GMACs/s in [0.2, 0.8]; time-skip "
            f"halves TAC exactly (even frames) and cuts L by {reduction/1e6:.2f} MMACs")
 

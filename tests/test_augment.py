@@ -15,8 +15,8 @@ from cabinsep.augment import (
     render_reverberant,
     sample_cabin_scene,
 )
-from cabinsep.dsp import write_wav
-from cabinsep.errors import InvalidInput, InvalidManifest
+from cabinsep.dsp import analyze, write_wav
+from cabinsep.errors import InvalidInput
 from cabinsep.irlab import ImpulseResponse, write_ir
 
 FS = 16000
@@ -143,12 +143,12 @@ class TestMixSceneSignals:
 
     def test_zone_collision_rejected(self, rng):
         speakers = self._speakers(rng, [1]) + self._speakers(rng, [1])
-        with pytest.raises(InvalidManifest):
+        with pytest.raises(InvalidInput):
             mix_scene_signals(speakers)
 
     @pytest.mark.parametrize("zone", [-1, 4])
     def test_zone_out_of_range_rejected(self, rng, zone):
-        with pytest.raises(InvalidManifest, match="outside"):
+        with pytest.raises(InvalidInput, match="outside"):
             mix_scene_signals(self._speakers(rng, [zone]))
 
     def test_wrong_ir_count_rejected(self, rng):
@@ -206,7 +206,7 @@ class TestManifest:
     @pytest.mark.parametrize("zones", [2, 5, 4.0, True, "four", None])
     def test_zones_other_than_four_rejected(self, zones):
         doc = json.dumps({"zones": zones, "speakers": []})
-        with pytest.raises(InvalidManifest, match=re.escape(f"zones {zones!r}")):
+        with pytest.raises(InvalidInput, match=re.escape(f"zones {zones!r}")):
             SceneManifest.from_json(doc)
 
     def test_render_from_files(self, tmp_path, rng):
@@ -249,7 +249,7 @@ class TestManifest:
     def test_zone_collision_rejected(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng)
         manifest.speakers.append(manifest.speakers[0])
-        with pytest.raises(InvalidManifest, match="two speakers"):
+        with pytest.raises(InvalidInput, match="two speakers"):
             mix_scene(manifest, base_dir=tmp_path)
 
     @pytest.mark.parametrize("zone", [-1, 4])
@@ -257,22 +257,22 @@ class TestManifest:
         manifest = self._manifest(tmp_path, rng)
         entry = manifest.speakers[0]
         manifest.speakers[0] = SpeakerEntry(zone=zone, speech=entry.speech, irs=entry.irs)
-        with pytest.raises(InvalidManifest, match="outside"):
+        with pytest.raises(InvalidInput, match="outside"):
             mix_scene(manifest, base_dir=tmp_path)
 
     def test_snr_out_of_range_rejected(self, tmp_path, rng):
         manifest = self._manifest(tmp_path, rng, snr=30.0)
-        with pytest.raises(InvalidManifest):
+        with pytest.raises(InvalidInput):
             manifest.validate()
         manifest2 = self._manifest(tmp_path, rng)
         manifest2.transients.append(NoiseEntry(file="noise.wav", snr_db=9.0))
-        with pytest.raises(InvalidManifest):
+        with pytest.raises(InvalidInput):
             manifest2.validate()
 
     def test_bad_json_rejected(self):
-        with pytest.raises(InvalidManifest):
+        with pytest.raises(InvalidInput):
             SceneManifest.from_json("{not json")
-        with pytest.raises(InvalidManifest):
+        with pytest.raises(InvalidInput):
             SceneManifest.from_json(json.dumps({"speakers": [{"zone": 0}]}))
 
 
@@ -297,7 +297,7 @@ class TestSceneSampling:
     def test_out_of_range_zone_rejected(self, zone):
         with pytest.raises(InvalidInput, match="outside"):
             sample_cabin_scene(np.random.default_rng(0), [zone], duration_seconds=0.1)
-        with pytest.raises(InvalidManifest, match="outside"):
+        with pytest.raises(InvalidInput, match="outside"):
             sample_cabin_scene(np.random.default_rng(0), [zone], duration_seconds=0.1,
                                source_positions={zone: (1.2, 0.5, 0.9)})
 
@@ -317,3 +317,22 @@ class TestSceneSampling:
         assert np.all(masks.noise >= 0) and np.all(masks.noise <= 1)
         for z in (0, 1, 3):
             np.testing.assert_array_equal(masks.speech[z], 0.0)
+
+    def test_oracle_masks_equal_per_zone_reference(self, rng):
+        # one STFT per zone image and per-zone mask arithmetic
+        render = sample_cabin_scene(rng, [0, 3], duration_seconds=0.4)
+        spec, masks = oracle_masks(render)
+        mixture = analyze(render.mixture)
+        noise_spec = analyze(render.noise_label)
+        np.testing.assert_array_equal(spec, mixture)
+        for z in range(4):
+            image = analyze(render.zone_images[z, z])[0]
+            target = image.real**2 + image.imag**2
+            residual = mixture[z] - image
+            residual_power = residual.real**2 + residual.imag**2
+            speech = target / (target + residual_power + 1e-12)
+            np.testing.assert_array_equal(masks.speech[z], speech)
+            mix_power = mixture[z].real**2 + mixture[z].imag**2
+            noise_power = noise_spec[z].real**2 + noise_spec[z].imag**2
+            noise = np.clip(noise_power / (mix_power + 1e-12), 0.0, 1.0)
+            np.testing.assert_array_equal(masks.noise[z], noise)

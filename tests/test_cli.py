@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -5,7 +6,7 @@ import os
 import subprocess
 import sys
 import zipfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.io import wavfile
 import cabinsep
 from cabinsep.cli import main
 from cabinsep.dsp import analyze, read_wav, write_wav
+from cabinsep.metrics import rtf_benchmark
 from cabinsep.irlab import (
     ExcitationSpec,
     ImpulseResponse,
@@ -123,9 +125,11 @@ class TestSeparate:
                      "--variant", "L", "--out-dir", str(tmp_path / "o")]) == 3
 
     def test_other_architecture_same_shapes_exit_3_without_outputs(self, tmp_path, rng):
-        cfg = replace(variant_config("S"), time_skip=False)
+        # S's shapes under the fingerprint of S with `time_skip = False`, as
+        # containers were written when that was a setting
         weights = tmp_path / "no_skip.bin"
-        init_random(cfg, seed=7).save(weights)
+        ModelWeights(init_random(variant_config("S"), seed=7).tensors,
+                     "d0641f4fdc0cf90a").save(weights)
         mix = tmp_path / "mix.wav"
         write_mixture(mix, rng)
         out = tmp_path / "o"
@@ -502,6 +506,15 @@ class TestBench:
                      "--seed", "1", "--report", str(report_path)]) == 0
         assert json.loads(report_path.read_text())["blas_threads"] == 1
 
+    def test_runs_default_is_rtf_benchmarks(self, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr("cabinsep.cli.separate_waveform",
+                            lambda wave, weights, cfg: ran.append(cfg))
+        assert main(["bench", "--variant", "S", "--seconds", "0.1", "--seed", "1",
+                     "--report", str(tmp_path / "bench.json")]) == 0
+        # one unmeasured call, then the timed runs
+        assert len(ran) == 1 + inspect.signature(rtf_benchmark).parameters["runs"].default
+
     def test_chunk_seconds_lowers_macs(self, tmp_path, monkeypatch):
         # the MACs come from the configuration alone, so the timed runs are skipped
         ran = []
@@ -550,12 +563,18 @@ BAD_INPUTS = {
                               "--chunk-seconds nan --out-dir {out}"),
     "separate_chunk_inf": (3, "separate --input {mix} --weights {weights} "
                               "--chunk-seconds inf --out-dir {out}"),
+    # a lookback whose attention rings could not be allocated
+    "separate_chunk_huge": (3, "separate --input {mix} --weights {weights} "
+                               "--chunk-seconds 1e300 --out-dir {out}"),
     "gen_duration_nan": (3, "ir gen --kind ess --duration nan --out {out}"),
     "gen_duration_inf": (3, "ir gen --kind ess --duration inf --out {out}"),
     "bench_seconds_negative": (2, "bench --variant S --seconds -1 --runs 1 --seed 0 "
                                   "--report {out}"),
     "bench_seconds_nan": (2, "bench --variant S --seconds nan --runs 1 --seed 0 "
                              "--report {out}"),
+    # refused before its wave would be built
+    "bench_seconds_huge": (2, "bench --variant S --seconds 1e12 --runs 1 --seed 0 "
+                              "--report {out}"),
     "extract_rate_mismatch": (2, "ir extract --kind mls --order 8 --recording {mls_8k} "
                                  "--out {out}"),
     "extract_negative_ir_length": (2, "ir extract --kind mls --order 4 --recording {mix} "
@@ -701,6 +720,8 @@ BAD_CONTAINERS = {
         np.savez, fingerprint=np.array(w.fingerprint), **w.tensors,
         rogue=np.array([{}], dtype=object)),
     "no_fingerprint": lambda blob, w: _saved(np.savez, **w.tensors),
+    "empty_fingerprint": lambda blob, w: _saved(np.savez, fingerprint=np.array(""),
+                                                **w.tensors),
     "single_npy": lambda blob, w: _saved(np.save, w["decoder.w"]),
     "text_member": lambda blob, w: _text_member_archive(w),
     "v1": lambda blob, w: _v1_container(w),

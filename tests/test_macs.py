@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from cabinsep.model import count_macs, count_params, required_shapes, variant_config
-from conftest import tac_macs
+from conftest import tac_frame_macs, tac_macs
 
 
 class TestMacCounter:
@@ -18,28 +18,22 @@ class TestMacCounter:
 
     def test_time_skip_halves_tac_exactly_on_even_frames(self):
         cfg = variant_config("L")
-        seconds = 1.024  # 64 frames at 62.5 frames/s
-        with_skip = tac_macs(count_macs(cfg, seconds=seconds))
-        without = tac_macs(count_macs(replace(cfg, time_skip=False), seconds=seconds))
-        assert without == 2 * with_skip
+        report = count_macs(cfg, seconds=1.024)  # 64 frames at 62.5 frames/s
+        assert report.frames == 64
+        assert tac_macs(report) == 32 * tac_frame_macs(cfg)
 
     def test_time_skip_odd_frame_remainder(self):
         cfg = variant_config("L")
-        report = count_macs(cfg, seconds=1.0)  # 63 frames
+        report = count_macs(cfg, seconds=1.0)  # 63 frames: the TAC runs on 0, 2, ..., 62
         assert report.frames == 63
-        with_skip = tac_macs(report)
-        without = tac_macs(count_macs(replace(cfg, time_skip=False), seconds=1.0))
-        per_frame = without / 63
-        assert abs(without - 2 * with_skip) <= per_frame + 1e-9
+        assert tac_macs(report) == 32 * tac_frame_macs(cfg)
 
     def test_time_skip_reduction_strictly_positive(self):
+        # against a TAC on every frame, the cut is the 31 skipped frames' worth
         cfg = variant_config("L")
-        with_skip = count_macs(cfg, seconds=1.0)
-        without = count_macs(replace(cfg, time_skip=False), seconds=1.0)
-        assert without.total - with_skip.total > 0
-        # the whole reduction is attributable to the TAC
-        assert without.total - with_skip.total == (
-            tac_macs(without) - tac_macs(with_skip))
+        report = count_macs(cfg, seconds=1.0)
+        every_frame_tac = report.frames * tac_frame_macs(cfg)
+        assert every_frame_tac - tac_macs(report) == 31 * tac_frame_macs(cfg) > 0
 
     def test_lookback_caps_attention_cost(self):
         cfg = variant_config("S")
@@ -75,8 +69,10 @@ class TestPinnedCounts:
         assert count_macs(bounded, seconds=12.0).total == twelve_seconds_1s_lookback
 
     def test_total_without_time_skip(self):
-        cfg = variant_config("L", time_skip=False)
-        assert count_macs(cfg, seconds=1.024).total == 740236288
+        # as counted when a config could run the TAC on every frame: 64 frames
+        # of L, with the 32 skipped TAC frames' worth added back
+        cfg = variant_config("L")
+        assert count_macs(cfg, seconds=1.024).total + 32 * tac_frame_macs(cfg) == 740236288
 
     def test_small_variant_item_keys(self):
         items = count_macs(variant_config("S"), seconds=1.0).items

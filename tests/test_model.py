@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from cabinsep.dsp import StftConfig, analyze
-from cabinsep.errors import InvalidConfig, InvalidInput, WeightShapeError
+from cabinsep.errors import InvalidConfig, InvalidInput
 from cabinsep.features import compute_ipd, compute_lps, stack_real_imag
 from cabinsep.model import (
     ModelConfig,
@@ -140,6 +140,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             replace(variant_config("S"), conformer_layers=2)
 
+    def test_time_skip_is_not_settable(self):
+        assert ModelConfig.time_skip is True
+        with pytest.raises(TypeError):
+            ModelConfig(time_skip=False)
+        with pytest.raises(TypeError):
+            variant_config("L", time_skip=False)
+
     def test_bins_are_not_settable(self):
         with pytest.raises(TypeError):
             ModelConfig(bins=33)
@@ -153,6 +160,8 @@ class TestConfig:
     # each id names the offending fields as `name = value`
     @pytest.mark.parametrize("kwargs", [
         pytest.param({"chunk_lookback_seconds": math.inf}, id="chunk_lookback_seconds = inf"),
+        pytest.param({"chunk_lookback_seconds": 600.001}, id="chunk_lookback_seconds = 600.001"),
+        pytest.param({"chunk_lookback_seconds": 1e300}, id="chunk_lookback_seconds = 1e300"),
     ])
     def test_malformed_value_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
@@ -162,6 +171,9 @@ class TestConfig:
         cfg = variant_config("L", chunk_lookback_seconds=2.0)
         assert cfg.lookback_frames == 125
         assert variant_config("L").lookback_frames is None
+
+    def test_lookback_bound_is_inclusive(self):
+        assert variant_config("S", chunk_lookback_seconds=600.0).lookback_frames == 37500
 
     @pytest.mark.parametrize("seconds", [-1.0, 0.0, 0.01])
     def test_lookback_under_one_hop_rejected(self, seconds):
@@ -173,9 +185,9 @@ class TestConfig:
         for seconds in (0.5, 1.0, 12.0):
             assert variant_config("S", chunk_lookback_seconds=seconds).fingerprint() \
                 == cfg.fingerprint()
-        assert replace(cfg, time_skip=False).fingerprint() != cfg.fingerprint()
 
-    # every weight container saved so far carries one of these
+    # every weight container saved so far carries one of these; those written
+    # when `time_skip` was a field and set to False are refused, shapes and all
     @pytest.mark.parametrize("variant, time_skip, expected", [
         ("S", True, "2d7d2eeb300f2520"),
         ("M", True, "73850f46b0e65cf9"),
@@ -185,14 +197,19 @@ class TestConfig:
         ("L", False, "bce72bfa531fcadf"),
     ])
     def test_fingerprint_pinned(self, variant, time_skip, expected):
-        assert variant_config(variant, time_skip=time_skip).fingerprint() == expected
+        cfg = variant_config(variant)
+        if time_skip:
+            assert cfg.fingerprint() == expected
+        else:
+            with pytest.raises(InvalidConfig, match="fingerprint"):
+                ModelWeights(init_random(cfg, seed=0).tensors, expected).validate(cfg)
 
     def test_only_the_variant_values_are_fields(self):
         assert [f.name for f in fields(ModelConfig)] == [
-            "n_full_sub", "tac_compression", "conformer_layers", "time_skip",
+            "n_full_sub", "tac_compression", "conformer_layers",
             "chunk_lookback_seconds", "variant"]
         assert [f.name for f in fields(ModelConfig) if f.init] == [
-            "time_skip", "chunk_lookback_seconds", "variant"]
+            "chunk_lookback_seconds", "variant"]
         cfg = variant_config("S")
         assert (cfg.zones, cfg.bins, cfg.embed_channels, cfg.encoder_channels,
                 cfg.fullband_hidden, cfg.subband_hidden, cfg.attn_heads, cfg.ff_dim,
@@ -231,26 +248,34 @@ class TestWeights:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_validate_rejects_missing_and_extra(self, small_cfg, small_weights):
-        broken = ModelWeights(dict(small_weights.tensors))
+        broken = ModelWeights(dict(small_weights.tensors), small_weights.fingerprint)
         del broken.tensors["decoder.w"]
-        with pytest.raises(WeightShapeError):
+        with pytest.raises(InvalidConfig):
             broken.validate(small_cfg)
-        extra = ModelWeights({**small_weights.tensors, "rogue": np.zeros(3, np.float32)})
-        with pytest.raises(WeightShapeError):
+        extra = ModelWeights({**small_weights.tensors, "rogue": np.zeros(3, np.float32)},
+                             small_weights.fingerprint)
+        with pytest.raises(InvalidConfig):
             extra.validate(small_cfg)
 
     def test_validate_rejects_bad_shape(self, small_cfg, small_weights):
-        broken = ModelWeights(dict(small_weights.tensors))
+        broken = ModelWeights(dict(small_weights.tensors), small_weights.fingerprint)
         broken.tensors["decoder.b"] = np.zeros(5, np.float32)
-        with pytest.raises(WeightShapeError):
+        with pytest.raises(InvalidConfig):
             broken.validate(small_cfg)
 
     def test_validate_checks_fingerprint(self, small_cfg, small_weights):
-        other = replace(small_cfg, time_skip=False)  # same shapes, other architecture
-        with pytest.raises(WeightShapeError, match="fingerprint"):
-            small_weights.validate(other)
+        # same shapes, other architecture: S's tensors as a container written
+        # when `time_skip` could be False; and no fingerprint at all
+        for fingerprint in ("d0641f4fdc0cf90a", ""):
+            with pytest.raises(InvalidConfig, match="fingerprint"):
+                ModelWeights(small_weights.tensors, fingerprint).validate(small_cfg)
         small_weights.validate(replace(small_cfg, chunk_lookback_seconds=1.0))
-        ModelWeights(small_weights.tensors).validate(other)  # no fingerprint stored
+
+    def test_empty_fingerprint_container_rejected(self, tmp_path, small_weights):
+        path = tmp_path / "w.bin"
+        ModelWeights(small_weights.tensors, "").save(path)
+        with pytest.raises(InvalidInput, match="no fingerprint"):
+            ModelWeights.load(path)
 
     def test_non_finite_container_rejected(self, tmp_path, small_weights):
         path = tmp_path / "w.bin"
@@ -279,7 +304,7 @@ class TestEncode:
         zeroed = ModelWeights({
             name: (np.zeros_like(t) if name.endswith(".b") else t)
             for name, t in small_weights.tensors.items()
-        })
+        }, small_weights.fingerprint)
         z = np.zeros((4, 5, BINS))
         stage = _EncoderStage(zeroed, small_cfg)
         emb = run_frames(stage.step, np.zeros((8, 5, BINS)), z, z[:2])
@@ -343,42 +368,29 @@ class TestTimeSkip:
         for (t, _, fb_out), (_, sub_in, _) in zip(seen["fullband"], seen["subband"]):
             np.testing.assert_array_equal(sub_in, tac_out.get(t, fb_out))
 
-    def test_merge_round_trip_is_identity(self, rng, small_cfg):
-        # with TAC replaced by the identity, skipping it changes nothing;
-        # same seed and shapes give the same tensors under either fingerprint
+    def test_merge_round_trip_is_identity(self, rng, small_cfg, small_weights):
+        # with TAC replaced by the identity, which frames it runs on changes
+        # nothing: a net started at an odd frame index runs it on the others
         spec = random_spectrogram(rng, frames=7)
         outs = []
-        for cfg in (small_cfg, replace(small_cfg, time_skip=False)):
-            net = StreamingMaskNet(init_random(cfg, seed=7), cfg)
+        for start in (0, 1):
+            net = StreamingMaskNet(small_weights, small_cfg)
+            net.frame_index = start
             net.blocks[0][1].step = lambda x: x
             outs.append(forward_frames(net, spec))
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_without_time_skip_tac_runs_every_frame(self, rng):
-        cfg = ModelConfig(variant="M", time_skip=False)
-        net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
-        calls = record_tac_frames(net)
-        forward_frames(net, random_spectrogram(rng, frames=7))
-        assert calls == [list(range(7))] * 2
-
-    def test_without_time_skip_masks_differ(self, rng, small_cfg):
-        # same seed and shapes give the same tensors, each with its own fingerprint
-        spec = random_spectrogram(rng, frames=2)
-        outs = []
-        for cfg in (small_cfg, replace(small_cfg, time_skip=False)):
-            outs.append(forward(spec, init_random(cfg, seed=7), cfg).speech)
-        np.testing.assert_array_equal(outs[0][:, 0], outs[1][:, 0])
-        assert not np.array_equal(outs[0][:, 1], outs[1][:, 1])
-
-    @pytest.mark.parametrize("time_skip", [True, False])
+    # the TAC schedule and its MAC items do not depend on the attention lookback
+    @pytest.mark.parametrize("bounded", [True, False])
     @pytest.mark.parametrize("first_tac_frame", [0])
     @pytest.mark.parametrize("frames", [1, 2, 7, 64])
-    def test_tac_calls_match_mac_count(self, rng, time_skip, first_tac_frame, frames):
-        cfg = ModelConfig(variant="M", time_skip=time_skip)
+    def test_tac_calls_match_mac_count(self, rng, bounded, first_tac_frame, frames):
+        cfg = ModelConfig(variant="M", chunk_lookback_seconds=(
+            2 * ModelConfig.hop_seconds if bounded else None))
         net = StreamingMaskNet(init_random(cfg, seed=2), cfg)
         calls = record_tac_frames(net)
         forward_frames(net, random_spectrogram(rng, frames=frames))
-        expected = list(range(first_tac_frame, frames, 2 if time_skip else 1))
+        expected = list(range(first_tac_frame, frames, 2))
         assert calls == [expected] * len(calls)
         report = count_macs(cfg, seconds=(frames - 0.5) * cfg.hop_seconds)
         c = cfg.embed_channels
@@ -423,7 +435,7 @@ class TestTac:
         zeroed = ModelWeights({
             name: (np.zeros_like(t) if ".tac." in name and name.endswith(".b") else t)
             for name, t in small_weights.tensors.items()
-        })
+        }, small_weights.fingerprint)
         out = run_frames(_Tac(zeroed, "block0.tac").step, np.zeros((24, 3, BINS)))
         np.testing.assert_array_equal(out, 0.0)
 
@@ -442,7 +454,7 @@ class TestTac:
         wc[:, comp] = 1.0  # read the first pooled channel
         tensors["block0.tac.linear_c.w"] = wc
         tensors["block0.tac.linear_c.b"] = np.zeros(24, np.float32)
-        crafted = ModelWeights(tensors)
+        crafted = ModelWeights(tensors, small_weights.fingerprint)
         c = 0.37
         emb = np.full((24, 4, BINS), c)
         out = run_frames(_Tac(crafted, "block0.tac").step, emb)
@@ -464,7 +476,8 @@ class TestFullBand:
             for name, t in small_weights.tensors.items()
         }
         emb = rng.standard_normal((24, 5, BINS))
-        np.testing.assert_array_equal(full_band(emb, ModelWeights(tensors)), emb)
+        weights = ModelWeights(tensors, small_weights.fingerprint)
+        np.testing.assert_array_equal(full_band(emb, weights), emb)
 
     def test_causal(self, rng, small_weights):
         emb = rng.standard_normal((24, 8, BINS))
@@ -597,7 +610,7 @@ class TestSoftmaxShift:
         weights = init_random(small_cfg, seed=0)
         name = "block0.subband.layer0.att.wq"
         tensors = {**weights.tensors, name: 20 * weights[name]}
-        with pytest.raises(WeightShapeError, match="block0.subband.layer0.att"):
+        with pytest.raises(InvalidConfig, match="block0.subband.layer0.att"):
             StreamingMaskNet(ModelWeights(tensors, weights.fingerprint), small_cfg)
 
     @pytest.mark.parametrize("kind", sorted(CHANNEL_KINDS))
@@ -789,7 +802,7 @@ class TestForward:
     def test_wrong_weights_rejected(self, rng, small_cfg):
         other_cfg = ModelConfig(variant="M")
         wrong = init_random(other_cfg, seed=0)
-        with pytest.raises(WeightShapeError):
+        with pytest.raises(InvalidConfig):
             forward(random_spectrogram(rng, frames=3), wrong, small_cfg)
 
     def test_single_frame(self, rng, small_cfg, small_weights):

@@ -10,6 +10,7 @@ from cabinsep.model.network import MaskPair
 from cabinsep.mvdr import (
     BeamformerState,
     MvdrConfig,
+    _solve,
     apply_weights,
     compute_weights,
     separate_stream,
@@ -280,6 +281,13 @@ class TestWeights:
                     compute_weights(state, zone)
             for zone, weights in healthy.items():
                 np.testing.assert_array_equal(compute_weights(state, zone), weights)
+            # solved together, the failed zones get passthrough rows in every bin
+            weights, positive_definite = _solve(state, slice(None))
+        assert positive_definite.tolist() == [True, False, False, True]
+        for zone in (1, 2):
+            np.testing.assert_array_equal(weights[zone], np.tile(np.eye(zones)[zone], (bins, 1)))
+        for zone, expected in healthy.items():
+            np.testing.assert_array_equal(weights[zone], expected)
 
     def test_non_invertible_covariance_raises_numerical_error(self):
         state = BeamformerState(zones=3, bins=2, loading=1e-4)

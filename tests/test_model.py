@@ -1,12 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit
 
+import cabinsep
 from cabinsep.dsp import StftConfig, analyze
 from cabinsep.errors import InvalidConfig, InvalidInput
 from cabinsep.features import compute_ipd, compute_lps, stack_real_imag
@@ -30,6 +33,7 @@ from cabinsep.model.network import (
     _Tac,
     _layer_norm,
     _score_bound,
+    _sigmoid,
     _swish,
 )
 from conftest import CHANNEL_KINDS, bad_channel_wave, random_spectrogram, run_frames
@@ -102,7 +106,7 @@ def list_conv_module(self, x):
     w1, b1 = self.pw1
     gates = u @ w1.T + b1.T
     half = gates.shape[-1] // 2
-    glu = gates[:, :half] * expit(gates[:, half:])
+    glu = gates[:, :half] * _sigmoid(gates[:, half:])
     dw_w, dw_b = self.dw
     taps = self.history + [glu]
     conv = sum(taps[k] * dw_w[:, k] for k in range(dw_w.shape[1])) + dw_b.T
@@ -668,6 +672,60 @@ class TestConformerConv:
         window = sub_band(emb, small_weights, small_cfg)
         monkeypatch.setattr(_ConformerLayer, "_conv_module", list_conv_module)
         np.testing.assert_array_equal(window, sub_band(emb, small_weights, small_cfg))
+
+
+# zero, the smallest and largest gate arguments, past float32 exp's overflow
+# at 88.72, and the largest finite float32
+SIGMOID_PROBES = np.array([0.0, 1e-8, 1.0, 10.0, 88.7, 1e4, np.finfo(np.float32).max],
+                          np.float32)
+
+
+def logistic64(x):
+    """The float64 logistic through exp(-|x|), which cannot overflow."""
+    x = x.astype(np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class TestSigmoid:
+    def test_finite_non_decreasing_and_within_one_float32_step(self):
+        x = np.sort(np.concatenate([-SIGMOID_PROBES, SIGMOID_PROBES,
+                                    np.linspace(-100, 100, 400_001, dtype=np.float32)]))
+        with np.errstate(all="raise"):
+            y = _sigmoid(x)
+        assert y.dtype == np.float32
+        assert np.isfinite(y).all() and (y >= 0).all() and (y <= 1).all()
+        assert (np.diff(y) >= 0).all()
+        np.testing.assert_allclose(y, logistic64(x), rtol=0, atol=2.0**-23)
+
+
+# Steps the mask network and runs the beamformer in a fresh interpreter, then
+# prints every scipy module loaded: both use numpy alone.
+_FRESH_NETWORK_RUN = """
+import sys
+import numpy as np
+import cabinsep.model, cabinsep.mvdr
+from cabinsep.model import MaskPair, StreamingMaskNet, init_random, variant_config
+cfg = variant_config("S")
+net = StreamingMaskNet(init_random(cfg, 7), cfg)
+rng = np.random.default_rng(0)
+spec = rng.standard_normal((4, 3, cfg.bins)) + 1j * rng.standard_normal((4, 3, cfg.bins))
+steps = [net.step(spec[:, t]) for t in range(3)]
+masks = MaskPair(*(np.stack(kind, axis=1) for kind in zip(*steps)))
+out = cabinsep.mvdr.separate_stream(spec, masks)
+assert out.shape == spec.shape and np.isfinite(out).all()
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_network_and_mvdr_import_no_scipy():
+    src = str(Path(cabinsep.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    result = subprocess.run([sys.executable, "-c", _FRESH_NETWORK_RUN],
+                            capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def layer_norm_reference(x, gain, bias):

@@ -19,11 +19,17 @@ and no LAPACK call. A pivot <= 0 or NaN marks the zone's covariance as not
 positive definite, and the zone falls back to passthrough of its reference
 microphone, which for zone i is microphone i; so does each bin with a
 degenerate trace.
+
+The beamformer is solved once per frame: `update_covariances` is what writes
+the covariances, and the first `compute_weights` call after it solves every
+zone and keeps the result on the state for the frame's other zones. A caller
+that writes the covariances directly starts a new `BeamformerState`.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +42,7 @@ logger = logging.getLogger(__name__)
 _TRACE_EPS = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class MvdrConfig:
     forgetting: float = 1.0       # lam = 1.0 accumulates; < 1 forgets geometrically
     loading: float = 1e-4         # diagonal loading relative to mean eigenvalue
@@ -52,7 +58,13 @@ class MvdrConfig:
 
 @dataclass
 class BeamformerState:
-    """Running spatial covariances for all zones; one stream, single-threaded."""
+    """Running spatial covariances for all zones; one stream, single-threaded.
+
+    Only `update_covariances` writes the covariances once a stream has begun.
+    It also drops the frame's all-zone solve that `compute_weights` keeps, so
+    covariances written in place after a solve are not read again until the
+    next update; a caller that writes them directly starts a new state.
+    """
 
     zones: int
     bins: int
@@ -61,6 +73,8 @@ class BeamformerState:
     speech_cov: np.ndarray = field(init=False)  # (zones, bins, Z, Z) Hermitian
     noise_cov: np.ndarray = field(init=False)
     frame_count: int = 0
+    # (weights, positive_definite) of `_solve` since the last update
+    _solved: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         MvdrConfig(self.forgetting, self.loading)  # raises on a value MvdrConfig rejects
@@ -102,6 +116,7 @@ def update_covariances(state: BeamformerState, snapshot: np.ndarray,
     interference = np.clip(
         speech_mask.sum(axis=0, keepdims=True) - speech_mask + noise_mask, 0.0, 1.0
     )
+    state._solved = None
     # real-weighted rank-1 updates keep both covariances exactly Hermitian
     for cov, mask in ((state.speech_cov, speech_mask), (state.noise_cov, interference)):
         cov *= state.forgetting
@@ -110,33 +125,27 @@ def update_covariances(state: BeamformerState, snapshot: np.ndarray,
     return state
 
 
-def _solve(state: BeamformerState, zones: slice) -> tuple[np.ndarray, np.ndarray]:
-    """MVDR weights for the given zones, all bins at once, in numpy array ops.
+def _solve(state: BeamformerState) -> tuple[np.ndarray, np.ndarray]:
+    """MVDR weights for every zone, all bins at once, in numpy array ops.
 
     Each loaded noise covariance is factored as L L^H by the Cholesky
     recursion, one array op per matrix entry over the whole (zones, bins)
     plane; the loading is added to the pivots. The Z columns of the speech
     covariance are then forward- and back-substituted, which gives
-    loaded_noise^-1 @ speech. Every op is elementwise, so a zone's rows do
-    not depend on which other zones are solved with it.
-
-    Args:
-        zones: the n zones to solve, a slice, so that the covariances are read
-            through views rather than copied.
+    loaded_noise^-1 @ speech.
 
     Returns:
-        weights: (n, bins, Z) complex; every bin of a zone that is not
+        weights: (zones, bins, Z) complex; every bin of a zone that is not
             positive definite, and each other bin with a degenerate trace,
             gets the one-hot passthrough toward the zone's reference
             microphone.
-        positive_definite: (n,) bool; False where a pivot of any bin was
+        positive_definite: (zones,) bool; False where a pivot of any bin was
             <= 0 or NaN.
     """
     z = state.zones
-    ids = np.arange(z)[zones]
-    # entry-major views: noise[i, j] is an (n, bins) plane, speech[i] (Z, n, bins)
-    noise = state.noise_cov[zones].transpose(2, 3, 0, 1)
-    speech = state.speech_cov[zones].transpose(2, 3, 0, 1)
+    # entry-major views: noise[i, j] is a (zones, bins) plane, speech[i] (Z, zones, bins)
+    noise = state.noise_cov.transpose(2, 3, 0, 1)
+    speech = state.speech_cov.transpose(2, 3, 0, 1)
     trace = sum(noise[i, i].real for i in range(z))
     load = state.loading * np.maximum(trace, _TRACE_EPS) / z
     failed = np.zeros(trace.shape, dtype=bool)
@@ -170,36 +179,53 @@ def _solve(state: BeamformerState, zones: slice) -> tuple[np.ndarray, np.ndarray
             row = row - lower_conj[k][i] * rows[k]
         rows[i] = row * scale[i]
     ratio_trace = sum(rows[i][i] for i in range(z))
-    # zone m's weights are column ids[m] of its ratio: (n, bins, Z)
-    column = np.stack([row[ids, np.arange(len(ids))] for row in rows], axis=-1)
+    # zone m's weights are column m of its ratio: (zones, bins, Z)
+    zones = np.arange(z)
+    column = np.stack([row[zones, zones] for row in rows], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = column / ratio_trace[..., None]
     positive_definite = ~failed.any(axis=1)
     ok = (np.abs(ratio_trace) >= _TRACE_EPS) & positive_definite[:, None]  # NaN fails too
     if not ok.all():
-        weights[~ok] = np.eye(z)[ids[np.nonzero(~ok)[0]]]
+        weights[~ok] = np.eye(z)[np.nonzero(~ok)[0]]
     return weights, positive_definite
 
 
 def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
     """Per-bin MVDR weight vectors for one zone.
 
+    The first call after `update_covariances` solves every zone at once and
+    keeps the result on the state; the frame's other zones read it. Callers
+    ask for all zones each frame, which then costs one solve; a caller that
+    asks for a single zone per frame pays the all-zone solve for it (about
+    twice a one-zone solve at four zones).
+
     Returns:
-        (bins, Z) complex weights; bins with degenerate statistics get the
-        one-hot passthrough toward the zone's reference microphone.
+        (bins, Z) complex weights, read-only; bins with degenerate statistics
+        get the one-hot passthrough toward the zone's reference microphone.
 
     Raises:
+        InvalidInput: no frame processed yet, or `zone` not an integer in
+            [0, zones).
         NumericalError: the loaded noise covariance was not positive definite.
     """
     if state.frame_count < 1:
         raise InvalidInput("compute_weights requires at least one processed frame")
+    try:
+        zone = operator.index(zone)
+    except TypeError:
+        raise InvalidInput(f"zone must be an integer, got {zone!r}") from None
     if not (0 <= zone < state.zones):
         raise InvalidInput(f"zone {zone} out of range")
-    weights, positive_definite = _solve(state, slice(zone, zone + 1))
-    if not positive_definite[0]:
+    if state._solved is None:
+        weights, positive_definite = _solve(state)
+        weights.flags.writeable = False
+        state._solved = weights, positive_definite
+    weights, positive_definite = state._solved
+    if not positive_definite[zone]:
         raise NumericalError(
             f"noise covariance for zone {zone} not invertible despite loading")
-    return weights[0]
+    return weights[zone]
 
 
 def apply_weights(weights: np.ndarray, snapshot: np.ndarray) -> np.ndarray:
@@ -250,7 +276,7 @@ def separate_stream(spec: np.ndarray, masks: MaskPair,
     for t in range(frames):
         snapshot = spec[:, t, :]
         update_covariances(state, snapshot, masks.speech[:, t, :], masks.noise[:, t, :])
-        weights, positive_definite = _solve(state, slice(None))
+        weights, positive_definite = _solve(state)
         for zone in np.flatnonzero(~positive_definite):
             if zone not in fallback_zones:
                 logger.warning(

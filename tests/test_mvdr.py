@@ -1,10 +1,12 @@
 import logging
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cabinsep import mvdr
 from cabinsep.errors import InvalidInput, NumericalError
 from cabinsep.model.network import MaskPair
 from cabinsep.mvdr import (
@@ -37,6 +39,13 @@ class TestState:
             BeamformerState(zones=2, bins=3, **kwargs)
         with pytest.raises(InvalidInput):
             MvdrConfig(**kwargs)
+
+    def test_config_is_frozen(self):
+        # a field assigned after construction would skip __post_init__'s checks
+        cfg = MvdrConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.forgetting = 0.0
+        assert cfg == MvdrConfig()
 
 
 class TestUpdate:
@@ -272,6 +281,11 @@ class TestWeights:
                                rng.uniform(0, 1, (zones, bins)),
                                rng.uniform(0, 1, (zones, bins)))
         healthy = {zone: compute_weights(state, zone) for zone in (0, 3)}
+        # covariances written directly go into a new state: a solved one keeps its solve
+        state, solved = BeamformerState(zones=zones, bins=bins), state
+        state.speech_cov = solved.speech_cov.copy()
+        state.noise_cov = solved.noise_cov.copy()
+        state.frame_count = solved.frame_count
         state.noise_cov[1, 2] = -np.eye(zones)      # negative pivot in one bin
         state.noise_cov[2, 4, 1, 1] = np.nan        # NaN pivot in one bin
         with warnings.catch_warnings():
@@ -282,12 +296,36 @@ class TestWeights:
             for zone, weights in healthy.items():
                 np.testing.assert_array_equal(compute_weights(state, zone), weights)
             # solved together, the failed zones get passthrough rows in every bin
-            weights, positive_definite = _solve(state, slice(None))
+            weights, positive_definite = _solve(state)
         assert positive_definite.tolist() == [True, False, False, True]
         for zone in (1, 2):
             np.testing.assert_array_equal(weights[zone], np.tile(np.eye(zones)[zone], (bins, 1)))
         for zone, expected in healthy.items():
             np.testing.assert_array_equal(weights[zone], expected)
+
+    def test_one_solve_per_update_and_read_only_weights(self, rng, monkeypatch):
+        zones, bins = 4, 5
+        calls = []
+        solve = mvdr._solve
+        monkeypatch.setattr(mvdr, "_solve", lambda state: calls.append(state) or solve(state))
+        state = BeamformerState(zones=zones, bins=bins)
+        for solves in (1, 2):
+            update_covariances(state, random_snapshot(rng, bins=bins),
+                               rng.uniform(0, 1, (zones, bins)),
+                               rng.uniform(0, 1, (zones, bins)))
+            weights = [compute_weights(state, zone) for zone in range(zones)]
+            assert len(calls) == solves
+        with pytest.raises(ValueError):
+            weights[0][0, 0] = 0.0
+        np.testing.assert_array_equal(compute_weights(state, 0), solve(state)[0][0])
+
+    @pytest.mark.parametrize("zone", [1.5, "1", None, -1, 4])
+    def test_zone_not_an_integer_in_range_rejected(self, rng, zone):
+        state = BeamformerState(zones=4, bins=3)
+        update_covariances(state, random_snapshot(rng, bins=3),
+                           rng.uniform(0, 1, (4, 3)), rng.uniform(0, 1, (4, 3)))
+        with pytest.raises(InvalidInput):
+            compute_weights(state, zone)
 
     def test_non_invertible_covariance_raises_numerical_error(self):
         state = BeamformerState(zones=3, bins=2, loading=1e-4)
@@ -380,7 +418,8 @@ class TestStream:
            forgetting=st.floats(0.5, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_stream_applies_the_per_zone_weights_bit_for_bit(self, zones, bins, frames,
                                                             forgetting, seed):
-        # separate_stream solves all zones together; compute_weights solves one
+        # compute_weights serves a frame's zones from one solve kept on the state;
+        # were that solve kept past an update, a later frame would differ here
         r = np.random.default_rng(seed)
         spec = random_spectrogram(r, zones=zones, frames=frames, bins=bins)
         masks = MaskPair(r.uniform(0, 1, spec.shape), r.uniform(0, 1, spec.shape))

@@ -59,10 +59,13 @@ def _typed(value, kind: type, what: str):
     return value
 
 
-def _finite(value, what: str) -> float:
-    if not math.isfinite(value := float(value)):
+def _number(value, what: str) -> float:
+    """`value` as a float if it is a finite JSON number; a bool or a string is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value}")
-    return value
+    return float(value)
 
 
 @dataclass
@@ -104,34 +107,39 @@ class SceneManifest:
                 SpeakerEntry(zone=_typed(s["zone"], int, "zone"),
                              speech=_typed(s["speech"], str, "speech"),
                              irs=tuple(_typed(p, str, "IR") for p in s["irs"]),
-                             gain=_finite(s.get("gain", 1.0), "gain"))
+                             gain=_number(s.get("gain", 1.0), "gain"))
                 for s in doc.get("speakers", [])
             ]
             background = doc.get("background")
             if background is not None:
                 background = NoiseEntry(file=_typed(background["file"], str, "file"),
-                                        snr_db=float(background["snr_db"]))
+                                        snr_db=_number(background["snr_db"], "snr_db"))
             transients = [
-                NoiseEntry(file=_typed(t["file"], str, "file"), snr_db=float(t["snr_db"]),
-                           onset_seconds=_finite(t.get("onset_seconds", 0.0),
+                NoiseEntry(file=_typed(t["file"], str, "file"),
+                           snr_db=_number(t["snr_db"], "snr_db"),
+                           onset_seconds=_number(t.get("onset_seconds", 0.0),
                                                  "onset_seconds"))
                 for t in doc.get("transients", [])
             ]
         except KeyError as exc:
             raise InvalidInput(f"manifest is missing required field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond float's range
             raise InvalidInput(f"malformed manifest: {exc}") from exc
         return cls(speakers=speakers, background=background, transients=transients)
 
 
 @dataclass
 class SceneRender:
-    """Rendered scene: mixture, per-zone labels, and the exact decomposition."""
+    """Rendered scene: mixture, noise label and zone images, which hold the labels."""
 
     mixture: np.ndarray        # (Z, L)
-    speech_labels: np.ndarray  # (Z, L): zone z's image at microphone z (zeros if empty)
     noise_label: np.ndarray    # (Z, L): total noise at each microphone
     zone_images: np.ndarray    # (Z_zone, Z_mic, L): full per-zone multichannel images
+
+    @property
+    def speech_labels(self) -> np.ndarray:
+        """(Z, L) read-only view: zone z's image at microphone z (zeros if empty)."""
+        return np.diagonal(self.zone_images, axis1=0, axis2=1).T
 
     @property
     def occupied_zones(self) -> list[int]:
@@ -250,15 +258,7 @@ def mix_scene_signals(
 
     mixture = speech_sum + noise_total
     _check_float32(mixture)
-    speech_labels = np.zeros((ZONES, length))
-    for zone, _ in images:
-        speech_labels[zone] = zone_images[zone, zone]
-    return SceneRender(
-        mixture=mixture,
-        speech_labels=speech_labels,
-        noise_label=noise_total,
-        zone_images=zone_images,
-    )
+    return SceneRender(mixture=mixture, noise_label=noise_total, zone_images=zone_images)
 
 
 def mix_scene(manifest: SceneManifest, base_dir=".",
@@ -310,8 +310,7 @@ def oracle_masks(render: SceneRender, stft_cfg: StftConfig = StftConfig()):
     """
     eps = 1e-12
     mixture_spec = analyze(render.mixture, stft_cfg)
-    zones = np.arange(ZONES)
-    images = analyze(render.zone_images[zones, zones], stft_cfg)
+    images = analyze(render.speech_labels, stft_cfg)
     # in place, each spectrogram dropped once read: no more (Z, T, F) arrays
     # are alive or allocated than in a loop over the zones, which keeps a
     # scene's peak RSS where that loop had it (temporaries raised it by 5-15 MB)
@@ -395,7 +394,8 @@ def sample_cabin_scene(
         if source_positions and zone in source_positions:
             position = source_positions[zone]
         else:
-            position = seat_position(zone, rng, jitter=_POSTURE_JITTER)
+            jitter = rng.uniform(-_POSTURE_JITTER, _POSTURE_JITTER, size=3)
+            position = np.add(seat_position(zone), jitter)
         irs = simulate_ism_all(cabin_room(position, ir_length=_SCENE_IR_LENGTH))
         speech = _synthetic_utterance(rng, num_samples)
         speakers.append((zone, speech, irs, 1.0))

@@ -113,6 +113,8 @@ def _load_ir_set(directory):
 def cmd_simulate(args) -> int:
     from . import augment, irlab
 
+    if not args.strategy and (args.simulated_ir_dir or args.recorded_ir_dir):
+        raise InvalidInput("the IR-set directories are read with --strategy only")
     manifest = augment.SceneManifest.from_json(Path(args.manifest).read_text())
     irs_by_zone = None
     if args.strategy:
@@ -162,10 +164,12 @@ def _excitation_spec(args):
 def cmd_ir_gen(args) -> int:
     from . import irlab
 
+    if args.inverse_out and args.kind != "ess":
+        raise InvalidInput("--inverse-out writes the ESS inverse filter; use it with --kind ess")
     spec = _excitation_spec(args)
     signal = irlab.gen_excitation(spec)
     write_wav(args.out, signal)
-    if args.kind == "ess" and args.inverse_out:
+    if args.inverse_out:
         write_wav(args.inverse_out, irlab.inverse_filter_ess(spec))
     print(f"wrote {args.kind} excitation ({signal.shape[0]} samples) to {args.out}")
     return EXIT_OK
@@ -186,6 +190,9 @@ def cmd_ir_ism(args) -> int:
     from . import irlab
 
     if args.room:
+        if given := _given(args, "preset", "source", "reflection", "max_order", "ir_length"):
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            raise InvalidInput(f"--room holds the whole room; {flags} cannot be given with it")
         try:
             room = irlab.RoomSpec(**json.loads(Path(args.room).read_text()))
         except (json.JSONDecodeError, TypeError) as exc:
@@ -234,6 +241,9 @@ def _eval_pair(est_dir: Path, label_dir: Path,
         report["si_snr_mean_db"] = float(np.mean([r["si_snr_db"] for r in rows]))
     entry = None
     if true_zone is not None:
+        if not 1 <= true_zone <= len(zones):
+            raise InvalidInput(
+                f"--true-zone {true_zone} outside [1, {len(zones)}], the zones of {est_dir}")
         length = min(z.shape[0] for z in zones)
         entry = zone_positioning(np.stack([z[:length] for z in zones]), true_zone - 1)
         report["positioning"] = {
@@ -250,7 +260,7 @@ def cmd_eval(args) -> int:
     if len(est_dirs) != len(label_dirs):
         raise InvalidInput("--est-dir and --label-dir must be given the same number of times")
     true_zones = args.true_zone or [None] * len(est_dirs)
-    if len(true_zones) not in (0, len(est_dirs)):
+    if len(true_zones) != len(est_dirs):
         raise InvalidInput("--true-zone must be given once per --est-dir (or not at all)")
 
     pairs = [_eval_pair(e, l, t) for e, l, t in zip(est_dirs, label_dirs, true_zones)]

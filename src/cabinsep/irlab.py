@@ -127,15 +127,11 @@ def cabin_room(source, reflection: float = RoomSpec.reflection,
     )
 
 
-def seat_position(zone: int, rng: np.random.Generator | None = None,
-                  jitter: float = 0.0) -> tuple[float, float, float]:
-    """Nominal seat (standard-posture) source position for a zone, with optional jitter."""
+def seat_position(zone: int) -> tuple[float, float, float]:
+    """Nominal seat (standard-posture) source position for a zone."""
     if not 0 <= zone < ZONES:
         raise InvalidInput(f"zone {zone} outside [0, {ZONES})")
-    base = np.asarray(CABIN_SEATS[zone])
-    if rng is not None and jitter > 0.0:
-        base = base + rng.uniform(-jitter, jitter, size=3)
-    return tuple(base)
+    return CABIN_SEATS[zone]
 
 
 def boundary_position(zone_a: int, zone_b: int) -> tuple[float, float, float]:
@@ -212,7 +208,8 @@ class ExcitationSpec:
     kind 'ess': exponential sine sweep over [f_start, f_end] Hz lasting
     `duration` seconds; 'mls': maximum-length sequence of order `order`
     (length 2^order - 1); 'tsp': time-stretched pulse of `length` samples
-    with integer `stretch`. Every excitation is played at 16 kHz.
+    with integer `stretch`, `length // 4` when not given. Every excitation is
+    played at 16 kHz.
     """
 
     kind: str
@@ -240,15 +237,13 @@ class ExcitationSpec:
         elif self.kind == "tsp":
             if self.length < 4 or self.length % 2 != 0:
                 raise InvalidConfig("TSP length must be an even integer >= 4")
-            if self.stretch is not None and not (0 < self.stretch < self.length // 2):
+            if self.stretch is None:
+                object.__setattr__(self, "stretch", self.length // 4)
+            if not (0 < self.stretch < self.length // 2):
                 raise InvalidConfig("TSP stretch must be in (0, length/2)")
         if self.num_samples() > _MAX_SAMPLES:
             raise InvalidConfig(
                 f"excitation of {self.num_samples()} samples exceeds {_MAX_SAMPLES}")
-
-    @property
-    def tsp_stretch(self) -> int:
-        return self.stretch if self.stretch is not None else self.length // 4
 
     def num_samples(self) -> int:
         if self.kind == "ess":
@@ -307,7 +302,7 @@ def _tsp_spectrum(length: int, stretch: int) -> np.ndarray:
 
 def _gen_tsp(spec: ExcitationSpec) -> np.ndarray:
     """Real time-stretched pulse: flat magnitude, quadratic phase."""
-    spectrum = _tsp_spectrum(spec.length, spec.tsp_stretch)
+    spectrum = _tsp_spectrum(spec.length, spec.stretch)
     return np.fft.irfft(spectrum, n=spec.length)
 
 
@@ -349,7 +344,7 @@ def extract_ir(recording: np.ndarray, spec: ExcitationSpec,
         taps = (xcorr + total) / (n_exc + 1)
         taps = taps[:ir_length]
     else:  # tsp
-        spectrum = _tsp_spectrum(spec.length, spec.tsp_stretch)
+        spectrum = _tsp_spectrum(spec.length, spec.stretch)
         wrapped = _wrap_periodic(recording, n_exc)
         taps = np.fft.irfft(np.fft.rfft(wrapped) * np.conj(spectrum), n=n_exc)
         taps = taps[:ir_length]

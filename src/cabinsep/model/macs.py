@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from ..errors import InvalidInput
 from .config import ModelConfig
-from .weights import count_params, required_shapes
+from .weights import required_shapes
 
 
 @dataclass
@@ -82,4 +82,4 @@ def _attention_span_sum(frames: int, lookback: int | None) -> int:
     return full + (frames - lookback) * lookback
 
 
-__all__ = ["MacReport", "count_macs", "count_params"]
+__all__ = ["MacReport", "count_macs"]

@@ -60,6 +60,9 @@ class MvdrConfig:
 class BeamformerState:
     """Running spatial covariances for all zones; one stream, single-threaded.
 
+    A new state's covariances are zero, which `compute_weights` answers as
+    any zero statistics.
+
     Only `update_covariances` writes the covariances once a stream has begun.
     It also drops the frame's all-zone solve that `compute_weights` keeps, so
     covariances written in place after a solve are not read again until the
@@ -72,7 +75,6 @@ class BeamformerState:
     loading: float = MvdrConfig.loading
     speech_cov: np.ndarray = field(init=False)  # (zones, bins, Z, Z) Hermitian
     noise_cov: np.ndarray = field(init=False)
-    frame_count: int = 0
     # (weights, positive_definite) of `_solve` since the last update
     _solved: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
@@ -121,7 +123,6 @@ def update_covariances(state: BeamformerState, snapshot: np.ndarray,
     for cov, mask in ((state.speech_cov, speech_mask), (state.noise_cov, interference)):
         cov *= state.forgetting
         cov += mask[:, :, None, None] * outer
-    state.frame_count += 1
     return state
 
 
@@ -201,16 +202,15 @@ def compute_weights(state: BeamformerState, zone: int) -> np.ndarray:
     twice a one-zone solve at four zones).
 
     Returns:
-        (bins, Z) complex weights, read-only; bins with degenerate statistics
-        get the one-hot passthrough toward the zone's reference microphone.
+        (bins, Z) complex weights, read-only; bins with degenerate statistics,
+        such as a new state's zero covariances, get the one-hot passthrough
+        toward the zone's reference microphone.
 
     Raises:
-        InvalidInput: no frame processed yet, or `zone` not an integer in
-            [0, zones).
-        NumericalError: the loaded noise covariance was not positive definite.
+        InvalidInput: `zone` not an integer in [0, zones).
+        NumericalError: the loaded noise covariance was not positive definite
+            (a new state's, at loading 0).
     """
-    if state.frame_count < 1:
-        raise InvalidInput("compute_weights requires at least one processed frame")
     try:
         zone = operator.index(zone)
     except TypeError:

@@ -117,6 +117,16 @@ class TestMixSceneSignals:
         total = render.zone_images.sum(axis=0) + render.noise_label
         np.testing.assert_array_equal(render.mixture, total)
 
+    def test_speech_labels_are_a_read_only_view_of_the_zone_images(self, rng):
+        render = mix_scene_signals(self._speakers(rng, [0, 2]))
+        labels = render.speech_labels
+        assert np.shares_memory(labels, render.zone_images)
+        assert not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[0, 0] = 1.0
+        np.testing.assert_array_equal(labels, [render.zone_images[z, z] for z in range(4)])
+        np.testing.assert_array_equal(labels[[1, 3]], 0.0)
+
     def test_background_snr_realized(self, rng):
         speakers = self._speakers(rng, [0, 2])
         noise = rng.standard_normal(700)

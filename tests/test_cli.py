@@ -627,6 +627,19 @@ BAD_INPUTS = {
                                       "--report {out}"),
     "eval_label_two_channels": (2, "eval --est-dir {est} --label-dir {labels_stereo} "
                                    "--report {out}"),
+    # a flag that the chosen path never reads is refused, not ignored
+    "gen_mls_inverse_out": (2, "ir gen --kind mls --order 4 --out {out} --inverse-out {out}"),
+    "gen_tsp_inverse_out": (2, "ir gen --kind tsp --length 64 --out {out} --inverse-out {out}"),
+    "ism_room_with_preset": (2, "ir ism --room {room_ok} --preset cabin --mic 0 --out {out}"),
+    "ism_room_with_source": (2, "ir ism --room {room_ok} --source 1,1,1 --mic 0 --out {out}"),
+    "ism_room_with_reflection": (2, "ir ism --room {room_ok} --reflection 0.2 --mic 0 "
+                                    "--out {out}"),
+    "ism_room_with_max_order": (2, "ir ism --room {room_ok} --max-order 0 --mic 0 --out {out}"),
+    "ism_room_with_ir_length": (2, "ir ism --room {room_ok} --ir-length 64 --mic 0 --out {out}"),
+    "simulate_simulated_ir_dir_without_strategy": (
+        2, "simulate --manifest {scene_ok} --out-dir {out} --simulated-ir-dir {irs_8k}"),
+    "simulate_recorded_ir_dir_without_strategy": (
+        2, "simulate --manifest {scene_ok} --out-dir {out} --recorded-ir-dir {irs_8k}"),
 }
 
 
@@ -658,8 +671,17 @@ BAD_SCENES = {
     "gain_1e300": _scene(speaker={"gain": 1e300}),
     # finite in float64, but beyond what the float32 mixture.wav can hold
     "gain_1e300_no_noise": {"speakers": _scene(speaker={"gain": 1e300})["speakers"]},
+    # an integer literal beyond float64's range
+    "gain_integer_1e400": _scene(speaker={"gain": 10**400}),
     "snr_not_a_number": _scene(background={"snr_db": "x"}),
     "onset_not_a_number": _scene(transient={"onset_seconds": "soon"}),
+    # the manifest's numbers are JSON numbers: a string or a bool holding one is refused
+    "gain_string": _scene(speaker={"gain": "0.5"}),
+    "gain_bool": _scene(speaker={"gain": True}),
+    "snr_string": _scene(background={"snr_db": "5"}),
+    "snr_bool": _scene(background={"snr_db": False}),
+    "transient_snr_string": _scene(transient={"snr_db": "0"}),
+    "onset_string": _scene(transient={"onset_seconds": "0.1"}),
     "onset_nan": _scene(transient={"onset_seconds": math.nan}),
     "onset_inf": _scene(transient={"onset_seconds": math.inf}),
     "sample_rate_not_a_number": _scene(sample_rate="fast"),
@@ -763,7 +785,8 @@ def bad_container_files(tmp_path_factory, weights_file):
 def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
     files = {"mix": tmp_path / "mix.wav", "out": tmp_path / "out", **bad_container_files}
     write_mixture(files["mix"], rng)
-    rooms = {"room_invalid_json": "{",
+    rooms = {"room_ok": json.dumps(ROOM),
+             "room_invalid_json": "{",
              "room_missing_dimensions": json.dumps(
                  {k: v for k, v in ROOM.items() if k != "dimensions"}),
              "room_unknown_key": json.dumps({**ROOM, "absorption": 0.2}),
@@ -875,3 +898,13 @@ def test_multichannel_wav_error_names_file_and_channels(case, wav, bad_input_fil
     err = capsys.readouterr().err
     assert str(bad_input_files["mix"].parent / wav) in err
     assert "exactly one channel, got 2" in err
+
+
+@pytest.mark.parametrize("zone", [0, 3])
+def test_true_zone_error_names_the_zone_as_given(zone, bad_input_files, capsys):
+    """--true-zone is 1-based, and the estimates hold zones 1 and 2."""
+    files = bad_input_files
+    assert main(["eval", "--est-dir", str(files["est"]), "--label-dir", str(files["est"]),
+                 "--true-zone", str(zone), "--report", str(files["out"])]) == 2
+    assert not files["out"].exists()
+    assert f"--true-zone {zone} outside [1, 2]" in capsys.readouterr().err

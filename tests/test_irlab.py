@@ -370,6 +370,14 @@ class TestTsp:
         with pytest.raises(InvalidConfig):
             ExcitationSpec(kind="tsp", length=4095)
 
+    def test_stretch_defaults_to_a_quarter_of_the_length(self):
+        spec = ExcitationSpec(kind="tsp", length=2048)
+        assert spec.stretch == 512
+        assert spec == ExcitationSpec(kind="tsp", length=2048, stretch=512)
+        np.testing.assert_array_equal(
+            gen_excitation(spec), gen_excitation(ExcitationSpec(kind="tsp", length=2048,
+                                                                stretch=512)))
+
 
 class TestExtraction:
     @pytest.mark.parametrize("spec", [

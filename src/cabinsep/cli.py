@@ -49,13 +49,24 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
 # longest `bench` input: the wave, its whole-file spectrograms and masks stay
-# in memory, ≈4.9 MB per audio second, so 600 s peaks near 3 GB
+# in memory, ≈3 MB per audio second, so 600 s peaks near 2 GB
 _MAX_BENCH_SECONDS = 600.0
 
 
 def _given(args, *names) -> dict:
     """The named flags the user gave, for a constructor that owns their defaults."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _flags(names) -> str:
+    """The `--flag-name` spellings of argparse destinations, comma-separated."""
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _check_seed(seed: int | None) -> None:
+    """Refuse a `--seed` that `np.random.default_rng` refuses: a negative one."""
+    if seed is not None and seed < 0:
+        raise InvalidInput(f"--seed {seed}: a seed is a non-negative integer")
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +124,10 @@ def _load_ir_set(directory):
 def cmd_simulate(args) -> int:
     from . import augment, irlab
 
-    if not args.strategy and (args.simulated_ir_dir or args.recorded_ir_dir):
-        raise InvalidInput("the IR-set directories are read with --strategy only")
+    if not args.strategy and (given := _given(args, "simulated_ir_dir", "recorded_ir_dir",
+                                              "seed")):
+        raise InvalidInput(f"{_flags(given)}: read with --strategy only")
+    _check_seed(args.seed)
     manifest = augment.SceneManifest.from_json(Path(args.manifest).read_text())
     irs_by_zone = None
     if args.strategy:
@@ -191,8 +204,8 @@ def cmd_ir_ism(args) -> int:
 
     if args.room:
         if given := _given(args, "preset", "source", "reflection", "max_order", "ir_length"):
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
-            raise InvalidInput(f"--room holds the whole room; {flags} cannot be given with it")
+            raise InvalidInput(
+                f"--room holds the whole room; {_flags(given)} cannot be given with it")
         try:
             room = irlab.RoomSpec(**json.loads(Path(args.room).read_text()))
         except (json.JSONDecodeError, TypeError) as exc:
@@ -283,6 +296,7 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_bench(args) -> int:
+    _check_seed(args.seed)
     cfg = variant_config(args.variant, **_given(args, "chunk_lookback_seconds"))
     if args.seconds > _MAX_BENCH_SECONDS:
         raise InvalidInput(f"--seconds {args.seconds:g} exceeds {_MAX_BENCH_SECONDS:g}")
@@ -321,6 +335,7 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_init_weights(args) -> int:
+    _check_seed(args.seed)
     cfg = variant_config(args.variant)
     weights = init_random(cfg, args.seed)
     weights.save(args.out)
@@ -357,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="draw the one speaker's IR assignment from IR-set directories")
     sim.add_argument("--simulated-ir-dir", help="directory of mic0.wav..mic3.wav")
     sim.add_argument("--recorded-ir-dir", help="directory of mic0.wav..mic3.wav")
-    sim.add_argument("--seed", type=int, help="required with --strategy")
+    sim.add_argument("--seed", type=int, help="required with --strategy, read only with it")
     sim.set_defaults(func=cmd_simulate)
 
     ir = sub.add_parser("ir", help="impulse-response tools")

@@ -9,7 +9,8 @@ Channel i of a multichannel file corresponds to cabin zone i+1.
 
 from __future__ import annotations
 
-import struct
+import io
+import warnings
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -79,13 +80,16 @@ def analyze(wave: np.ndarray, cfg: StftConfig = StftConfig()) -> np.ndarray:
 
     frames = int(np.ceil(n_samples / cfg.hop))
     padded_len = (frames - 1) * cfg.hop + cfg.window_length
-    padded = np.zeros((n_chan, padded_len))
-    padded[:, :n_samples] = wave
-
     window = cfg.window()
-    # (channels, frames, window_length) strided view over hops
-    segments = sliding_window_view(padded, cfg.window_length, axis=-1)[:, ::cfg.hop] * window
-    return np.fft.rfft(segments, axis=-1)
+    spec = np.empty((n_chan, frames, cfg.bins), dtype=np.complex128)
+    # one channel at a time through one zero-padded buffer, so no temporary
+    # spans every channel; (frames, window_length) strided view over hops
+    padded = np.zeros(padded_len)
+    segments = sliding_window_view(padded, cfg.window_length)[::cfg.hop]
+    for c in range(n_chan):
+        padded[:n_samples] = wave[c]
+        spec[c] = np.fft.rfft(segments * window, axis=-1)
+    return spec
 
 
 def synthesize(
@@ -114,14 +118,15 @@ def synthesize(
         raise InvalidConfig(f"spectrogram has {bins} bins but config implies {cfg.bins}")
 
     window = cfg.window()
-    segments = np.fft.irfft(spec, n=cfg.fft_size, axis=-1) * window
-
     # hop = window_length / 2: output block k is the first half of frame k
-    # plus the second half of frame k - 1
+    # plus the second half of frame k - 1; one channel at a time, so no
+    # temporary spans every channel
     hop = cfg.hop
     blocks = np.zeros((n_chan, frames + 1, hop))
-    blocks[:, :frames] += segments[..., :hop]
-    blocks[:, 1:] += segments[..., hop:]
+    for c in range(n_chan):
+        segments = np.fft.irfft(spec[c], n=cfg.fft_size, axis=-1)
+        blocks[c, :frames] += segments[:, :hop] * window[:hop]
+        blocks[c, 1:] += segments[:, hop:] * window[hop:]
     sq_window = window * window
     norm = np.zeros((frames + 1, hop))
     norm[:frames] += sq_window[:hop]
@@ -142,18 +147,55 @@ def synthesize(
 # WAV files, all at 16 kHz: read PCM 16/32-bit and float, write IEEE float 32-bit
 # ---------------------------------------------------------------------------
 
+class _WavReader(io.BufferedReader):
+    """A WAV file for `wavfile.read` that notes the first read it ends before.
+
+    It offers no file descriptor, so scipy reads the data chunk through
+    `read` too (`np.frombuffer` in place of `np.fromfile`), and a chunk that
+    the file cuts short shows as a short read.
+    """
+
+    short_read: tuple[int, int] | None = None  # (bytes asked for, bytes found)
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+    def read(self, size=-1, /):
+        data = super().read(size)
+        if self.short_read is None and size is not None and len(data) < size:
+            self.short_read = (size, len(data))
+        return data
+
+
 def read_wav(path) -> np.ndarray:
     """Read a 16 kHz WAV file into a float64 (channels, samples) array.
 
     Integer PCM is scaled to [-1, 1); float samples are kept as stored, so
     they may lie beyond full scale. Raises InvalidInput naming the file if
-    it is unreadable, not at 16 kHz or holds a non-finite sample.
+    it is missing, malformed, shorter than its headers say (a cut data
+    chunk, at a frame boundary or not), not at 16 kHz or holds a non-finite
+    sample.
     """
     try:
-        rate, data = wavfile.read(path)
-    except (FileNotFoundError, ValueError, struct.error) as exc:
-        # struct.error: a file cut inside its RIFF or fmt header
+        fid = _WavReader(io.FileIO(path))
+    except FileNotFoundError as exc:
         raise InvalidInput(f"cannot read WAV file {path}: {exc}") from exc
+    failure = None
+    with fid, warnings.catch_warnings():
+        # scipy warns of a cut file and returns what it read; refused below
+        warnings.filterwarnings("ignore", "Reached EOF prematurely|Incomplete chunk ID",
+                                wavfile.WavFileWarning)
+        try:
+            rate, data = wavfile.read(fid)
+        except Exception as exc:  # scipy meets a malformed header with many types
+            failure = exc
+    if fid.short_read is not None:
+        expected, found = fid.short_read
+        raise InvalidInput(f"{path}: cut short: a header gives {expected} more bytes, "
+                           f"the file holds {found}")
+    if failure is not None:
+        raise InvalidInput(
+            f"cannot read WAV file {path}: {type(failure).__name__}: {failure}") from failure
     if rate != DEFAULT_SAMPLE_RATE:
         raise InvalidInput(f"{path}: sample rate {rate} Hz, expected {DEFAULT_SAMPLE_RATE} Hz")
     if data.ndim == 1:

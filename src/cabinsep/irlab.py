@@ -231,6 +231,11 @@ class ExcitationSpec:
                 )
             if not (0.0 < self.duration < math.inf):
                 raise InvalidConfig("sweep duration must be positive and finite")
+            # a one-sample sweep is sin(0) = 0: silent, and its inverse filter 0/0
+            if self.num_samples() < 2:
+                raise InvalidConfig(
+                    f"sweep duration {self.duration:g} s gives {self.num_samples()} "
+                    f"samples at {DEFAULT_SAMPLE_RATE} Hz; a sweep needs at least 2")
         elif self.kind == "mls":
             if not (2 <= self.order <= 24):
                 raise InvalidConfig("MLS order must be in [2, 24]")

@@ -41,6 +41,17 @@ logger = logging.getLogger(__name__)
 
 _TRACE_EPS = 1e-10
 
+# Largest diagonal loading. At 1e6 times the mean eigenvalue no noise entry
+# exceeds Z / 1e6 of the loaded diagonal, so the weights are that close to
+# their infinite-loading limit, speech e_i / trace(speech); a larger value adds
+# only rounding, and pushes trace(loaded_noise^-1 @ speech) toward the
+# degenerate-trace floor. It also keeps loading * trace finite: a
+# `separate_waveform` input (samples within 1e6) adds at most
+# Z (1e6 * 276.5)^2 < 4e17 to a trace per frame (276.5 is the window's sum),
+# so loading * trace grows by under 4e23 per frame and stays finite for any
+# stream shorter than 1e284 frames.
+_MAX_LOADING = 1e6
+
 
 @dataclass(frozen=True)
 class MvdrConfig:
@@ -51,9 +62,9 @@ class MvdrConfig:
         # written so that NaN fails both checks
         if not (0.0 < self.forgetting <= 1.0):
             raise InvalidInput(f"forgetting factor must be in (0, 1], got {self.forgetting}")
-        if not (0.0 <= self.loading < np.inf):
+        if not (0.0 <= self.loading <= _MAX_LOADING):
             raise InvalidInput(
-                f"diagonal loading must be finite and >= 0, got {self.loading}")
+                f"diagonal loading must be in [0, {_MAX_LOADING:g}], got {self.loading}")
 
 
 @dataclass

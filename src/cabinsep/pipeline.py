@@ -64,5 +64,6 @@ def separate_waveform(
     spec = analyze(wave)
     masks = forward(spec, weights, model_cfg)
     out_spec = separate_stream(spec, masks, mvdr_cfg)
+    del spec, masks  # nothing reads them again, so synthesis runs without them
     zones = synthesize(out_spec, length=n_samples)
     return SeparationResult(zones=zones, spectrogram=out_spec)

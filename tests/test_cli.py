@@ -640,6 +640,31 @@ BAD_INPUTS = {
         2, "simulate --manifest {scene_ok} --out-dir {out} --simulated-ir-dir {irs_8k}"),
     "simulate_recorded_ir_dir_without_strategy": (
         2, "simulate --manifest {scene_ok} --out-dir {out} --recorded-ir-dir {irs_8k}"),
+    "simulate_seed_without_strategy": (2, "simulate --manifest {scene_ok} --out-dir {out} "
+                                          "--seed 5"),
+    # a seed is what np.random.default_rng takes: a non-negative integer
+    "init_weights_seed_negative": (2, "init-weights --variant S --seed -1 --out {out}"),
+    "bench_seed_negative": (2, "bench --variant S --seconds 0.1 --runs 1 --seed -1 "
+                               "--report {out}"),
+    "simulate_strategy_seed_negative": (2, "simulate --manifest {scene_ok} --out-dir {out} "
+                                           "--strategy only --recorded-ir-dir {irs} "
+                                           "--seed -1"),
+    # above 1e6 the loading changes nothing but rounding (and 1e308 overflowed)
+    "separate_loading_1e308": (2, "separate --input {mix} --weights {weights} "
+                                  "--loading 1e308 --out-dir {out}"),
+    "separate_loading_above_1e6": (2, "separate --input {mix} --weights {weights} "
+                                      "--loading 1.5e6 --out-dir {out}"),
+    # a one-sample sweep is sin(0) = 0, and 1e-9 s rounds to no sample at all
+    "gen_ess_duration_1e-9": (3, "ir gen --kind ess --duration 1e-9 --out {out}"),
+    "gen_ess_one_sample": (3, "ir gen --kind ess --duration 6.25e-5 --out {out} "
+                              "--inverse-out {out}"),
+    # malformed WAV headers, and a data chunk cut short by 50 whole frames
+    "separate_wav_block_align_zero": (2, "separate --input {wav_block_align_zero} "
+                                         "--weights {weights} --out-dir {out}"),
+    "separate_wav_data_tag_renamed": (2, "separate --input {wav_data_tag_renamed} "
+                                         "--weights {weights} --out-dir {out}"),
+    "separate_wav_cut_800": (2, "separate --input {wav_cut_800} --weights {weights} "
+                                "--out-dir {out}"),
 }
 
 
@@ -785,6 +810,13 @@ def bad_container_files(tmp_path_factory, weights_file):
 def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
     files = {"mix": tmp_path / "mix.wav", "out": tmp_path / "out", **bad_container_files}
     write_mixture(files["mix"], rng)
+    blob = files["mix"].read_bytes()
+    fmt, data = blob.index(b"fmt "), blob.index(b"data")
+    for name, bad in {"wav_block_align_zero": blob[:fmt + 20] + bytes(2) + blob[fmt + 22:],
+                      "wav_data_tag_renamed": blob[:data] + b"dat4" + blob[data + 4:],
+                      "wav_cut_800": blob[:-800]}.items():
+        files[name] = tmp_path / f"{name}.wav"
+        files[name].write_bytes(bad)
     rooms = {"room_ok": json.dumps(ROOM),
              "room_invalid_json": "{",
              "room_missing_dimensions": json.dumps(
@@ -837,6 +869,7 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
         wavfile.write(files["est_8k"] / f"zone{z}.wav", FS // 2, wave.astype(np.float32))
     scene = tmp_path / "scene"
     (scene / "irs_8k").mkdir(parents=True)
+    (scene / "irs").mkdir()
     waves = {"speech": rng.standard_normal(4000) * 0.1,
              "noise": rng.standard_normal(2000) * 0.1,
              "click": rng.standard_normal(200) * 0.1}
@@ -845,11 +878,13 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
         waves[f"ir{m}"][m + 1] = 1.0
         wavfile.write(scene / "irs_8k" / f"mic{m}.wav", FS // 2,
                       waves[f"ir{m}"].astype(np.float32))
+        write_wav(scene / "irs" / f"mic{m}.wav", waves[f"ir{m}"])
     for name, wave in waves.items():
         write_wav(scene / f"{name}.wav", wave)
         wavfile.write(scene / f"{name}_8k.wav", FS // 2, wave.astype(np.float32))
         write_wav(scene / f"{name}_stereo.wav", np.stack([wave, wave[::-1]]))
     files["irs_8k"] = scene / "irs_8k"
+    files["irs"] = scene / "irs"
     for name, doc in {"ok": _scene(), **BAD_SCENES}.items():
         files[f"scene_{name}"] = scene / f"{name}.json"
         files[f"scene_{name}"].write_text(json.dumps(doc))
@@ -857,16 +892,19 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
 
 
 def test_bad_input_fixtures_differ_from_working_inputs(bad_input_files):
-    """The manifest the bad scenes vary renders, and the estimates evaluate."""
+    """The manifest the bad scenes vary renders, the estimates evaluate, and the
+    largest loading and the shortest sweep run."""
     files = bad_input_files
     assert main(["simulate", "--manifest", str(files["scene_ok"]),
                  "--out-dir", str(files["out"] / "scene")]) == 0
-    irs = files["scene_ok"].parent
-    for m in range(4):
-        (irs / f"mic{m}.wav").write_bytes((irs / f"ir{m}.wav").read_bytes())
     assert main(["simulate", "--manifest", str(files["scene_ok"]),
                  "--out-dir", str(files["out"] / "strategy"), "--strategy", "only",
-                 "--recorded-ir-dir", str(irs), "--seed", "0"]) == 0
+                 "--recorded-ir-dir", str(files["irs"]), "--seed", "0"]) == 0
+    assert main(["separate", "--input", str(files["mix"]), "--weights", str(files["weights"]),
+                 "--loading", "1e6", "--out-dir", str(files["out"] / "loaded")]) == 0
+    assert main(["ir", "gen", "--kind", "ess", "--duration", "1.25e-4",
+                 "--out", str(files["out"] / "sweep.wav"),
+                 "--inverse-out", str(files["out"] / "inverse.wav")]) == 0
     assert main(["eval", "--est-dir", str(files["est"]), "--label-dir", str(files["est"]),
                  "--report", str(files["out"] / "eval.json")]) == 0
 

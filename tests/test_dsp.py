@@ -1,8 +1,11 @@
 import dataclasses
+import io
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.io import wavfile
 from scipy.signal import get_window
 
@@ -97,6 +100,21 @@ class TestAnalyze:
         right = a * analyze(w1) + b * analyze(w2)
         np.testing.assert_allclose(left, right, atol=1e-6)
 
+    @pytest.mark.parametrize("channels", [1, 4])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 1000, 40000, 192000])
+    def test_equals_the_whole_array_transform(self, rng, channels, n):
+        # reference: every channel padded, windowed and transformed in one array
+        cfg = StftConfig()
+        x = rng.standard_normal((channels, n))
+        frames = -(-n // cfg.hop)
+        padded = np.zeros((channels, (frames - 1) * cfg.hop + cfg.window_length))
+        padded[:, :n] = x
+        segments = sliding_window_view(padded, cfg.window_length, axis=-1)[:, ::cfg.hop]
+        expected = np.fft.rfft(segments * cfg.window(), axis=-1)
+        got = analyze(x, cfg)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     def test_parseval_per_frame(self, rng):
         cfg = StftConfig()
         x = rng.standard_normal(4096)
@@ -176,6 +194,46 @@ class TestSynthesize:
         assert got.tobytes() == want.tobytes()
 
 
+def whole_array_synthesize(spec, cfg, length=None):
+    """Reference iSTFT: every channel inverse-transformed and overlap-added at once."""
+    window = cfg.window()
+    segments = np.fft.irfft(spec, n=cfg.fft_size, axis=-1) * window
+    n_chan, frames, _ = spec.shape
+    hop = cfg.hop
+    blocks = np.zeros((n_chan, frames + 1, hop))
+    blocks[:, :frames] += segments[..., :hop]
+    blocks[:, 1:] += segments[..., hop:]
+    norm = np.zeros((frames + 1, hop))
+    norm[:frames] += (window * window)[:hop]
+    norm[1:] += (window * window)[hop:]
+    blocks /= np.maximum(norm, 1e-8)
+    out = blocks.reshape(n_chan, -1)
+    if length is not None:
+        out = out[:, :length] if length <= out.shape[1] else np.pad(
+            out, ((0, 0), (0, length - out.shape[1])))
+    return out
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 1000, 40000, 192000])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_synthesize_equals_the_whole_array_transform(rng, channels, n, dtype):
+    cfg = StftConfig()
+    spec = analyze(rng.standard_normal((channels, n)), cfg).astype(dtype)
+    for length in (None, n, n + 300):
+        got = synthesize(spec, cfg, length=length)
+        expected = whole_array_synthesize(spec, cfg, length=length)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+def wav_bytes(data) -> tuple[bytes, int]:
+    """A 16 kHz WAV file's bytes as scipy writes `data`, and its header length."""
+    buf = io.BytesIO()
+    wavfile.write(buf, FS, data)
+    return buf.getvalue(), len(buf.getvalue()) - data.nbytes
+
+
 class TestWavIO:
     def test_float32_round_trip(self, tmp_path, rng):
         wave = rng.uniform(-0.9, 0.9, size=(4, 1000))
@@ -205,3 +263,77 @@ class TestWavIO:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):
             read_wav(tmp_path / "nope.wav")
+
+    @pytest.mark.parametrize("cut", [
+        800,      # 50 whole frames of 4 float32 channels
+        806,      # inside a frame, at a sample boundary
+        801,      # inside a sample
+    ])
+    def test_cut_data_chunk_refused_naming_bytes(self, tmp_path, rng, cut):
+        blob, _ = wav_bytes(rng.standard_normal((1600, 4)).astype(np.float32))
+        path = tmp_path / "cut.wav"
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(InvalidInput, match=f"cut.wav: cut short: a header gives 25600 "
+                                               f"more bytes, the file holds {25600 - cut}"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("field, tag, offset, value", [
+        ("block_align", b"fmt ", 20, struct.pack("<H", 0)),
+        ("channels", b"fmt ", 10, struct.pack("<H", 0)),
+        ("data_tag", b"data", 0, b"dat4"),
+        ("fmt_tag", b"fmt ", 0, b"fmx "),
+    ], ids=["block_align", "channels", "data_tag", "fmt_tag"])
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    def test_malformed_header_field_refused_naming_file(self, tmp_path, field, tag, offset,
+                                                        value):
+        # `offset` counts from the chunk's tag; a float file also holds a fact chunk
+        blob, _ = wav_bytes(np.zeros((100, 4), np.float32))
+        offset += blob.index(tag)
+        blob = blob[:offset] + value + blob[offset + len(value):]
+        path = tmp_path / f"{field}.wav"
+        path.write_bytes(blob)
+        with pytest.raises(InvalidInput, match=f"{field}.wav"):
+            read_wav(path)
+
+    def test_unknown_chunks_still_read(self, tmp_path, rng):
+        # a valid file with a chunk scipy skips reads as the bare file does
+        data = rng.integers(-2**15, 2**15, size=(300, 2)).astype(np.int16)
+        blob, _ = wav_bytes(data)
+        blob += b"LIST" + struct.pack("<I", 6) + b"INFOab"
+        blob += b"bext" + struct.pack("<I", 3) + b"xyz\0"  # odd size, then its pad byte
+        blob = blob[:4] + struct.pack("<I", len(blob) - 8) + blob[8:]
+        path = tmp_path / "chunks.wav"
+        path.write_bytes(blob)
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            wave = read_wav(path)
+        np.testing.assert_array_equal(wave, data.T / 32768.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    def test_mutated_headers_give_invalid_input_or_a_finite_array(self, tmp_path):
+        # a seeded fuzz of header bytes, biased to the values that break sizes
+        # and counts, with one file in four also cut at a random length;
+        # about 0.4 s
+        rng = np.random.default_rng(0)
+        bases = [wav_bytes(np.full((40, 4), 0.25, np.float32)),
+                 wav_bytes(np.full((40, 2), 1000, np.int16))]
+        special = [0x00, 0x01, 0x7F, 0x80, 0xFF]
+        path = tmp_path / "mutated.wav"
+        outcomes = {"refused": 0, "read": 0}
+        for i in range(3000):
+            base, header = bases[i % 2]
+            blob = bytearray(base)
+            for _ in range(rng.integers(1, 4)):
+                pos = rng.integers(header)
+                blob[pos] = special[rng.integers(5)] if rng.random() < 0.5 else rng.integers(256)
+            if rng.random() < 0.25:
+                blob = blob[:rng.integers(len(blob))]
+            path.write_bytes(blob)
+            try:
+                wave = read_wav(path)
+            except InvalidInput:
+                outcomes["refused"] += 1
+                continue
+            outcomes["read"] += 1
+            assert wave.dtype == np.float64 and wave.ndim == 2
+            assert np.isfinite(wave).all()
+        assert min(outcomes.values()) > 100, outcomes

@@ -319,6 +319,18 @@ class TestEss:
         with pytest.raises(InvalidConfig):
             ExcitationSpec(kind="ess", f_end=9000.0)
 
+    @pytest.mark.parametrize("duration", [1e-9, 0.4 / FS, 1.0 / FS])
+    def test_sweep_under_two_samples_rejected(self, duration):
+        # one sample is sin(0) = 0: a silent sweep whose inverse filter is 0/0
+        with pytest.raises(InvalidConfig, match="a sweep needs at least 2"):
+            ExcitationSpec(kind="ess", duration=duration)
+
+    def test_two_sample_sweep_and_inverse_are_finite_and_audible(self):
+        spec = ExcitationSpec(kind="ess", duration=2.0 / FS)
+        sweep, inverse = gen_excitation(spec), inverse_filter_ess(spec)
+        assert sweep.shape == inverse.shape == (2,)
+        assert np.isfinite(inverse).all() and np.abs(sweep).max() > 0
+
 
 class TestMls:
     def test_length(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cabinsep import mvdr
+from cabinsep.dsp import analyze
 from cabinsep.errors import InvalidInput, NumericalError
 from cabinsep.model.network import MaskPair
 from cabinsep.mvdr import (
@@ -33,12 +34,29 @@ class TestState:
     @pytest.mark.parametrize("kwargs", [
         dict(forgetting=0.0), dict(forgetting=1.5), dict(forgetting=np.nan),
         dict(loading=-1.0), dict(loading=np.nan), dict(loading=np.inf),
+        dict(loading=np.nextafter(1e6, np.inf)), dict(loading=1e308),
     ])
     def test_invalid_forgetting_or_loading_rejected(self, kwargs):
         with pytest.raises(InvalidInput):
             BeamformerState(zones=2, bins=3, **kwargs)
         with pytest.raises(InvalidInput):
             MvdrConfig(**kwargs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_loading_keeps_the_loaded_trace_finite(self):
+        # the loudest input `separate_waveform` takes, every sample at 1e6 and
+        # every mask at 1, over 100 accumulated frames: weights finite, no
+        # overflow warning, and no bin left at the degenerate-trace passthrough
+        wave = 1e6 * np.sign(np.random.default_rng(0).standard_normal((3, 100 * 256)))
+        spec = analyze(wave)
+        state = BeamformerState(zones=3, bins=spec.shape[2], loading=1e6)
+        ones = np.ones((3, spec.shape[2]))
+        for t in range(spec.shape[1]):
+            update_covariances(state, spec[:, t], ones / 3, ones)
+        weights, positive_definite = _solve(state)
+        assert positive_definite.all() and np.isfinite(weights).all()
+        passthrough = np.all(weights == np.eye(3)[:, None, :], axis=-1)
+        assert not passthrough.any()
 
     def test_config_is_frozen(self):
         # a field assigned after construction would skip __post_init__'s checks

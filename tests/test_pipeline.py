@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -133,3 +135,25 @@ def test_any_mix_of_bad_channels_gives_finite_output(kinds, seed, small_cfg, sma
     result = separate_waveform(wave, small_weights, small_cfg)
     assert result.zones.shape == wave.shape
     assert np.isfinite(result.zones).all()
+
+
+def test_peak_memory_grows_at_most_3_mb_per_audio_second():
+    # tracemalloc counts numpy's buffers; the difference of a 2 s and a 4 s run
+    # cancels what does not grow with the input (the weights, the 0.5 s
+    # attention rings). Every whole-signal array of the batch path counts:
+    # the spectrogram and the masks held through the beamformer take 1.5 MB
+    # per second of 4-channel audio and its output spectrogram 1 MB more
+    cfg = variant_config("S", chunk_lookback_seconds=0.5)
+    weights = init_random(cfg, 7)
+    peaks = {}
+    for seconds in (2, 4):
+        wave = np.random.default_rng(0).standard_normal((4, seconds * 16000)) * 0.05
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            separate_waveform(wave, weights, cfg)
+            peaks[seconds] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    per_second = (peaks[4] - peaks[2]) / 2 / 1e6
+    assert per_second <= 3.0, f"{per_second:.2f} MB per audio second"

@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Subcommands: separate, simulate, ir (gen/extract/ism), eval, bench,
-init-weights. Exit codes: 0 ok, 2 input error (`InvalidInput`, or a file
-that cannot be read), 3 config/weights error (`InvalidConfig`).
-Commands validate their inputs before writing any output file. `separate`
-takes its model from `--variant` (and `--chunk-seconds`), and exits 3 when
-the weight container was written for another architecture: other tensor
-shapes, or a fingerprint that differs from the configuration's (the
-attention lookback is not part of it).
+init-weights. `ir gen` and `ir extract` take the excitation kind as a
+subcommand of their own (`ess`, `mls` or `tsp`) that declares only the flags
+of its spec, so a flag of another kind is a usage error (exit 2). Exit
+codes: 0 ok, 2 input or usage error (`InvalidInput`, or a file that cannot
+be read), 3 config/weights error (`InvalidConfig`). Commands validate their
+inputs before writing any output file. `separate` takes its model from
+`--variant` (and `--chunk-seconds`), and exits 3 when the weight container
+was written for another architecture: other tensor shapes, or a fingerprint
+that differs from the configuration's (the attention lookback is not part
+of it).
 
 The `simulate` and `ir` handlers import the IR lab and scene synthesis
 themselves: both import scipy.signal, which `separate`, `eval`, `bench` and
@@ -167,23 +170,31 @@ def cmd_simulate(args) -> int:
 # ir
 # ---------------------------------------------------------------------------
 
+# the `ir gen`/`ir extract` subcommand of each excitation kind: its `irlab`
+# spec class, help, and one flag per field of the class with the field's type
+# (written here so that parsing imports no scipy.signal; a test keeps them equal)
+_EXCITATIONS = {
+    "ess": ("EssSpec", "exponential sine sweep",
+            {"f_start": float, "f_end": float, "duration": float}),
+    "mls": ("MlsSpec", "maximum-length sequence", {"order": int}),
+    "tsp": ("TspSpec", "time-stretched pulse", {"length": int, "stretch": int}),
+}
+
+
 def _excitation_spec(args):
+    """The spec of the chosen kind, from its flags given; the class owns the defaults."""
     from . import irlab
 
-    return irlab.ExcitationSpec(**_given(args, "kind", "f_start", "f_end", "duration",
-                                         "order", "length", "stretch"))
+    spec_class, _, fields = _EXCITATIONS[args.kind]
+    return getattr(irlab, spec_class)(**_given(args, *fields))
 
 
 def cmd_ir_gen(args) -> int:
-    from . import irlab
-
-    if args.inverse_out and args.kind != "ess":
-        raise InvalidInput("--inverse-out writes the ESS inverse filter; use it with --kind ess")
     spec = _excitation_spec(args)
-    signal = irlab.gen_excitation(spec)
+    signal = spec.signal()
     write_wav(args.out, signal)
-    if args.inverse_out:
-        write_wav(args.inverse_out, irlab.inverse_filter_ess(spec))
+    if getattr(args, "inverse_out", None):  # a flag of `ir gen ess` only
+        write_wav(args.inverse_out, spec.inverse_filter())
     print(f"wrote {args.kind} excitation ({signal.shape[0]} samples) to {args.out}")
     return EXIT_OK
 
@@ -378,27 +389,24 @@ def build_parser() -> argparse.ArgumentParser:
     ir = sub.add_parser("ir", help="impulse-response tools")
     ir_sub = ir.add_subparsers(dest="ir_command", required=True)
 
-    def add_excitation_args(p):
-        p.add_argument("--kind", choices=("ess", "mls", "tsp"), required=True)
-        p.add_argument("--f-start", type=float)
-        p.add_argument("--f-end", type=float)
-        p.add_argument("--duration", type=float)
-        p.add_argument("--order", type=int)
-        p.add_argument("--length", type=int)
-        p.add_argument("--stretch", type=int)
+    def add_kinds(command, help_text, func):
+        """`ir <command> ess|mls|tsp`, each kind with one flag per field of its spec."""
+        kinds = ir_sub.add_parser(command, help=help_text).add_subparsers(dest="kind",
+                                                                          required=True)
+        parsers = {}
+        for kind, (_, kind_help, fields) in _EXCITATIONS.items():
+            p = parsers[kind] = kinds.add_parser(kind, help=kind_help)
+            for name, field_type in fields.items():
+                p.add_argument("--" + name.replace("_", "-"), type=field_type)
+            p.add_argument("--out", required=True)
+            p.set_defaults(func=func)
+        return parsers
 
-    gen = ir_sub.add_parser("gen", help="generate an excitation signal")
-    add_excitation_args(gen)
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--inverse-out", help="also write the ESS inverse filter")
-    gen.set_defaults(func=cmd_ir_gen)
-
-    ext = ir_sub.add_parser("extract", help="deconvolve a recorded excitation")
-    add_excitation_args(ext)
-    ext.add_argument("--recording", required=True)
-    ext.add_argument("--out", required=True)
-    ext.add_argument("--ir-length", type=int)
-    ext.set_defaults(func=cmd_ir_extract)
+    gen = add_kinds("gen", "generate an excitation signal", cmd_ir_gen)
+    gen["ess"].add_argument("--inverse-out", help="also write the sweep's inverse filter")
+    for p in add_kinds("extract", "deconvolve a recorded excitation", cmd_ir_extract).values():
+        p.add_argument("--recording", required=True)
+        p.add_argument("--ir-length", type=int)
 
     ism = ir_sub.add_parser("ism", help="simulate a shoebox impulse response")
     ism.add_argument("--room", help="RoomSpec JSON file")

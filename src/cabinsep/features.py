@@ -11,11 +11,13 @@ import numpy as np
 
 # Owned here rather than by `ModelConfig`, which refers to them, so that this
 # module imports nothing from `cabinsep.model`, and `cabinsep.model` nothing
-# from `cabinsep.dsp` (which imports scipy.io).
+# from `cabinsep.dsp` (which imports scipy.io) or `cabinsep.irlab` (which
+# imports scipy.signal and reads ZONES too).
 LPS_FLOOR = 1e-10
 IPD_PAIR = (0, 1)  # front-row microphones
 DEFAULT_SAMPLE_RATE = 16000
 FFT_SIZE = 512  # the one STFT framing: 32 ms window, 16 ms hop, 257 bins
+ZONES = 4  # seats of the cabin, each with its own microphone
 
 
 def stack_real_imag(spec: np.ndarray) -> np.ndarray:

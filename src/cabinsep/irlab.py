@@ -17,6 +17,7 @@ from scipy.signal import fftconvolve, max_len_seq
 
 from .dsp import DEFAULT_SAMPLE_RATE, _read_mono, write_wav
 from .errors import InvalidConfig, InvalidInput
+from .features import ZONES
 
 SPEED_OF_SOUND = 343.0
 
@@ -35,8 +36,6 @@ CABIN_SEATS = (
     (2.35, 0.42, 0.90),
     (2.35, 1.08, 0.90),
 )
-# the number of zones of a cabin scene: one microphone and one seat per zone
-ZONES = len(CABIN_MICS)
 
 _SINC_HALF_WIDTH = 8  # 16-tap Hann-windowed sinc for fractional delays
 
@@ -46,6 +45,14 @@ _MAX_SAMPLES = 2**24
 _MAX_ORDER = 20
 # largest room side in metres; a car cabin is under 3 m
 _MAX_DIMENSION = 100.0
+
+
+def _check_integer(name: str, value, low: int, high: int, error=InvalidConfig) -> None:
+    """Refuse `value` unless it is an integer in [low, high]; a float or a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise error(f"{name} must be in [{low}, {high}], got {value}")
 
 
 @dataclass
@@ -79,16 +86,11 @@ class RoomSpec:
     ir_length: int = 2048
 
     def __post_init__(self):
-        for name in ("max_order", "ir_length"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InvalidConfig(f"{name} must be an integer")
+        _check_integer("max_order", self.max_order, 0, _MAX_ORDER)
+        _check_integer("ir_length", self.ir_length, 1, _MAX_SAMPLES)
         betas = self.reflection_pairs()
         if not np.all((betas >= 0.0) & (betas < 1.0)):  # NaN fails too
             raise InvalidConfig("reflection coefficients must lie in [0, 1)")
-        if not (0 <= self.max_order <= _MAX_ORDER):
-            raise InvalidConfig(f"max_order must be in [0, {_MAX_ORDER}], got {self.max_order}")
-        if not (1 <= self.ir_length <= _MAX_SAMPLES):
-            raise InvalidConfig(f"ir_length must be in [1, {_MAX_SAMPLES}], got {self.ir_length}")
         positions = (("source", self.source), *((f"mic {i}", m) for i, m in enumerate(self.mics)))
         for name, pos in (("dimensions", self.dimensions), *positions):
             if len(pos) != 3:
@@ -201,162 +203,144 @@ def simulate_ism_all(room: RoomSpec) -> list[ImpulseResponse]:
 # Excitation signals
 # ---------------------------------------------------------------------------
 
+# Each spec class holds one kind's parameters and checks, and gives its length
+# (`num_samples`), its signal played at 16 kHz (`signal`) and the taps that
+# deconvolving a recording of it yields from tap 0 on (`deconvolve`).
+
 @dataclass(frozen=True)
-class ExcitationSpec:
-    """Parameters of a measurement excitation.
+class EssSpec:
+    """Exponential sine sweep over [f_start, f_end] Hz lasting `duration` seconds."""
 
-    kind 'ess': exponential sine sweep over [f_start, f_end] Hz lasting
-    `duration` seconds; 'mls': maximum-length sequence of order `order`
-    (length 2^order - 1); 'tsp': time-stretched pulse of `length` samples
-    with integer `stretch`, `length // 4` when not given. Every excitation is
-    played at 16 kHz.
-    """
-
-    kind: str
     f_start: float = 20.0
     f_end: float = 8000.0
     duration: float = 3.0
+
+    def __post_init__(self):
+        # a band ratio beyond float64 (a subnormal f_start) would make a NaN sweep
+        if not (0.0 < self.f_start < self.f_end <= DEFAULT_SAMPLE_RATE / 2
+                and self.f_end / self.f_start < math.inf):
+            raise InvalidConfig(
+                f"need 0 < f_start < f_end <= fs/2 and a finite f_end / f_start, got "
+                f"({self.f_start}, {self.f_end}) at fs={DEFAULT_SAMPLE_RATE}"
+            )
+        if not (0.0 < self.duration < math.inf):
+            raise InvalidConfig("sweep duration must be positive and finite")
+        # a one-sample sweep is sin(0) = 0: silent, and its inverse filter 0/0
+        if not 2 <= self.num_samples() <= _MAX_SAMPLES:
+            raise InvalidConfig(
+                f"sweep duration {self.duration:g} s gives {self.num_samples()} samples at "
+                f"{DEFAULT_SAMPLE_RATE} Hz; a sweep needs at least 2 and at most {_MAX_SAMPLES}")
+
+    def num_samples(self) -> int:
+        return int(round(self.duration * DEFAULT_SAMPLE_RATE))
+
+    def _times(self) -> tuple[np.ndarray, float]:
+        """Sample times t and the sweep's time constant L = duration / ln(f_end / f_start)."""
+        t = np.arange(self.num_samples()) / DEFAULT_SAMPLE_RATE
+        return t, self.duration / math.log(self.f_end / self.f_start)
+
+    def signal(self) -> np.ndarray:
+        """Unit-amplitude sweep sin(2 pi f_start L (e^{t/L} - 1))."""
+        t, sweep_time = self._times()
+        return np.sin(2.0 * np.pi * self.f_start * sweep_time * (np.exp(t / sweep_time) - 1.0))
+
+    def inverse_filter(self) -> np.ndarray:
+        """Time-reversed sweep with +6 dB/octave compensation.
+
+        Scaled so that conv(sweep, inverse) has unit peak.
+        """
+        t, sweep_time = self._times()
+        sweep = self.signal()
+        inverse = sweep[::-1] * np.exp(-t / sweep_time)
+        return inverse / np.max(np.abs(fftconvolve(sweep, inverse)))
+
+    def deconvolve(self, recording: np.ndarray) -> np.ndarray:
+        """Linear convolution with the inverse sweep."""
+        return fftconvolve(recording, self.inverse_filter())[self.num_samples() - 1:]
+
+
+@dataclass(frozen=True)
+class MlsSpec:
+    """Maximum-length sequence of order `order` (length 2^order - 1)."""
+
     order: int = 14
+
+    def __post_init__(self):
+        _check_integer("MLS order", self.order, 2, 24)
+
+    def num_samples(self) -> int:
+        return 2**self.order - 1
+
+    def signal(self) -> np.ndarray:
+        """+/-1 sequence from scipy's per-order primitive polynomials; bit 1 -> -1, 0 -> +1."""
+        bits, _ = max_len_seq(self.order)
+        return 1.0 - 2.0 * bits.astype(np.float64)
+
+    def deconvolve(self, recording: np.ndarray) -> np.ndarray:
+        """Circular cross-correlation, exact up to one period."""
+        n = self.num_samples()
+        wrapped = _wrap_periodic(recording, n)
+        xcorr = np.fft.irfft(np.fft.rfft(wrapped) * np.conj(np.fft.rfft(self.signal())), n=n)
+        return (xcorr + xcorr.sum()) / (n + 1)
+
+
+@dataclass(frozen=True)
+class TspSpec:
+    """Time-stretched pulse of `length` samples, even, with integer `stretch`
+    in (0, length/2), `length // 4` when not given."""
+
     length: int = 16384
     stretch: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("ess", "mls", "tsp"):
-            raise InvalidConfig(f"unknown excitation kind {self.kind!r}")
-        if self.kind == "ess":
-            if not (0.0 < self.f_start < self.f_end <= DEFAULT_SAMPLE_RATE / 2):
-                raise InvalidConfig(
-                    f"need 0 < f_start < f_end <= fs/2, got "
-                    f"({self.f_start}, {self.f_end}) at fs={DEFAULT_SAMPLE_RATE}"
-                )
-            if not (0.0 < self.duration < math.inf):
-                raise InvalidConfig("sweep duration must be positive and finite")
-            # a one-sample sweep is sin(0) = 0: silent, and its inverse filter 0/0
-            if self.num_samples() < 2:
-                raise InvalidConfig(
-                    f"sweep duration {self.duration:g} s gives {self.num_samples()} "
-                    f"samples at {DEFAULT_SAMPLE_RATE} Hz; a sweep needs at least 2")
-        elif self.kind == "mls":
-            if not (2 <= self.order <= 24):
-                raise InvalidConfig("MLS order must be in [2, 24]")
-        elif self.kind == "tsp":
-            if self.length < 4 or self.length % 2 != 0:
-                raise InvalidConfig("TSP length must be an even integer >= 4")
-            if self.stretch is None:
-                object.__setattr__(self, "stretch", self.length // 4)
-            if not (0 < self.stretch < self.length // 2):
-                raise InvalidConfig("TSP stretch must be in (0, length/2)")
-        if self.num_samples() > _MAX_SAMPLES:
-            raise InvalidConfig(
-                f"excitation of {self.num_samples()} samples exceeds {_MAX_SAMPLES}")
+        _check_integer("TSP length", self.length, 4, _MAX_SAMPLES)
+        if self.length % 2:
+            raise InvalidConfig(f"TSP length must be even, got {self.length}")
+        if self.stretch is None:
+            object.__setattr__(self, "stretch", self.length // 4)
+        _check_integer("TSP stretch", self.stretch, 1, self.length // 2 - 1)
 
     def num_samples(self) -> int:
-        if self.kind == "ess":
-            return int(round(self.duration * DEFAULT_SAMPLE_RATE))
-        if self.kind == "mls":
-            return 2**self.order - 1
         return self.length
 
+    def _spectrum(self) -> np.ndarray:
+        """One-sided all-pass spectrum with quadratic phase (real time signal)."""
+        k = np.arange(self.length // 2 + 1)
+        phase = -4.0 * np.pi * self.stretch * (k.astype(np.float64) ** 2) / self.length**2
+        spectrum = np.exp(1j * phase)
+        # linear phase term circularly centers the pulse stretch
+        shift = self.length // 2 - self.stretch
+        spectrum *= np.exp(-2j * np.pi * k * shift / self.length)
+        return spectrum
 
-def _gen_ess(spec: ExcitationSpec) -> np.ndarray:
-    """Unit-amplitude exponential sine sweep sin(2 pi f1 L (e^{t/L} - 1))."""
-    n = spec.num_samples()
-    t = np.arange(n) / DEFAULT_SAMPLE_RATE
-    rate = math.log(spec.f_end / spec.f_start)
-    sweep_time = spec.duration / rate  # L
-    return np.sin(2.0 * np.pi * spec.f_start * sweep_time * (np.exp(t / sweep_time) - 1.0))
+    def signal(self) -> np.ndarray:
+        """Real pulse: flat magnitude, quadratic phase."""
+        return np.fft.irfft(self._spectrum(), n=self.length)
 
-
-def inverse_filter_ess(spec: ExcitationSpec) -> np.ndarray:
-    """Deconvolution filter: time-reversed sweep with +6 dB/octave compensation.
-
-    Scaled so that conv(sweep, inverse) has unit peak.
-    """
-    if spec.kind != "ess":
-        raise InvalidConfig("spec.kind must be 'ess'")
-    sweep = _gen_ess(spec)
-    n = sweep.shape[0]
-    t = np.arange(n) / DEFAULT_SAMPLE_RATE
-    rate = math.log(spec.f_end / spec.f_start)
-    sweep_time = spec.duration / rate
-    inverse = sweep[::-1] * np.exp(-t / sweep_time)
-    pulse = fftconvolve(sweep, inverse)
-    return inverse / np.max(np.abs(pulse))
+    def deconvolve(self, recording: np.ndarray) -> np.ndarray:
+        """Circular spectral division by the all-pass phase."""
+        wrapped = _wrap_periodic(recording, self.length)
+        return np.fft.irfft(np.fft.rfft(wrapped) * np.conj(self._spectrum()), n=self.length)
 
 
-def _gen_mls(spec: ExcitationSpec) -> np.ndarray:
-    """Maximum-length +/-1 sequence of length 2^order - 1.
-
-    Taps come from scipy's per-order primitive polynomials; bits map
-    1 -> -1, 0 -> +1.
-    """
-    bits, _ = max_len_seq(spec.order)
-    return 1.0 - 2.0 * bits.astype(np.float64)
-
-
-def _tsp_spectrum(length: int, stretch: int) -> np.ndarray:
-    """One-sided all-pass spectrum with quadratic phase (real time signal)."""
-    k = np.arange(length // 2 + 1)
-    phase = -4.0 * np.pi * stretch * (k.astype(np.float64) ** 2) / length**2
-    spectrum = np.exp(1j * phase)
-    # linear phase term circularly centers the pulse stretch
-    shift = length // 2 - stretch
-    spectrum *= np.exp(-2j * np.pi * k * shift / length)
-    return spectrum
-
-
-def _gen_tsp(spec: ExcitationSpec) -> np.ndarray:
-    """Real time-stretched pulse: flat magnitude, quadratic phase."""
-    spectrum = _tsp_spectrum(spec.length, spec.stretch)
-    return np.fft.irfft(spectrum, n=spec.length)
-
-
-def gen_excitation(spec: ExcitationSpec) -> np.ndarray:
-    """The excitation signal `spec` describes."""
-    return {"ess": _gen_ess, "mls": _gen_mls, "tsp": _gen_tsp}[spec.kind](spec)
-
-
-def extract_ir(recording: np.ndarray, spec: ExcitationSpec,
+def extract_ir(recording: np.ndarray, spec: EssSpec | MlsSpec | TspSpec,
                ir_length: int = 2048) -> ImpulseResponse:
     """Recover an impulse response from a recorded excitation playback.
 
-    ESS uses linear convolution with the inverse sweep; MLS uses circular
-    cross-correlation (exact up to one period); TSP uses circular spectral
-    division by the all-pass phase. The output is aligned so a system delay
-    of k samples appears at tap k.
+    `spec` deconvolves the recording; the output is aligned so a system
+    delay of k samples appears at tap k.
     """
-    if not (1 <= ir_length <= _MAX_SAMPLES):
-        raise InvalidInput(f"ir_length must be in [1, {_MAX_SAMPLES}], got {ir_length}")
+    _check_integer("ir_length", ir_length, 1, _MAX_SAMPLES, InvalidInput)
     recording = np.asarray(recording, dtype=np.float64)
     if recording.ndim != 1:
         raise InvalidInput("recording must be a 1-D waveform")
-    n_exc = spec.num_samples()
-    if recording.shape[0] < n_exc:
+    if recording.shape[0] < spec.num_samples():
         raise InvalidInput(
             f"recording ({recording.shape[0]} samples) is shorter than the "
-            f"excitation ({n_exc} samples)"
+            f"excitation ({spec.num_samples()} samples)"
         )
-
-    if spec.kind == "ess":
-        inverse = inverse_filter_ess(spec)
-        pulse = fftconvolve(recording, inverse)
-        taps = pulse[n_exc - 1 : n_exc - 1 + ir_length]
-    elif spec.kind == "mls":
-        seq = _gen_mls(spec)
-        wrapped = _wrap_periodic(recording, n_exc)
-        xcorr = np.fft.irfft(np.fft.rfft(wrapped) * np.conj(np.fft.rfft(seq)), n=n_exc)
-        total = xcorr.sum()
-        taps = (xcorr + total) / (n_exc + 1)
-        taps = taps[:ir_length]
-    else:  # tsp
-        spectrum = _tsp_spectrum(spec.length, spec.stretch)
-        wrapped = _wrap_periodic(recording, n_exc)
-        taps = np.fft.irfft(np.fft.rfft(wrapped) * np.conj(spectrum), n=n_exc)
-        taps = taps[:ir_length]
-
-    if taps.shape[0] < ir_length:
-        taps = np.pad(taps, (0, ir_length - taps.shape[0]))
-    return ImpulseResponse(taps=taps)
+    taps = spec.deconvolve(recording)[:ir_length]
+    return ImpulseResponse(taps=np.pad(taps, (0, ir_length - taps.shape[0])))
 
 
 def _wrap_periodic(signal: np.ndarray, period: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from ..errors import InvalidConfig
-from ..features import DEFAULT_SAMPLE_RATE, FFT_SIZE, IPD_PAIR, LPS_FLOOR
+from ..features import DEFAULT_SAMPLE_RATE, FFT_SIZE, IPD_PAIR, LPS_FLOOR, ZONES
 
 # variant -> (full-sub modules N, TAC compression d, conformer layers per module)
 VARIANT_PRESETS = {
@@ -35,7 +35,7 @@ class ModelConfig:
     STFT framing (`FFT_SIZE` points at `DEFAULT_SAMPLE_RATE`, 50 % overlap).
     """
 
-    zones: ClassVar[int] = 4
+    zones: ClassVar[int] = ZONES
     bins: ClassVar[int] = FFT_SIZE // 2 + 1
     n_full_sub: int = field(init=False)
     embed_channels: ClassVar[int] = 24    # C: channels of the refined embedding

@@ -11,10 +11,11 @@ import numpy as np
 
 from cabinsep import augment, dsp, metrics, mvdr
 from cabinsep.irlab import (
-    ExcitationSpec,
+    EssSpec,
+    MlsSpec,
     RoomSpec,
+    TspSpec,
     boundary_position,
-    gen_excitation,
     extract_ir,
     mix_ir_sets,
     simulate_ism,
@@ -202,16 +203,16 @@ def test_c08_ir_round_trips():
                      / (np.linalg.norm(a[:n]) * np.linalg.norm(b[:n]) + 1e-30))
 
     correlations = {}
-    for spec in (ExcitationSpec(kind="ess"),
-                 ExcitationSpec(kind="mls", order=14),
-                 ExcitationSpec(kind="tsp", length=16384)):
-        recording = fftconvolve(gen_excitation(spec), h_true)
+    for kind, spec in (("ess", EssSpec()),
+                       ("mls", MlsSpec(order=14)),
+                       ("tsp", TspSpec(length=16384))):
+        recording = fftconvolve(spec.signal(), h_true)
         extracted = extract_ir(recording, spec, ir_length=128)
-        correlations[spec.kind] = ncc(extracted.taps, h_true)
-        assert correlations[spec.kind] > 0.99
+        correlations[kind] = ncc(extracted.taps, h_true)
+        assert correlations[kind] > 0.99
 
-    ess = ExcitationSpec(kind="ess")
-    recording = fftconvolve(gen_excitation(ess), h_true)
+    ess = EssSpec()
+    recording = fftconvolve(ess.signal(), h_true)
     noise = rng.standard_normal(len(recording))
     noise *= np.sqrt(np.mean(recording**2) / np.mean(noise**2) / 10 ** (20 / 10))
     noisy_ncc = ncc(extract_ir(recording + noise, ess, ir_length=128).taps, h_true)

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import io
 import json
@@ -15,14 +16,15 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.io import wavfile
 
 import cabinsep
-from cabinsep.cli import main
+from cabinsep import irlab
+from cabinsep.cli import _EXCITATIONS, main
 from cabinsep.dsp import analyze, read_wav, write_wav
 from cabinsep.metrics import rtf_benchmark
 from cabinsep.irlab import (
-    ExcitationSpec,
     ImpulseResponse,
+    MlsSpec,
     cabin_room,
-    gen_excitation,
+    extract_ir,
     simulate_ism,
     write_ir,
 )
@@ -401,13 +403,13 @@ class TestIrCommands:
     def test_extract_wav_cut_inside_header_exit_2_without_output(self, tmp_path, size):
         write_cut_wav(tmp_path / "rec.wav", size)
         out = tmp_path / "ir.wav"
-        assert main(["ir", "extract", "--kind", "mls", "--order", "8",
+        assert main(["ir", "extract", "mls", "--order", "8",
                      "--recording", str(tmp_path / "rec.wav"), "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_gen_and_extract_round_trip(self, tmp_path, rng):
         sweep_path = tmp_path / "sweep.wav"
-        assert main(["ir", "gen", "--kind", "ess", "--duration", "1.0",
+        assert main(["ir", "gen", "ess", "--duration", "1.0",
                      "--out", str(sweep_path)]) == 0
         sweep = read_wav(sweep_path)
         taps = np.zeros(64)
@@ -416,7 +418,7 @@ class TestIrCommands:
         rec_path = tmp_path / "rec.wav"
         write_wav(rec_path, recording)
         ir_path = tmp_path / "ir.wav"
-        assert main(["ir", "extract", "--kind", "ess", "--duration", "1.0",
+        assert main(["ir", "extract", "ess", "--duration", "1.0",
                      "--recording", str(rec_path), "--out", str(ir_path),
                      "--ir-length", "64"]) == 0
         extracted = read_wav(ir_path)
@@ -432,10 +434,10 @@ class TestIrCommands:
 
     def test_extract_writes_one_mono_wav(self, tmp_path):
         rec_path = tmp_path / "rec.wav"
-        write_wav(rec_path, gen_excitation(ExcitationSpec(kind="mls", order=8)))
+        write_wav(rec_path, MlsSpec(order=8).signal())
         out_dir = tmp_path / "irs"
         out_dir.mkdir()
-        assert main(["ir", "extract", "--kind", "mls", "--order", "8",
+        assert main(["ir", "extract", "mls", "--order", "8",
                      "--recording", str(rec_path), "--out", str(out_dir / "ir.wav"),
                      "--ir-length", "64"]) == 0
         assert [p.name for p in out_dir.iterdir()] == ["ir.wav"]
@@ -479,10 +481,40 @@ class TestIrCommands:
     @pytest.mark.parametrize("kind", ["ess", "mls", "tsp"])
     def test_gen_defaults_are_excitation_spec_defaults(self, tmp_path, kind):
         out = tmp_path / "exc.wav"
-        assert main(["ir", "gen", "--kind", kind, "--out", str(out)]) == 0
+        assert main(["ir", "gen", kind, "--out", str(out)]) == 0
         signal = read_wav(out)
-        expected = gen_excitation(ExcitationSpec(kind=kind))
+        expected = getattr(irlab, _EXCITATIONS[kind][0])().signal()
         np.testing.assert_array_equal(signal[0], expected.astype(np.float32))
+
+    @pytest.mark.parametrize("kind, values", [
+        ("ess", {"f_start": 50.0, "f_end": 7000.0, "duration": 0.5}),
+        ("mls", {"order": 9}),
+        ("tsp", {"length": 2048, "stretch": 300}),
+    ])
+    def test_every_flag_of_each_kind_reaches_its_spec_field(self, tmp_path, kind, values):
+        spec_class = getattr(irlab, _EXCITATIONS[kind][0])
+        fields = dataclasses.fields(spec_class)
+        # one flag per field, each of them given here, each value not the default
+        assert list(_EXCITATIONS[kind][2]) == [f.name for f in fields] == list(values)
+        assert all(values[f.name] != getattr(spec_class(), f.name) for f in fields)
+        spec = spec_class(**values)
+        flags = [a for name, value in values.items()
+                 for a in ("--" + name.replace("_", "-"), str(value))]
+        inverse = ["--inverse-out", str(tmp_path / "inv.wav")] if kind == "ess" else []
+        assert main(["ir", "gen", kind, *flags, "--out", str(tmp_path / "exc.wav"),
+                     *inverse]) == 0
+        np.testing.assert_array_equal(read_wav(tmp_path / "exc.wav")[0],
+                                      spec.signal().astype(np.float32))
+        if inverse:
+            np.testing.assert_array_equal(read_wav(tmp_path / "inv.wav")[0],
+                                          spec.inverse_filter().astype(np.float32))
+        recording = np.convolve(spec.signal(), [0.0, 0.0, 0.5, -0.25])
+        write_wav(tmp_path / "rec.wav", recording)
+        assert main(["ir", "extract", kind, *flags, "--recording", str(tmp_path / "rec.wav"),
+                     "--ir-length", "64", "--out", str(tmp_path / "ir.wav")]) == 0
+        expected = extract_ir(read_wav(tmp_path / "rec.wav")[0], spec, ir_length=64)
+        np.testing.assert_array_equal(read_wav(tmp_path / "ir.wav")[0],
+                                      expected.taps.astype(np.float32))
 
     def test_ism_requires_geometry(self, tmp_path):
         assert main(["ir", "ism", "--mic", "0",
@@ -566,8 +598,11 @@ BAD_INPUTS = {
     # a lookback whose attention rings could not be allocated
     "separate_chunk_huge": (3, "separate --input {mix} --weights {weights} "
                                "--chunk-seconds 1e300 --out-dir {out}"),
-    "gen_duration_nan": (3, "ir gen --kind ess --duration nan --out {out}"),
-    "gen_duration_inf": (3, "ir gen --kind ess --duration inf --out {out}"),
+    "gen_duration_nan": (3, "ir gen ess --duration nan --out {out}"),
+    "gen_duration_inf": (3, "ir gen ess --duration inf --out {out}"),
+    # a subnormal start frequency: f_end / f_start overflows, and the sweep was NaN
+    "gen_ess_f_start_subnormal": (3, "ir gen ess --f-start 1e-320 --duration 0.01 "
+                                     "--out {out}"),
     "bench_seconds_negative": (2, "bench --variant S --seconds -1 --runs 1 --seed 0 "
                                   "--report {out}"),
     "bench_seconds_nan": (2, "bench --variant S --seconds nan --runs 1 --seed 0 "
@@ -575,17 +610,17 @@ BAD_INPUTS = {
     # refused before its wave would be built
     "bench_seconds_huge": (2, "bench --variant S --seconds 1e12 --runs 1 --seed 0 "
                               "--report {out}"),
-    "extract_rate_mismatch": (2, "ir extract --kind mls --order 8 --recording {mls_8k} "
+    "extract_rate_mismatch": (2, "ir extract mls --order 8 --recording {mls_8k} "
                                  "--out {out}"),
-    "extract_negative_ir_length": (2, "ir extract --kind mls --order 4 --recording {mix} "
+    "extract_negative_ir_length": (2, "ir extract mls --order 4 --recording {mix} "
                                       "--ir-length -3 --out {out}"),
     # channel 0 is silent and channel 1 holds the excitation
-    "extract_two_channels": (2, "ir extract --kind mls --order 8 --recording {mls_stereo} "
+    "extract_two_channels": (2, "ir extract mls --order 8 --recording {mls_stereo} "
                                 "--out {out}"),
     "ism_ir_length_huge": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --mic 0 "
                               "--ir-length 1000000000000000 --out {out}"),
-    "gen_ess_duration_huge": (3, "ir gen --kind ess --duration 1e9 --out {out}"),
-    "gen_tsp_length_huge": (3, "ir gen --kind tsp --length 10000000000000 --out {out}"),
+    "gen_ess_duration_huge": (3, "ir gen ess --duration 1e9 --out {out}"),
+    "gen_tsp_length_huge": (3, "ir gen tsp --length 10000000000000 --out {out}"),
     "ism_reflection_nan": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --reflection nan "
                               "--mic 0 --out {out}"),
     "ism_source_not_numbers": (2, "ir ism --preset cabin --source x,y,z --mic 0 --out {out}"),
@@ -628,8 +663,6 @@ BAD_INPUTS = {
     "eval_label_two_channels": (2, "eval --est-dir {est} --label-dir {labels_stereo} "
                                    "--report {out}"),
     # a flag that the chosen path never reads is refused, not ignored
-    "gen_mls_inverse_out": (2, "ir gen --kind mls --order 4 --out {out} --inverse-out {out}"),
-    "gen_tsp_inverse_out": (2, "ir gen --kind tsp --length 64 --out {out} --inverse-out {out}"),
     "ism_room_with_preset": (2, "ir ism --room {room_ok} --preset cabin --mic 0 --out {out}"),
     "ism_room_with_source": (2, "ir ism --room {room_ok} --source 1,1,1 --mic 0 --out {out}"),
     "ism_room_with_reflection": (2, "ir ism --room {room_ok} --reflection 0.2 --mic 0 "
@@ -655,8 +688,8 @@ BAD_INPUTS = {
     "separate_loading_above_1e6": (2, "separate --input {mix} --weights {weights} "
                                       "--loading 1.5e6 --out-dir {out}"),
     # a one-sample sweep is sin(0) = 0, and 1e-9 s rounds to no sample at all
-    "gen_ess_duration_1e-9": (3, "ir gen --kind ess --duration 1e-9 --out {out}"),
-    "gen_ess_one_sample": (3, "ir gen --kind ess --duration 6.25e-5 --out {out} "
+    "gen_ess_duration_1e-9": (3, "ir gen ess --duration 1e-9 --out {out}"),
+    "gen_ess_one_sample": (3, "ir gen ess --duration 6.25e-5 --out {out} "
                               "--inverse-out {out}"),
     # malformed WAV headers, and a data chunk cut short by 50 whole frames
     "separate_wav_block_align_zero": (2, "separate --input {wav_block_align_zero} "
@@ -856,10 +889,12 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
     write_wav(files["loud"], 1e20 * rng.standard_normal((4, FS // 2)))
     files["mls_8k"] = tmp_path / "mls_8k.wav"
     wavfile.write(files["mls_8k"], FS // 2,
-                  gen_excitation(ExcitationSpec(kind="mls", order=8)).astype(np.float32))
+                  MlsSpec(order=8).signal().astype(np.float32))
     files["mls_stereo"] = tmp_path / "mls_stereo.wav"
-    mls = gen_excitation(ExcitationSpec(kind="mls", order=8))
+    mls = MlsSpec(order=8).signal()
     write_wav(files["mls_stereo"], np.stack([np.zeros_like(mls), mls]))
+    files["mls"] = tmp_path / "mls.wav"
+    write_wav(files["mls"], mls)
     files["weights"] = weights_file
     files["mix_8k"] = tmp_path / "mix_8k.wav"
     wavfile.write(files["mix_8k"], FS // 2, read_wav(files["mix"]).T.astype(np.float32))
@@ -892,8 +927,9 @@ def bad_input_files(tmp_path, rng, weights_file, bad_container_files):
 
 
 def test_bad_input_fixtures_differ_from_working_inputs(bad_input_files):
-    """The manifest the bad scenes vary renders, the estimates evaluate, and the
-    largest loading and the shortest sweep run."""
+    """The manifest the bad scenes vary renders, the estimates evaluate, the
+    largest loading and the shortest sweep run, and each usage error's command
+    runs without its foreign flags."""
     files = bad_input_files
     assert main(["simulate", "--manifest", str(files["scene_ok"]),
                  "--out-dir", str(files["out"] / "scene")]) == 0
@@ -902,17 +938,45 @@ def test_bad_input_fixtures_differ_from_working_inputs(bad_input_files):
                  "--recorded-ir-dir", str(files["irs"]), "--seed", "0"]) == 0
     assert main(["separate", "--input", str(files["mix"]), "--weights", str(files["weights"]),
                  "--loading", "1e6", "--out-dir", str(files["out"] / "loaded")]) == 0
-    assert main(["ir", "gen", "--kind", "ess", "--duration", "1.25e-4",
+    assert main(["ir", "gen", "ess", "--duration", "1.25e-4",
                  "--out", str(files["out"] / "sweep.wav"),
                  "--inverse-out", str(files["out"] / "inverse.wav")]) == 0
     assert main(["eval", "--est-dir", str(files["est"]), "--label-dir", str(files["est"]),
                  "--report", str(files["out"] / "eval.json")]) == 0
+    for argv in ("ir gen mls --order 4", "ir gen tsp --length 64",
+                 "ir extract mls --order 8 --recording {mls}"):
+        assert main([a.format(**files) for a in argv.split()]
+                    + ["--out", str(files["out"] / "exc.wav")]) == 0
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_defined_exit_without_output(case, bad_input_files):
     expected, argv = BAD_INPUTS[case]
     assert main([a.format(**bad_input_files) for a in argv.split()]) == expected
+    assert not bad_input_files["out"].exists()
+
+
+# each `ir gen`/`ir extract` kind declares only its own flags, so a flag of
+# another kind, or `--inverse-out` (the ESS inverse filter) under MLS or TSP,
+# is an argparse usage error: exit 2 before anything is written
+USAGE_ERRORS = {
+    "gen_mls_inverse_out": "ir gen mls --order 4 --out {out} --inverse-out {out}",
+    "gen_tsp_inverse_out": "ir gen tsp --length 64 --out {out} --inverse-out {out}",
+    "gen_mls_stretch": "ir gen mls --order 4 --stretch 3 --out {out}",
+    "gen_mls_tsp_and_ess_flags": "ir gen mls --order 4 --stretch 3 --f-start 100 "
+                                 "--duration 9 --out {out}",
+    "gen_tsp_order": "ir gen tsp --length 64 --order 9 --out {out}",
+    "extract_mls_f_start": "ir extract mls --order 8 --recording {mls} --f-start 100 "
+                           "--out {out}",
+    "extract_without_kind": "ir extract --duration 1 --recording {mls} --out {out}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exit_2_without_output(case, bad_input_files):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**bad_input_files) for a in USAGE_ERRORS[case].split()])
+    assert exc.value.code == 2
     assert not bad_input_files["out"].exists()
 
 

@@ -13,15 +13,15 @@ from cabinsep.irlab import (
     CABIN_DIMENSIONS,
     CABIN_MICS,
     CABIN_SEATS,
-    ExcitationSpec,
+    EssSpec,
     ImpulseResponse,
+    MlsSpec,
     RoomSpec,
+    TspSpec,
     _wrap_periodic,
     boundary_position,
     cabin_room,
     extract_ir,
-    gen_excitation,
-    inverse_filter_ess,
     mix_ir_sets,
     read_ir,
     seat_position,
@@ -29,6 +29,7 @@ from cabinsep.irlab import (
     simulate_ism_all,
     write_ir,
 )
+from cabinsep.features import ZONES
 from cabinsep.model import ModelConfig
 
 FS = 16000
@@ -178,7 +179,7 @@ class TestIsm:
                 RoomSpec(dimensions=(bad, 2.0, 1.5), **room)
 
     def test_cabin_has_one_mic_and_seat_per_model_zone(self):
-        assert len(CABIN_MICS) == len(CABIN_SEATS) == ModelConfig.zones
+        assert len(CABIN_MICS) == len(CABIN_SEATS) == ZONES == ModelConfig.zones
 
     @pytest.mark.parametrize("zone", [-1, 4])
     def test_seat_position_zone_out_of_range_rejected(self, zone):
@@ -283,13 +284,13 @@ class TestIsmMatchesLoop:
 
 class TestEss:
     def test_unit_envelope(self):
-        sweep = gen_excitation(ExcitationSpec(kind="ess"))
+        sweep = EssSpec().signal()
         assert np.max(np.abs(sweep)) <= 1.0 + 1e-12
 
     def test_self_deconvolution_pulse_quality(self):
-        spec = ExcitationSpec(kind="ess")
-        sweep = gen_excitation(spec)
-        pulse = fftconvolve(sweep, inverse_filter_ess(spec))
+        spec = EssSpec()
+        sweep = spec.signal()
+        pulse = fftconvolve(sweep, spec.inverse_filter())
         freqs = np.fft.rfftfreq(len(pulse), 1.0 / FS)
         band = (freqs >= 2 * spec.f_start) & (freqs <= 0.9 * spec.f_end)
         banded = np.fft.irfft(np.where(band, np.fft.rfft(pulse), 0), len(pulse))
@@ -302,8 +303,8 @@ class TestEss:
     def test_instantaneous_frequency_extrapolates_to_f_start(self):
         # phase-derivative oracle: the sweep frequency is exactly exponential,
         # so a log-linear fit away from the edges recovers f(0)
-        spec = ExcitationSpec(kind="ess")
-        sweep = gen_excitation(spec)
+        spec = EssSpec()
+        sweep = spec.signal()
         phase = np.unwrap(np.angle(hilbert(sweep)))
         inst = np.diff(phase) * FS / (2 * np.pi)
         lo, hi = int(0.5 * FS), int(1.5 * FS)
@@ -315,30 +316,32 @@ class TestEss:
 
     def test_invalid_band_rejected(self):
         with pytest.raises(InvalidConfig):
-            ExcitationSpec(kind="ess", f_start=100.0, f_end=50.0)
+            EssSpec(f_start=100.0, f_end=50.0)
         with pytest.raises(InvalidConfig):
-            ExcitationSpec(kind="ess", f_end=9000.0)
+            EssSpec(f_end=9000.0)
+        with pytest.raises(InvalidConfig):  # 8000 / 1e-320 overflows: a NaN sweep
+            EssSpec(f_start=1e-320)
 
     @pytest.mark.parametrize("duration", [1e-9, 0.4 / FS, 1.0 / FS])
     def test_sweep_under_two_samples_rejected(self, duration):
         # one sample is sin(0) = 0: a silent sweep whose inverse filter is 0/0
         with pytest.raises(InvalidConfig, match="a sweep needs at least 2"):
-            ExcitationSpec(kind="ess", duration=duration)
+            EssSpec(duration=duration)
 
     def test_two_sample_sweep_and_inverse_are_finite_and_audible(self):
-        spec = ExcitationSpec(kind="ess", duration=2.0 / FS)
-        sweep, inverse = gen_excitation(spec), inverse_filter_ess(spec)
+        spec = EssSpec(duration=2.0 / FS)
+        sweep, inverse = spec.signal(), spec.inverse_filter()
         assert sweep.shape == inverse.shape == (2,)
         assert np.isfinite(inverse).all() and np.abs(sweep).max() > 0
 
 
 class TestMls:
     def test_length(self):
-        assert len(gen_excitation(ExcitationSpec(kind="mls", order=4))) == 15
+        assert len(MlsSpec(order=4).signal()) == 15
 
     def test_circular_autocorrelation(self):
         for order in (4, 8, 11):
-            seq = gen_excitation(ExcitationSpec(kind="mls", order=order))
+            seq = MlsSpec(order=order).signal()
             n = len(seq)
             spectrum = np.fft.rfft(seq)
             autocorr = np.fft.irfft(spectrum * np.conj(spectrum), n)
@@ -347,64 +350,63 @@ class TestMls:
 
     def test_balance(self):
         for order in (4, 9, 14):
-            seq = gen_excitation(ExcitationSpec(kind="mls", order=order))
+            seq = MlsSpec(order=order).signal()
             assert abs(int(np.sum(seq == 1.0)) - int(np.sum(seq == -1.0))) == 1
 
     def test_values_are_pm1(self):
-        seq = gen_excitation(ExcitationSpec(kind="mls", order=6))
+        seq = MlsSpec(order=6).signal()
         assert set(np.unique(seq)) == {-1.0, 1.0}
 
     def test_bad_order_rejected(self):
         with pytest.raises(InvalidConfig):
-            ExcitationSpec(kind="mls", order=1)
+            MlsSpec(order=1)
 
 
 class TestTsp:
     def test_flat_magnitude(self):
-        signal = gen_excitation(ExcitationSpec(kind="tsp", length=4096))
+        signal = TspSpec(length=4096).signal()
         mags = np.abs(np.fft.rfft(signal))
         np.testing.assert_allclose(mags, 1.0, atol=1e-6)
 
     def test_circular_inverse_gives_unit_impulse(self):
         n = 4096
-        signal = gen_excitation(ExcitationSpec(kind="tsp", length=n))
+        signal = TspSpec(length=n).signal()
         spec = np.fft.rfft(signal)
         pulse = np.fft.irfft(spec * np.conj(spec), n)
         np.testing.assert_allclose(pulse[0], 1.0, atol=1e-6)
         assert np.max(np.abs(pulse[1:])) < 1e-6
 
     def test_real_valued(self):
-        signal = gen_excitation(ExcitationSpec(kind="tsp", length=2048, stretch=300))
+        signal = TspSpec(length=2048, stretch=300).signal()
         assert signal.dtype == np.float64
         assert np.max(np.abs(signal)) > 0
 
     def test_invalid_length_rejected(self):
         with pytest.raises(InvalidConfig):
-            ExcitationSpec(kind="tsp", length=4095)
+            TspSpec(length=4095)
 
     def test_stretch_defaults_to_a_quarter_of_the_length(self):
-        spec = ExcitationSpec(kind="tsp", length=2048)
+        spec = TspSpec(length=2048)
         assert spec.stretch == 512
-        assert spec == ExcitationSpec(kind="tsp", length=2048, stretch=512)
+        assert spec == TspSpec(length=2048, stretch=512)
         np.testing.assert_array_equal(
-            gen_excitation(spec), gen_excitation(ExcitationSpec(kind="tsp", length=2048,
-                                                                stretch=512)))
+            spec.signal(), TspSpec(length=2048, stretch=512).signal())
 
 
 class TestExtraction:
     @pytest.mark.parametrize("spec", [
-        ExcitationSpec(kind="ess"),
-        ExcitationSpec(kind="mls", order=14),
-        ExcitationSpec(kind="tsp", length=16384),
+        EssSpec(),
+        MlsSpec(order=14),
+        TspSpec(length=16384),
     ], ids=["ess", "mls", "tsp"])
     def test_round_trip_recovers_ir(self, spec, test_ir):
-        recording = fftconvolve(gen_excitation(spec), test_ir)
+        recording = fftconvolve(spec.signal(), test_ir)
         extracted = extract_ir(recording, spec, ir_length=128)
         assert ncc(extracted.taps, test_ir) > 0.99
 
     def test_ess_round_trip_with_noise(self, test_ir):
-        spec = ExcitationSpec(kind="ess")
-        recording = fftconvolve(gen_excitation(spec), test_ir)
+        spec = EssSpec()
+        recording = fftconvolve(spec.signal(), test_ir)
         r = np.random.default_rng(5)
         noise = r.standard_normal(len(recording))
         noise *= np.sqrt(np.mean(recording**2) / np.mean(noise**2) / 10**(20 / 10))
@@ -412,21 +414,56 @@ class TestExtraction:
         assert ncc(extracted.taps, test_ir) > 0.95
 
     def test_excitation_itself_gives_delta(self):
-        spec = ExcitationSpec(kind="tsp", length=4096)
-        extracted = extract_ir(gen_excitation(spec), spec, ir_length=64)
+        spec = TspSpec(length=4096)
+        extracted = extract_ir(spec.signal(), spec, ir_length=64)
         assert extracted.taps[0] > 100 * np.max(np.abs(extracted.taps[1:]) + 1e-12)
 
     def test_delay_alignment(self, test_ir):
-        spec = ExcitationSpec(kind="mls", order=13)
+        spec = MlsSpec(order=13)
         delayed = np.concatenate([np.zeros(17), [1.0]])
-        recording = fftconvolve(gen_excitation(spec), delayed)
+        recording = fftconvolve(spec.signal(), delayed)
         extracted = extract_ir(recording, spec, ir_length=64)
         assert np.argmax(np.abs(extracted.taps)) == 17
 
     def test_short_recording_rejected(self):
-        spec = ExcitationSpec(kind="mls", order=10)
+        spec = MlsSpec(order=10)
         with pytest.raises(InvalidInput):
             extract_ir(np.zeros(100), spec)
+
+
+# an integer field takes an integer: a float or a bool is refused with the
+# class its range check raises, not passed on to numpy or scipy
+NON_INTEGERS = {
+    "mls_order_float": (MlsSpec, {"order": 4.0}),
+    "mls_order_bool": (MlsSpec, {"order": True}),
+    "tsp_length_float": (TspSpec, {"length": 64.0}),
+    "tsp_stretch_float": (TspSpec, {"length": 64, "stretch": 3.5}),
+    "tsp_stretch_bool": (TspSpec, {"length": 64, "stretch": True}),
+    "room_max_order_float": (cabin_room, {"source": CABIN_SEATS[0], "max_order": 2.0}),
+    "room_max_order_bool": (cabin_room, {"source": CABIN_SEATS[0], "max_order": True}),
+    "room_ir_length_float": (cabin_room, {"source": CABIN_SEATS[0], "ir_length": 512.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGERS))
+def test_integer_field_refuses_float_and_bool(case):
+    make, kwargs = NON_INTEGERS[case]
+    with pytest.raises(InvalidConfig, match="must be an integer"):
+        make(**kwargs)
+
+
+@pytest.mark.parametrize("ir_length", [2.5, 64.0, True])
+def test_extract_ir_length_refuses_float_and_bool(ir_length):
+    spec = MlsSpec(order=4)
+    with pytest.raises(InvalidInput, match="ir_length must be an integer"):
+        extract_ir(spec.signal(), spec, ir_length=ir_length)
+
+
+def test_integer_fields_take_numpy_integers():
+    spec = TspSpec(length=np.int64(64), stretch=np.int32(10))
+    assert extract_ir(spec.signal(), spec, ir_length=np.int16(8)).taps.shape == (8,)
+    assert MlsSpec(order=np.int64(4)).num_samples() == 15
+    assert cabin_room(CABIN_SEATS[0], max_order=np.int64(1), ir_length=np.int64(64))
 
 
 @pytest.mark.parametrize("period", [3, 4, 7, 15, 50, 16383, 16384])
@@ -529,15 +566,15 @@ class TestIrFiles:
 
 def test_lengths_above_two_to_the_24_rejected():
     limit = 2**24
-    ExcitationSpec(kind="ess", duration=limit / FS)
-    ExcitationSpec(kind="tsp", length=limit)
+    EssSpec(duration=limit / FS)
+    TspSpec(length=limit)
     cabin_room(CABIN_SEATS[0], ir_length=limit)
     with pytest.raises(InvalidConfig):
-        ExcitationSpec(kind="ess", duration=(limit + 1) / FS)
+        EssSpec(duration=(limit + 1) / FS)
     with pytest.raises(InvalidConfig):
-        ExcitationSpec(kind="tsp", length=limit + 2)
+        TspSpec(length=limit + 2)
     with pytest.raises(InvalidConfig):
         cabin_room(CABIN_SEATS[0], ir_length=limit + 1)
-    spec = ExcitationSpec(kind="mls", order=4)
+    spec = MlsSpec(order=4)
     with pytest.raises(InvalidInput):
-        extract_ir(gen_excitation(spec), spec, ir_length=limit + 1)
+        extract_ir(spec.signal(), spec, ir_length=limit + 1)

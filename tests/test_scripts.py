@@ -27,3 +27,15 @@ def test_positioning_experiment(monkeypatch, capsys):
     assert [line.split(":")[0] for line in lines] == [
         "standard-posture accuracy", "NSPA (boundary subset)", "overall accuracy"]
 
+
+
+def test_output_digest_is_stable_within_a_process():
+    digests = runpy.run_path(str(SCRIPTS / "output_digest.py"))["digests"]
+    first, second = digests(quick=True), digests(quick=True)
+    assert first == second
+    for name in ("fingerprint/S", "file/S.bin", "file/sep/S_None/zone1.wav",
+                 "file/sep/S_None/separate_report.json", "file/scene/plain/mixture.wav",
+                 "file/scene/mixed/mixture.wav", "file/ir/ess_flags_inverse.wav",
+                 "file/ir/tsp_stretch_ir.wav", "file/rec/mic3.wav", "scene/0/forward_speech",
+                 "scene/0/separate_stream"):
+        assert len(first[name]) == 64, name

@@ -13,8 +13,7 @@ outputs and `forward` masks. A change is compared with its parent in one diff:
     diff parent.json change.json
 
 Digests depend on the host's BLAS summation order, so none are committed.
-A name, once given, keeps its meaning; the set may grow. `--quick` runs a
-reduced set (S only, one scene, shorter inputs).
+A name, once given, keeps its meaning; the set may grow.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ def _scene_outputs(out: dict, scenes, seconds: float) -> None:
 
 
 def digests(quick: bool = False) -> dict[str, str]:
-    """Name -> SHA-256 of every output; `quick` runs the reduced set."""
+    """Name -> SHA-256 of every output; `quick` runs a reduced set for the smoke test."""
     variants, lookbacks = (("S",), (None,)) if quick else (("S", "M", "L"), (None, 1.0))
     seconds = 0.25 if quick else 1.0
     out: dict[str, str] = {}
@@ -159,10 +158,8 @@ def digests(quick: bool = False) -> dict[str, str]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="run the reduced set")
-    args = parser.parse_args()
-    json.dump(digests(args.quick), sys.stdout, indent=1)
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()
+    json.dump(digests(), sys.stdout, indent=1)
     print()
 
 

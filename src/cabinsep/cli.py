@@ -193,7 +193,7 @@ def cmd_ir_gen(args) -> int:
     spec = _excitation_spec(args)
     signal = spec.signal()
     write_wav(args.out, signal)
-    if getattr(args, "inverse_out", None):  # a flag of `ir gen ess` only
+    if args.inverse_out:
         write_wav(args.inverse_out, spec.inverse_filter())
     print(f"wrote {args.kind} excitation ({signal.shape[0]} samples) to {args.out}")
     return EXIT_OK
@@ -403,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
         return parsers
 
     gen = add_kinds("gen", "generate an excitation signal", cmd_ir_gen)
+    for p in gen.values():
+        p.set_defaults(inverse_out=None)  # a flag of `gen ess` only
     gen["ess"].add_argument("--inverse-out", help="also write the sweep's inverse filter")
     for p in add_kinds("extract", "deconvolve a recorded excitation", cmd_ir_extract).values():
         p.add_argument("--recording", required=True)

@@ -28,7 +28,6 @@ def test_positioning_experiment(monkeypatch, capsys):
         "standard-posture accuracy", "NSPA (boundary subset)", "overall accuracy"]
 
 
-
 def test_output_digest_is_stable_within_a_process():
     digests = runpy.run_path(str(SCRIPTS / "output_digest.py"))["digests"]
     first, second = digests(quick=True), digests(quick=True)

@@ -4,7 +4,8 @@
 Runs seeded inputs through the public API and `cabinsep.cli.main` in a
 temporary directory: the S/M/L fingerprints and `init-weights` containers,
 `separate` at the default and at a 1 s lookback, `simulate` without and with
-each strategy, `ir gen`, `ir extract` and `ir ism`, and four
+each strategy, `eval` of the `separate` outputs against the scene labels,
+`ir gen`, `ir extract` and `ir ism`, and four
 `sample_cabin_scene` renders with their oracle masks, `separate_stream`
 outputs and `forward` masks. A change is compared with its parent in one diff:
 
@@ -36,7 +37,13 @@ from cabinsep.dsp import read_wav, write_wav
 from cabinsep.model import forward, init_random, variant_config
 from cabinsep.mvdr import separate_stream
 
-STRATEGIES = ("mixed", "added", "only", "simulated")
+# (strategy, flags): each `simulate` strategy with the IR sets it reads
+STRATEGIES = (
+    ("mixed", ["--simulated-ir-dir", "sim", "--recorded-ir-dir", "rec"]),
+    ("added", ["--simulated-ir-dir", "sim", "--recorded-ir-dir", "rec", "--seed", 3]),
+    ("only", ["--recorded-ir-dir", "rec"]),
+    ("simulated", ["--simulated-ir-dir", "sim"]),
+)
 SCENE_ZONES = ([0, 2], [1, 3], [0], [0, 1, 2, 3])
 # (name, kind, flags): each kind at its defaults and with every flag it takes
 EXCITATIONS = (
@@ -85,9 +92,9 @@ def _write_inputs(rng: np.random.Generator, seconds: float) -> None:
 def _ir_outputs(excitations) -> None:
     """`ir ism` into two IR sets, `ir gen` for each excitation, `ir extract` of each."""
     for m in range(4):
-        _cli("ir", "ism", "--preset", "cabin", "--source", "1.15,0.42,0.9", "--mic", m,
+        _cli("ir", "ism", "cabin", "--source", "1.15,0.42,0.9", "--mic", m,
              "--max-order", 2, "--ir-length", 512, "--out", f"sim/mic{m}.wav")
-        _cli("ir", "ism", "--room", "room.json", "--mic", m, "--out", f"rec/mic{m}.wav")
+        _cli("ir", "ism", "room", "--room", "room.json", "--mic", m, "--out", f"rec/mic{m}.wav")
     room_ir = read_wav("rec/mic0.wav")[0]
     for name, kind, flags in excitations:
         flags = [kind, *flags]
@@ -99,7 +106,8 @@ def _ir_outputs(excitations) -> None:
 
 
 def _cli_outputs(out: dict, variants, lookbacks) -> None:
-    """`init-weights`, `separate` and `simulate` through the command line."""
+    """`init-weights`, `separate`, `simulate` and `eval` through the command line."""
+    pairs = []
     for variant in variants:
         out[f"fingerprint/{variant}"] = hashlib.sha256(
             variant_config(variant).fingerprint().encode()).hexdigest()
@@ -108,11 +116,13 @@ def _cli_outputs(out: dict, variants, lookbacks) -> None:
             extra = [] if lookback is None else ["--chunk-seconds", lookback]
             _cli("separate", "--input", "mix.wav", "--weights", f"{variant}.bin",
                  "--variant", variant, *extra, "--out-dir", f"sep/{variant}_{lookback}")
+            pairs += ["--est-dir", f"sep/{variant}_{lookback}", "--label-dir", "scene/plain",
+                      "--true-zone", 1]
     _cli("simulate", "--manifest", "scene.json", "--out-dir", "scene/plain")
-    for strategy in STRATEGIES:
+    for strategy, flags in STRATEGIES:
         _cli("simulate", "--manifest", "scene.json", "--out-dir", f"scene/{strategy}",
-             "--strategy", strategy, "--simulated-ir-dir", "sim", "--recorded-ir-dir", "rec",
-             "--seed", 3)
+             strategy, *flags)
+    _cli("eval", *pairs, "--report", "eval.json")
 
 
 def _scene_outputs(out: dict, scenes, seconds: float) -> None:

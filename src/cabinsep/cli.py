@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Subcommands: separate, simulate, ir (gen/extract/ism), eval, bench,
-init-weights. `ir gen` and `ir extract` take the excitation kind as a
-subcommand of their own (`ess`, `mls` or `tsp`) that declares only the flags
-of its spec, so a flag of another kind is a usage error (exit 2). Exit
-codes: 0 ok, 2 input or usage error (`InvalidInput`, or a file that cannot
-be read), 3 config/weights error (`InvalidConfig`). Commands validate their
-inputs before writing any output file. `separate` takes its model from
-`--variant` (and `--chunk-seconds`), and exits 3 when the weight container
-was written for another architecture: other tensor shapes, or a fingerprint
-that differs from the configuration's (the attention lookback is not part
-of it).
+init-weights. The excitation kind of `ir gen`/`ir extract` (`ess`, `mls`,
+`tsp`), the room of `ir ism` (`room`, `cabin`) and the optional IR-mixing
+strategy of `simulate` (`mixed`, `added`, `only`, `simulated`) are
+subcommands that declare only the flags they read, so a foreign or missing
+flag is a usage error (exit 2). Exit codes: 0 ok, 2 input or usage error
+(`InvalidInput`, or a file that cannot be read), 3 config/weights error
+(`InvalidConfig`). Commands validate their inputs before writing any output
+file. `separate` takes its model from `--variant` (and `--chunk-seconds`),
+and exits 3 when the weight container was written for another
+architecture: other tensor shapes, or a fingerprint that differs from the
+configuration's (the attention lookback is not part of it).
 
 The `simulate` and `ir` handlers import the IR lab and scene synthesis
 themselves: both import scipy.signal, which `separate`, `eval`, `bench` and
@@ -59,11 +60,6 @@ _MAX_BENCH_SECONDS = 600.0
 def _given(args, *names) -> dict:
     """The named flags the user gave, for a constructor that owns their defaults."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-
-
-def _flags(names) -> str:
-    """The `--flag-name` spellings of argparse destinations, comma-separated."""
-    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
 def _check_seed(seed: int | None) -> None:
@@ -124,27 +120,32 @@ def _load_ir_set(directory):
     return irs
 
 
+# the IR sets `irlab.mix_ir_sets` reads for each strategy, and its help (written
+# here so that parsing imports no scipy.signal; a test keeps them equal)
+_STRATEGIES = {
+    "mixed": (("simulated", "recorded"), "recorded IR at the speaker's mic, else simulated"),
+    "added": (("simulated", "recorded"), "all recorded with probability 0.25, else simulated"),
+    "only": (("recorded",), "all recorded"),
+    "simulated": (("simulated",), "all simulated"),
+}
+
+
 def cmd_simulate(args) -> int:
     from . import augment, irlab
 
-    if not args.strategy and (given := _given(args, "simulated_ir_dir", "recorded_ir_dir",
-                                              "seed")):
-        raise InvalidInput(f"{_flags(given)}: read with --strategy only")
     _check_seed(args.seed)
     manifest = augment.SceneManifest.from_json(Path(args.manifest).read_text())
     irs_by_zone = None
     if args.strategy:
-        if args.seed is None:
-            raise InvalidConfig("--strategy draws an IR assignment and requires --seed")
         # an IR set holds one source position, so it can render one speaker only
         if (count := len(manifest.speakers)) > 1:
-            raise InvalidInput(f"--strategy renders one speaker, the manifest has {count}")
-        simulated = _load_ir_set(args.simulated_ir_dir) if args.simulated_ir_dir else None
-        recorded = _load_ir_set(args.recorded_ir_dir) if args.recorded_ir_dir else None
-        rng = np.random.default_rng(args.seed)
+            raise InvalidInput(f"a strategy renders one speaker, the manifest has {count}")
+        sets = {name: _load_ir_set(getattr(args, f"{name}_ir_dir"))
+                for name in _STRATEGIES[args.strategy][0]}
+        rng = np.random.default_rng(args.seed)  # read by `added` only
         irs_by_zone = {
-            entry.zone: irlab.mix_ir_sets(simulated, recorded, args.strategy,
-                                          entry.zone, rng)
+            entry.zone: irlab.mix_ir_sets(sets.get("simulated"), sets.get("recorded"),
+                                          args.strategy, entry.zone, rng)
             for entry in manifest.speakers
         }
     render = augment.mix_scene(manifest, base_dir=Path(args.manifest).parent,
@@ -194,7 +195,11 @@ def cmd_ir_gen(args) -> int:
     signal = spec.signal()
     write_wav(args.out, signal)
     if args.inverse_out:
-        write_wav(args.inverse_out, spec.inverse_filter())
+        try:
+            write_wav(args.inverse_out, spec.inverse_filter())
+        except BaseException:
+            Path(args.out).unlink()  # both files or neither
+            raise
     print(f"wrote {args.kind} excitation ({signal.shape[0]} samples) to {args.out}")
     return EXIT_OK
 
@@ -213,25 +218,17 @@ def cmd_ir_extract(args) -> int:
 def cmd_ir_ism(args) -> int:
     from . import irlab
 
-    if args.room:
-        if given := _given(args, "preset", "source", "reflection", "max_order", "ir_length"):
-            raise InvalidInput(
-                f"--room holds the whole room; {_flags(given)} cannot be given with it")
+    if args.geometry == "room":
         try:
             room = irlab.RoomSpec(**json.loads(Path(args.room).read_text()))
         except (json.JSONDecodeError, TypeError) as exc:
             raise InvalidInput(f"{args.room}: not a RoomSpec JSON object ({exc})") from None
-    elif args.preset == "cabin":
-        if not args.source:
-            raise InvalidInput("--preset cabin requires --source x,y,z")
+    else:
         try:
             source = tuple(float(v) for v in args.source.split(","))
         except ValueError:
             raise InvalidInput(f"--source {args.source!r} is not x,y,z in meters") from None
-        room = irlab.cabin_room(source,
-                                **_given(args, "reflection", "max_order", "ir_length"))
-    else:
-        raise InvalidInput("provide --room FILE or --preset cabin")
+        room = irlab.cabin_room(source, **_given(args, "reflection", "max_order", "ir_length"))
     ir = irlab.simulate_ism(room, args.mic)
     irlab.write_ir(args.out, ir)
     print(f"simulated IR (mic {args.mic}, {room.ir_length} taps) to {args.out}")
@@ -379,12 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="render a scene manifest to WAV files")
     sim.add_argument("--manifest", required=True)
     sim.add_argument("--out-dir", required=True)
-    sim.add_argument("--strategy", choices=("mixed", "added", "only", "simulated"),
-                     help="draw the one speaker's IR assignment from IR-set directories")
-    sim.add_argument("--simulated-ir-dir", help="directory of mic0.wav..mic3.wav")
-    sim.add_argument("--recorded-ir-dir", help="directory of mic0.wav..mic3.wav")
-    sim.add_argument("--seed", type=int, help="required with --strategy, read only with it")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, seed=None)
+    strategies = sim.add_subparsers(dest="strategy", help="draw the IRs from IR sets instead")
+    for strategy, (sets, strategy_help) in _STRATEGIES.items():
+        p = strategies.add_parser(strategy, help=strategy_help)
+        for name in sets:
+            p.add_argument(f"--{name}-ir-dir", required=True, help="mic0.wav..mic3.wav")
+    strategies.choices["added"].add_argument("--seed", type=int, required=True)
 
     ir = sub.add_parser("ir", help="impulse-response tools")
     ir_sub = ir.add_subparsers(dest="ir_command", required=True)
@@ -393,14 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
         """`ir <command> ess|mls|tsp`, each kind with one flag per field of its spec."""
         kinds = ir_sub.add_parser(command, help=help_text).add_subparsers(dest="kind",
                                                                           required=True)
-        parsers = {}
         for kind, (_, kind_help, fields) in _EXCITATIONS.items():
-            p = parsers[kind] = kinds.add_parser(kind, help=kind_help)
+            p = kinds.add_parser(kind, help=kind_help)
             for name, field_type in fields.items():
                 p.add_argument("--" + name.replace("_", "-"), type=field_type)
             p.add_argument("--out", required=True)
             p.set_defaults(func=func)
-        return parsers
+        return kinds.choices
 
     gen = add_kinds("gen", "generate an excitation signal", cmd_ir_gen)
     for p in gen.values():
@@ -411,15 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ir-length", type=int)
 
     ism = ir_sub.add_parser("ism", help="simulate a shoebox impulse response")
-    ism.add_argument("--room", help="RoomSpec JSON file")
-    ism.add_argument("--preset", choices=("cabin",))
-    ism.add_argument("--source", help="x,y,z meters (with --preset)")
-    ism.add_argument("--reflection", type=float)
-    ism.add_argument("--max-order", type=int)
-    ism.add_argument("--ir-length", type=int)
-    ism.add_argument("--mic", type=int, required=True)
-    ism.add_argument("--out", required=True)
-    ism.set_defaults(func=cmd_ir_ism)
+    rooms = ism.add_subparsers(dest="geometry", required=True)
+    rooms.add_parser("room", help="a RoomSpec JSON file").add_argument("--room", required=True)
+    cabin = rooms.add_parser("cabin", help="the default cabin with a source position")
+    cabin.add_argument("--source", required=True, help="x,y,z meters")
+    cabin.add_argument("--reflection", type=float)
+    cabin.add_argument("--max-order", type=int)
+    cabin.add_argument("--ir-length", type=int)
+    for p in rooms.choices.values():
+        p.add_argument("--mic", type=int, required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_ir_ism)
 
     ev = sub.add_parser("eval", help="SI-SNR / positioning report")
     ev.add_argument("--est-dir", action="append", required=True)

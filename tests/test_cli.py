@@ -17,8 +17,9 @@ from scipy.io import wavfile
 
 import cabinsep
 from cabinsep import irlab
-from cabinsep.cli import _EXCITATIONS, main
+from cabinsep.cli import _EXCITATIONS, _STRATEGIES, main
 from cabinsep.dsp import analyze, read_wav, write_wav
+from cabinsep.errors import InvalidInput
 from cabinsep.metrics import rtf_benchmark
 from cabinsep.irlab import (
     ImpulseResponse,
@@ -311,9 +312,8 @@ class TestSimulateAndEval:
                 write_ir(ir_dir / f"mic{m}.wav", ImpulseResponse(taps))
         out = scene_dir / "strategy_out"
         assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
-                     "--out-dir", str(out), "--strategy", "only",
-                     "--recorded-ir-dir", str(scene_dir / "rec"),
-                     "--seed", "3"]) == 0
+                     "--out-dir", str(out), "only",
+                     "--recorded-ir-dir", str(scene_dir / "rec")]) == 0
         # recorded IRs delay by 5 samples; the manifest's own IRs by zone+1=3
         label = read_wav(out / "zone3_label.wav")
         assert np.argmax(np.abs(label[0])) >= 5
@@ -359,15 +359,35 @@ class TestSimulateAndEval:
         (scene_dir / "two.json").write_text(json.dumps(manifest))
         out = scene_dir / "rendered"
         assert main(["simulate", "--manifest", str(scene_dir / "two.json"),
-                     "--out-dir", str(out), "--strategy", "simulated",
-                     "--simulated-ir-dir", str(sim), "--seed", "0"]) == 2
+                     "--out-dir", str(out), "simulated",
+                     "--simulated-ir-dir", str(sim)]) == 2
         assert not out.exists()
         assert "the manifest has 2" in capsys.readouterr().err
 
     def test_simulate_strategy_requires_seed(self, scene_dir):
-        assert main(["simulate", "--manifest", str(scene_dir / "scene.json"),
-                     "--out-dir", str(scene_dir / "y"), "--strategy", "only",
-                     "--recorded-ir-dir", str(scene_dir / "rec")]) == 3
+        """`added` draws its IR assignment, so it alone takes (and requires) --seed."""
+        out = scene_dir / "y"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--manifest", str(scene_dir / "scene.json"),
+                  "--out-dir", str(out), "added", "--simulated-ir-dir", str(scene_dir),
+                  "--recorded-ir-dir", str(scene_dir)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", sorted(_STRATEGIES))
+    def test_strategy_table_is_what_mix_ir_sets_reads(self, strategy):
+        """Each subcommand declares exactly the IR sets `mix_ir_sets` reads for it."""
+        assert sorted(_STRATEGIES) == sorted(irlab.MIX_STRATEGIES)
+        sets = _STRATEGIES[strategy][0]
+        given = {name: [ImpulseResponse(np.eye(8)[m]) for m in range(4)] for name in sets}
+        chosen = irlab.mix_ir_sets(given.get("simulated"), given.get("recorded"), strategy,
+                                   0, np.random.default_rng(0))
+        assert all(any(ir is x for irs in given.values() for x in irs) for ir in chosen)
+        for left_out in sets:
+            kept = {name: irs for name, irs in given.items() if name != left_out}
+            with pytest.raises(InvalidInput, match=f"requires a {left_out} IR set"):
+                irlab.mix_ir_sets(kept.get("simulated"), kept.get("recorded"), strategy, 0,
+                                  np.random.default_rng(0))
 
     def test_eval_reports_si_snr_and_positioning(self, scene_dir):
         rendered = scene_dir / "rendered2"
@@ -426,7 +446,7 @@ class TestIrCommands:
 
     def test_ism_with_cabin_preset(self, tmp_path):
         out = tmp_path / "cabin_ir.wav"
-        assert main(["ir", "ism", "--preset", "cabin", "--source", "1.2,0.5,0.9",
+        assert main(["ir", "ism", "cabin", "--source", "1.2,0.5,0.9",
                      "--mic", "0", "--out", str(out)]) == 0
         assert [p.name for p in tmp_path.iterdir()] == ["cabin_ir.wav"]
         taps = read_wav(out)
@@ -455,14 +475,14 @@ class TestIrCommands:
         }
         (tmp_path / "room.json").write_text(json.dumps(room))
         out = tmp_path / "ir.wav"
-        assert main(["ir", "ism", "--room", str(tmp_path / "room.json"),
+        assert main(["ir", "ism", "room", "--room", str(tmp_path / "room.json"),
                      "--mic", "0", "--out", str(out)]) == 0
         ir = read_wav(out)
         assert np.any(ir != 0)
 
     def test_ism_preset_defaults_are_cabin_room_defaults(self, tmp_path):
         out = tmp_path / "ir.wav"
-        assert main(["ir", "ism", "--preset", "cabin", "--source", "1.2,0.5,0.9",
+        assert main(["ir", "ism", "cabin", "--source", "1.2,0.5,0.9",
                      "--mic", "2", "--out", str(out)]) == 0
         taps = read_wav(out)
         expected = simulate_ism(cabin_room((1.2, 0.5, 0.9)), 2).taps
@@ -473,8 +493,8 @@ class TestIrCommands:
         (tmp_path / "full.json").write_text(json.dumps({**ROOM, "reflection": 0.35}))
         taps = []
         for name in ("bare", "full"):
-            assert main(["ir", "ism", "--room", str(tmp_path / f"{name}.json"), "--mic", "0",
-                         "--out", str(tmp_path / f"{name}.wav")]) == 0
+            assert main(["ir", "ism", "room", "--room", str(tmp_path / f"{name}.json"),
+                         "--mic", "0", "--out", str(tmp_path / f"{name}.wav")]) == 0
             taps.append(read_wav(tmp_path / f"{name}.wav"))
         np.testing.assert_array_equal(taps[0], taps[1])
 
@@ -517,8 +537,10 @@ class TestIrCommands:
                                       expected.taps.astype(np.float32))
 
     def test_ism_requires_geometry(self, tmp_path):
-        assert main(["ir", "ism", "--mic", "0",
-                     "--out", str(tmp_path / "x.wav")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["ir", "ism", "--mic", "0", "--out", str(tmp_path / "x.wav")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.wav").exists()
 
 
 class TestBench:
@@ -617,31 +639,31 @@ BAD_INPUTS = {
     # channel 0 is silent and channel 1 holds the excitation
     "extract_two_channels": (2, "ir extract mls --order 8 --recording {mls_stereo} "
                                 "--out {out}"),
-    "ism_ir_length_huge": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --mic 0 "
+    "ism_ir_length_huge": (3, "ir ism cabin --source 1.2,0.5,0.9 --mic 0 "
                               "--ir-length 1000000000000000 --out {out}"),
     "gen_ess_duration_huge": (3, "ir gen ess --duration 1e9 --out {out}"),
     "gen_tsp_length_huge": (3, "ir gen tsp --length 10000000000000 --out {out}"),
-    "ism_reflection_nan": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --reflection nan "
+    "ism_reflection_nan": (3, "ir ism cabin --source 1.2,0.5,0.9 --reflection nan "
                               "--mic 0 --out {out}"),
-    "ism_source_not_numbers": (2, "ir ism --preset cabin --source x,y,z --mic 0 --out {out}"),
-    "ism_source_two_coordinates": (2, "ir ism --preset cabin --source 1,1 --mic 0 "
+    "ism_source_not_numbers": (2, "ir ism cabin --source x,y,z --mic 0 --out {out}"),
+    "ism_source_two_coordinates": (2, "ir ism cabin --source 1,1 --mic 0 "
                                       "--out {out}"),
-    "ism_room_invalid_json": (2, "ir ism --room {room_invalid_json} --mic 0 --out {out}"),
-    "ism_room_missing_dimensions": (2, "ir ism --room {room_missing_dimensions} --mic 0 "
+    "ism_room_invalid_json": (2, "ir ism room --room {room_invalid_json} --mic 0 --out {out}"),
+    "ism_room_missing_dimensions": (2, "ir ism room --room {room_missing_dimensions} --mic 0 "
                                        "--out {out}"),
-    "ism_room_unknown_key": (2, "ir ism --room {room_unknown_key} --mic 0 --out {out}"),
-    "ism_room_reflection_not_numbers": (3, "ir ism --room {room_reflection_not_numbers} "
+    "ism_room_unknown_key": (2, "ir ism room --room {room_unknown_key} --mic 0 --out {out}"),
+    "ism_room_reflection_not_numbers": (3, "ir ism room --room {room_reflection_not_numbers} "
                                            "--mic 0 --out {out}"),
-    "ism_max_order_huge": (3, "ir ism --preset cabin --source 1.2,0.5,0.9 --mic 0 "
+    "ism_max_order_huge": (3, "ir ism cabin --source 1.2,0.5,0.9 --mic 0 "
                               "--max-order 1000000 --out {out}"),
     # a room has no sample rate (IRs are simulated at 16 kHz), so the key is unknown
     # whatever its value
-    "ism_room_sample_rate": (2, "ir ism --room {room_sample_rate} --mic 0 --out {out}"),
-    "ism_room_sample_rate_zero": (2, "ir ism --room {room_sample_rate_zero} --mic 0 "
+    "ism_room_sample_rate": (2, "ir ism room --room {room_sample_rate} --mic 0 --out {out}"),
+    "ism_room_sample_rate_zero": (2, "ir ism room --room {room_sample_rate_zero} --mic 0 "
                                      "--out {out}"),
-    "ism_room_sample_rate_negative": (2, "ir ism --room {room_sample_rate_negative} --mic 0 "
+    "ism_room_sample_rate_negative": (2, "ir ism room --room {room_sample_rate_negative} --mic 0 "
                                          "--out {out}"),
-    "ism_room_dimension_infinite": (3, "ir ism --room {room_dimension_infinite} --mic 0 "
+    "ism_room_dimension_infinite": (3, "ir ism room --room {room_dimension_infinite} --mic 0 "
                                        "--out {out}"),
     # a float WAV far beyond full scale, where the float32 network would overflow
     "separate_amplitude_1e20": (2, "separate --input {loud} --weights {weights} "
@@ -655,33 +677,20 @@ BAD_INPUTS = {
     "eval_estimate_8k": (2, "eval --est-dir {est_8k} --label-dir {est} --report {out}"),
     "eval_pair_8k": (2, "eval --est-dir {est_8k} --label-dir {est_8k} --report {out}"),
     "simulate_strategy_ir_8k": (2, "simulate --manifest {scene_ok} --out-dir {out} "
-                                   "--strategy only --recorded-ir-dir {irs_8k} --seed 0"),
+                                   "only --recorded-ir-dir {irs_8k}"),
     # a zone estimate or label is one channel; channel 0 of each 2-channel file
     # is the working mono one, so a reader of channel 0 alone would exit 0
     "eval_estimate_two_channels": (2, "eval --est-dir {est_stereo} --label-dir {est} "
                                       "--report {out}"),
     "eval_label_two_channels": (2, "eval --est-dir {est} --label-dir {labels_stereo} "
                                    "--report {out}"),
-    # a flag that the chosen path never reads is refused, not ignored
-    "ism_room_with_preset": (2, "ir ism --room {room_ok} --preset cabin --mic 0 --out {out}"),
-    "ism_room_with_source": (2, "ir ism --room {room_ok} --source 1,1,1 --mic 0 --out {out}"),
-    "ism_room_with_reflection": (2, "ir ism --room {room_ok} --reflection 0.2 --mic 0 "
-                                    "--out {out}"),
-    "ism_room_with_max_order": (2, "ir ism --room {room_ok} --max-order 0 --mic 0 --out {out}"),
-    "ism_room_with_ir_length": (2, "ir ism --room {room_ok} --ir-length 64 --mic 0 --out {out}"),
-    "simulate_simulated_ir_dir_without_strategy": (
-        2, "simulate --manifest {scene_ok} --out-dir {out} --simulated-ir-dir {irs_8k}"),
-    "simulate_recorded_ir_dir_without_strategy": (
-        2, "simulate --manifest {scene_ok} --out-dir {out} --recorded-ir-dir {irs_8k}"),
-    "simulate_seed_without_strategy": (2, "simulate --manifest {scene_ok} --out-dir {out} "
-                                          "--seed 5"),
     # a seed is what np.random.default_rng takes: a non-negative integer
     "init_weights_seed_negative": (2, "init-weights --variant S --seed -1 --out {out}"),
     "bench_seed_negative": (2, "bench --variant S --seconds 0.1 --runs 1 --seed -1 "
                                "--report {out}"),
     "simulate_strategy_seed_negative": (2, "simulate --manifest {scene_ok} --out-dir {out} "
-                                           "--strategy only --recorded-ir-dir {irs} "
-                                           "--seed -1"),
+                                           "added --simulated-ir-dir {irs} "
+                                           "--recorded-ir-dir {irs} --seed -1"),
     # above 1e6 the loading changes nothing but rounding (and 1e308 overflowed)
     "separate_loading_1e308": (2, "separate --input {mix} --weights {weights} "
                                   "--loading 1e308 --out-dir {out}"),
@@ -691,6 +700,10 @@ BAD_INPUTS = {
     "gen_ess_duration_1e-9": (3, "ir gen ess --duration 1e-9 --out {out}"),
     "gen_ess_one_sample": (3, "ir gen ess --duration 6.25e-5 --out {out} "
                               "--inverse-out {out}"),
+    # the inverse filter cannot be written (its directory {out} is the excitation
+    # file, not a directory), so the excitation at {out} is not left behind either
+    "gen_ess_inverse_out_missing_dir": (2, "ir gen ess --duration 0.01 --out {out} "
+                                           "--inverse-out {out}/inverse.wav"),
     # malformed WAV headers, and a data chunk cut short by 50 whole frames
     "separate_wav_block_align_zero": (2, "separate --input {wav_block_align_zero} "
                                          "--weights {weights} --out-dir {out}"),
@@ -933,9 +946,12 @@ def test_bad_input_fixtures_differ_from_working_inputs(bad_input_files):
     files = bad_input_files
     assert main(["simulate", "--manifest", str(files["scene_ok"]),
                  "--out-dir", str(files["out"] / "scene")]) == 0
-    assert main(["simulate", "--manifest", str(files["scene_ok"]),
-                 "--out-dir", str(files["out"] / "strategy"), "--strategy", "only",
-                 "--recorded-ir-dir", str(files["irs"]), "--seed", "0"]) == 0
+    for argv in ("only --recorded-ir-dir {irs}", "simulated --simulated-ir-dir {irs}",
+                 "mixed --simulated-ir-dir {irs} --recorded-ir-dir {irs}",
+                 "added --simulated-ir-dir {irs} --recorded-ir-dir {irs} --seed 0"):
+        assert main(["simulate", "--manifest", str(files["scene_ok"]),
+                     "--out-dir", str(files["out"] / argv.split()[0])]
+                    + [a.format(**files) for a in argv.split()]) == 0
     assert main(["separate", "--input", str(files["mix"]), "--weights", str(files["weights"]),
                  "--loading", "1e6", "--out-dir", str(files["out"] / "loaded")]) == 0
     assert main(["ir", "gen", "ess", "--duration", "1.25e-4",
@@ -944,7 +960,8 @@ def test_bad_input_fixtures_differ_from_working_inputs(bad_input_files):
     assert main(["eval", "--est-dir", str(files["est"]), "--label-dir", str(files["est"]),
                  "--report", str(files["out"] / "eval.json")]) == 0
     for argv in ("ir gen mls --order 4", "ir gen tsp --length 64",
-                 "ir extract mls --order 8 --recording {mls}"):
+                 "ir extract mls --order 8 --recording {mls}",
+                 "ir ism room --room {room_ok} --mic 0", "ir ism cabin --source 1,1,1 --mic 0"):
         assert main([a.format(**files) for a in argv.split()]
                     + ["--out", str(files["out"] / "exc.wav")]) == 0
 
@@ -956,9 +973,10 @@ def test_bad_input_defined_exit_without_output(case, bad_input_files):
     assert not bad_input_files["out"].exists()
 
 
-# each `ir gen`/`ir extract` kind declares only its own flags, so a flag of
-# another kind, or `--inverse-out` (the ESS inverse filter) under MLS or TSP,
-# is an argparse usage error: exit 2 before anything is written
+# each `ir gen`/`ir extract` kind, `ir ism` room and `simulate` strategy
+# declares only the flags it reads, so a flag of another kind, `--inverse-out`
+# (the ESS inverse filter) under MLS or TSP, or a missing flag is an argparse
+# usage error: exit 2 before anything is written
 USAGE_ERRORS = {
     "gen_mls_inverse_out": "ir gen mls --order 4 --out {out} --inverse-out {out}",
     "gen_tsp_inverse_out": "ir gen tsp --length 64 --out {out} --inverse-out {out}",
@@ -969,6 +987,31 @@ USAGE_ERRORS = {
     "extract_mls_f_start": "ir extract mls --order 8 --recording {mls} --f-start 100 "
                            "--out {out}",
     "extract_without_kind": "ir extract --duration 1 --recording {mls} --out {out}",
+    # a room file holds the whole room, and the cabin room needs its source
+    "ism_room_with_preset": "ir ism room --room {room_ok} --preset cabin --mic 0 --out {out}",
+    "ism_room_with_source": "ir ism room --room {room_ok} --source 1,1,1 --mic 0 --out {out}",
+    "ism_room_with_reflection": "ir ism room --room {room_ok} --reflection 0.2 --mic 0 "
+                                "--out {out}",
+    "ism_room_with_max_order": "ir ism room --room {room_ok} --max-order 0 --mic 0 --out {out}",
+    "ism_room_with_ir_length": "ir ism room --room {room_ok} --ir-length 64 --mic 0 --out {out}",
+    "ism_cabin_without_source": "ir ism cabin --mic 0 --out {out}",
+    # each strategy takes the IR sets it reads, and only `added` draws with a seed
+    "simulate_simulated_ir_dir_without_strategy": "simulate --manifest {scene_ok} "
+                                                  "--out-dir {out} --simulated-ir-dir {irs}",
+    "simulate_recorded_ir_dir_without_strategy": "simulate --manifest {scene_ok} "
+                                                 "--out-dir {out} --recorded-ir-dir {irs}",
+    "simulate_seed_without_strategy": "simulate --manifest {scene_ok} --out-dir {out} --seed 5",
+    "simulate_only_with_simulated_ir_dir": "simulate --manifest {scene_ok} --out-dir {out} "
+                                           "only --recorded-ir-dir {irs} "
+                                           "--simulated-ir-dir {irs}",
+    "simulate_simulated_with_recorded_ir_dir": "simulate --manifest {scene_ok} --out-dir {out} "
+                                               "simulated --simulated-ir-dir {irs} "
+                                               "--recorded-ir-dir {irs}",
+    "simulate_mixed_with_seed": "simulate --manifest {scene_ok} --out-dir {out} "
+                                "mixed --simulated-ir-dir {irs} --recorded-ir-dir {irs} "
+                                "--seed 0",
+    "simulate_added_without_seed": "simulate --manifest {scene_ok} --out-dir {out} "
+                                   "added --simulated-ir-dir {irs} --recorded-ir-dir {irs}",
 }
 
 
